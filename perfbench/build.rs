@@ -1,0 +1,13 @@
+//! Stamps the compiler version into the binary for each run's machine stamp.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .unwrap_or_default();
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={}", version.trim());
+    println!("cargo:rerun-if-changed=build.rs");
+}
