@@ -88,38 +88,5 @@ fn nearest_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-fn batch_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_256_probes_512_members");
-    let mut rng = Rng::new(5);
-    let d = 10_240;
-    let members: Vec<Hypervector> =
-        (0..512).map(|_| Hypervector::random(d, &mut rng)).collect();
-    let probes: Vec<Hypervector> =
-        (0..256).map(|_| Hypervector::random(d, &mut rng)).collect();
-    let probe_refs: Vec<&Hypervector> = probes.iter().collect();
-    let mut engine = BatchLookup::new(d);
-    for hv in &members {
-        engine.push(hv).expect("same dimension");
-    }
-    group.throughput(Throughput::Elements(256));
-    group.bench_function("blocked_batch", |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            engine.nearest_batch_into(&probe_refs, &mut out);
-            out.len()
-        });
-    });
-    group.bench_function("per_probe_scans", |b| {
-        b.iter(|| {
-            probe_refs
-                .iter()
-                .map(|p| engine.nearest_one(p))
-                .filter(Option::is_some)
-                .count()
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bundle_kernels, permute_kernels, nearest_kernels, batch_kernels);
+criterion_group!(benches, bundle_kernels, permute_kernels, nearest_kernels);
 criterion_main!(benches);

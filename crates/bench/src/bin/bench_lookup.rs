@@ -8,20 +8,15 @@
 //! ```
 //!
 //! The JSON's `comparisons` list is flat — each entry has the baseline
-//! and optimized median ns/op and the speedup factor — so successive PRs
-//! can track the perf trajectory with a stable schema. On top of that the
-//! report carries a `machine` stamp (dispatched kernel tier, host ISA,
-//! cores), a `layout_sweep` block (the layout × `ROW_BLOCK` grid behind
-//! the engine's construction-time autotune; full grid via the
-//! `bench_layout` bin) and the `autotune_defaults` the sweep elected.
-//! Re-run under `HDHASH_FORCE_SCALAR=1` for the scalar-tier trajectory —
-//! the stamp names the tier that ran.
+//! and optimized median ns/op and the speedup factor — so successive
+//! changes can track the perf trajectory with a stable schema. On top of
+//! that the report carries a `machine` stamp (dispatched kernel tier, host
+//! ISA, cores). Re-run under `HDHASH_FORCE_SCALAR=1` for the scalar-tier
+//! trajectory — the stamp names the tier that ran.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use hdhash_bench::layout_sweep;
-use hdhash_bench::Params;
+use hdhash_bench::{machine_stamp, Params};
 use hdhash_core::HdHashTable;
 use hdhash_hdc::maintenance::MembershipCentroid;
 use hdhash_hdc::ops::{bundle, permute, reference, MajorityBundler};
@@ -139,20 +134,14 @@ fn main() {
     comparisons.push(Comparison {
         name: "nearest_1000_members_d10240_noisy_probe",
         baseline: "entry-chasing full-metric scan",
-        optimized: "prefix-filter + early-exit matrix scan",
+        optimized: "early-abandon matrix sweep",
         baseline_ns: naive,
         optimized_ns: fast,
     });
 
     // Adversarial case: a uniformly random probe (no near match), where
-    // abandonment has the least to work with. The calibrator collapses
-    // the engine to the straight blocked scan after a couple of these —
-    // warm it up past the adaptation window so the steady state is what
-    // gets measured (PR 1's fixed prefix filter was 0.81x here).
+    // abandonment has the least to work with.
     let random_probe = Hypervector::random(d, &mut rng);
-    for _ in 0..8 {
-        std::hint::black_box(engine.nearest_one(&random_probe));
-    }
     let naive = median_ns(samples, 20, || {
         std::hint::black_box(seed_scan(&random_probe));
     });
@@ -162,7 +151,7 @@ fn main() {
     comparisons.push(Comparison {
         name: "nearest_1000_members_d10240_random_probe",
         baseline: "entry-chasing full-metric scan",
-        optimized: "calibrated adaptive scan (collapsed to blocked sweep)",
+        optimized: "early-abandon matrix sweep",
         baseline_ns: naive,
         optimized_ns: fast,
     });
@@ -232,33 +221,6 @@ fn main() {
         optimized_ns: fast / 2.0,
     });
 
-    // --- batched probes: 256 probes, 512 members ------------------------
-    let members_512: Vec<Hypervector> =
-        (0..512).map(|_| Hypervector::random(d, &mut rng)).collect();
-    let probes: Vec<Hypervector> =
-        (0..256).map(|_| Hypervector::random(d, &mut rng)).collect();
-    let probe_refs: Vec<&Hypervector> = probes.iter().collect();
-    let mut engine_512 = BatchLookup::new(d);
-    for hv in &members_512 {
-        engine_512.push(hv).expect("dims");
-    }
-    let naive = median_ns(samples, 3, || {
-        let n = probe_refs.iter().filter_map(|p| engine_512.nearest_one(p)).count();
-        std::hint::black_box(n);
-    });
-    let mut out_buf = Vec::new();
-    let fast = median_ns(samples, 3, || {
-        engine_512.nearest_batch_into(&probe_refs, &mut out_buf);
-        std::hint::black_box(out_buf.len());
-    });
-    comparisons.push(Comparison {
-        name: "batch_256_probes_512_members",
-        baseline: "independent per-probe scans",
-        optimized: "cache-blocked multi-probe sweep",
-        baseline_ns: naive,
-        optimized_ns: fast,
-    });
-
     // --- end-to-end table batch: HD lookup of 10_000 keys, 512 servers --
     let mut table = HdHashTable::builder()
         .dimension(10_240)
@@ -286,31 +248,9 @@ fn main() {
         optimized_ns: fast,
     });
 
-    // --- layout × ROW_BLOCK sweep ---------------------------------------
-    // The compact grid feeding the engine's construction-time autotune
-    // table (hdhash_hdc::batch): both layouts at the block sizes that
-    // bracket the default, on the dimensions the repo actually serves.
-    // The finer exploration grid lives in the bench_layout bin.
-    let sweep_dims = params.get_usize_list("sweep_dims", &[2_048, 4_096, 10_240][..]);
-    let sweep_blocks = params.get_usize_list("sweep_blocks", &[8, 16, 32][..]);
-    let sweep_members = params.get_usize("sweep_members", 1024);
-    let sweep =
-        layout_sweep::run_sweep(&sweep_dims, &sweep_blocks, sweep_members, 64, samples.min(9));
-    let winners = layout_sweep::best_per_dim(&sweep);
-    for w in &winners {
-        println!(
-            "layout autotune d={:<6} -> {} block={} (nearest {:.0} ns, batch {:.0} ns/probe)",
-            w.dim,
-            w.layout.name(),
-            w.row_block,
-            w.nearest_ns,
-            w.batch_ns_per_probe,
-        );
-    }
-
     // --- report ----------------------------------------------------------
     let mut json = String::from("{\n  \"benchmark\": \"BENCH_lookup\",\n");
-    json.push_str(&layout_sweep::machine_stamp());
+    json.push_str(&machine_stamp());
     json.push_str("  \"comparisons\": [\n");
     for (i, c) in comparisons.iter().enumerate() {
         json.push_str(&format!(
@@ -326,12 +266,6 @@ fn main() {
             if i + 1 == comparisons.len() { "" } else { "," }
         ));
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(json, "  \"layout_sweep_members\": {sweep_members},");
-    json.push_str("  \"layout_sweep\": [\n");
-    json.push_str(&layout_sweep::sweep_json(&sweep, 4));
-    json.push_str("  ],\n  \"autotune_defaults\": [\n");
-    json.push_str(&layout_sweep::sweep_json(&winners, 4));
     json.push_str("  ]\n}\n");
 
     for c in &comparisons {

@@ -6,7 +6,6 @@
 //! cargo run --release -p hdhash-bench --bin bench_serve -- quick=1
 //! cargo run --release -p hdhash-bench --bin bench_serve -- out=/tmp/B.json requests=20000
 //! cargo run --release -p hdhash-bench --bin bench_serve -- --scheduler work-stealing
-//! cargo run --release -p hdhash-bench --bin bench_serve -- layout=interleaved
 //! ```
 //!
 //! Each grid point builds a fresh engine, replays an emulator-generated
@@ -20,18 +19,12 @@
 //! honored end-to-end: the env var flips every shard's scan kernel to the
 //! portable scalar path, and the `kernel` field proves which one ran) and
 //! the host's core count, since worker scaling is meaningless past it.
-//! `layout=row-major|interleaved` pins every shard engine's matrix layout
-//! (default: per-dimension autotune), and a paired row-major vs
-//! interleaved A/B trial is always recorded in the JSON's `layout_ab`
-//! block — the serving-path receipt for the layout autotune default.
 
 use std::fmt::Write as _;
 
 use hdhash_bench::Params;
 use hdhash_emulator::{Generator, KeyDistribution, Workload};
-use hdhash_serve::{
-    drive, EngineOptions, MatrixLayout, SchedulerKind, ServeConfig, ServeEngine, TraceConfig,
-};
+use hdhash_serve::{drive, SchedulerKind, ServeConfig, ServeEngine, TraceConfig};
 use hdhash_table::ServerId;
 
 struct GridPoint {
@@ -52,19 +45,16 @@ fn run_point(
     batch: usize,
     requests: usize,
     scheduler: SchedulerKind,
-    engine: EngineOptions,
 ) -> GridPoint {
-    run_point_traced(shards, workers, batch, requests, scheduler, engine, TraceConfig::disabled())
+    run_point_traced(shards, workers, batch, requests, scheduler, TraceConfig::disabled())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_point_traced(
     shards: usize,
     workers: usize,
     batch: usize,
     requests: usize,
     scheduler: SchedulerKind,
-    engine_options: EngineOptions,
     trace: TraceConfig,
 ) -> GridPoint {
     let mut engine = ServeEngine::new(ServeConfig {
@@ -76,8 +66,8 @@ fn run_point_traced(
         codebook_size: 256,
         seed: 0xBEE,
         scheduler,
-        engine: engine_options,
         trace,
+        ..ServeConfig::default()
     })
     .expect("valid config");
     for id in 0..64u64 {
@@ -146,30 +136,6 @@ fn main() {
             std::process::exit(2);
         }),
     };
-    // Shard-engine matrix layout: `layout=row-major|interleaved` (or the
-    // two-token `--layout` form) pins every shard's layout; the default
-    // leaves it to the per-dimension autotune.
-    let layout_name = args
-        .iter()
-        .find_map(|a| a.strip_prefix("layout=").map(str::to_owned))
-        .or_else(|| {
-            args.iter().position(|a| a == "--layout").map(|i| {
-                args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--layout requires a value: row-major or interleaved");
-                    std::process::exit(2);
-                })
-            })
-        });
-    let layout = layout_name.as_deref().map(|name| {
-        MatrixLayout::parse(name).unwrap_or_else(|| {
-            eprintln!("unknown layout `{name}`; use row-major or interleaved");
-            std::process::exit(2);
-        })
-    });
-    let engine_options = layout.map_or_else(EngineOptions::default, |l| {
-        EngineOptions::default().with_layout(l)
-    });
-    let layout_label = layout.map_or("autotune", MatrixLayout::name);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     let shard_counts =
@@ -183,7 +149,7 @@ fn main() {
     for &shards in &shard_counts {
         for &workers in &worker_counts {
             for &batch in &batch_sizes {
-                let point = run_point(shards, workers, batch, requests, scheduler, engine_options);
+                let point = run_point(shards, workers, batch, requests, scheduler);
                 println!(
                     "shards={:<2} workers={:<2} batch={:<4} {:>12.0} req/s  \
                      p50 {:>8.1} us  p99 {:>8.1} us  fill {:>6.1}  rejected {}",
@@ -219,7 +185,6 @@ fn main() {
             ab_batch,
             ab_requests,
             scheduler,
-            engine_options,
             trace,
         )
         .throughput_rps
@@ -243,43 +208,6 @@ fn main() {
         "tracing overhead @ shards={ab_shards} workers={ab_workers} batch={ab_batch}: \
          best off {trace_off_rps:.0} req/s, best 1/64 sampled {trace_on_rps:.0} req/s, \
          median paired regression {trace_regression_pct:+.1}%"
-    );
-
-    // Layout A/B on the same mid-grid point: row-major vs word-interleaved
-    // shard engines, end to end through the serving path. Same paired-trial
-    // discipline as the tracing A/B — each trial runs both arms back to
-    // back and yields one interleaved/row-major throughput ratio, and the
-    // reported speedup is the median ratio. The autotune default is
-    // row-major at every dimension, so this trial is the serving-path
-    // receipt for that call.
-    let layout_run = |l: MatrixLayout| -> f64 {
-        run_point_traced(
-            ab_shards,
-            ab_workers,
-            ab_batch,
-            ab_requests,
-            scheduler,
-            EngineOptions::default().with_layout(l),
-            TraceConfig::disabled(),
-        )
-        .throughput_rps
-    };
-    let (mut row_major_rps, mut interleaved_rps) = (0.0f64, 0.0f64);
-    let mut layout_ratios: Vec<f64> = (0..5)
-        .map(|_| {
-            let rm = layout_run(MatrixLayout::RowMajor);
-            let il = layout_run(MatrixLayout::Interleaved);
-            row_major_rps = row_major_rps.max(rm);
-            interleaved_rps = interleaved_rps.max(il);
-            if rm > 0.0 { il / rm } else { 1.0 }
-        })
-        .collect();
-    layout_ratios.sort_by(f64::total_cmp);
-    let layout_speedup = layout_ratios[layout_ratios.len() / 2];
-    println!(
-        "layout A/B @ shards={ab_shards} workers={ab_workers} batch={ab_batch}: \
-         best row-major {row_major_rps:.0} req/s, best interleaved {interleaved_rps:.0} req/s, \
-         median paired interleaved/row-major {layout_speedup:.3}x"
     );
 
     // Headline scaling ratio: best multi-shard vs best single-shard
@@ -307,7 +235,6 @@ fn main() {
     let mut json = String::from("{\n  \"benchmark\": \"BENCH_serve\",\n");
     let _ = writeln!(json, "  \"kernel\": \"{}\",", hdhash_simdkernels::kernel_name());
     let _ = writeln!(json, "  \"scheduler\": \"{}\",", scheduler.name());
-    let _ = writeln!(json, "  \"layout\": \"{layout_label}\",");
     let _ = writeln!(json, "  \"host_isa\": \"{}\",", hdhash_simdkernels::host_isa());
     let _ = writeln!(json, "  \"host_cores\": {cores},");
     let _ = writeln!(json, "  \"requests_per_point\": {requests},");
@@ -322,13 +249,6 @@ fn main() {
          \"batch\": {ab_batch}, \"disabled_rps\": {trace_off_rps:.0}, \
          \"sampled_1_in_64_rps\": {trace_on_rps:.0}, \
          \"regression_pct\": {trace_regression_pct:.1}}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"layout_ab\": {{\"shards\": {ab_shards}, \"workers\": {ab_workers}, \
-         \"batch\": {ab_batch}, \"row_major_rps\": {row_major_rps:.0}, \
-         \"interleaved_rps\": {interleaved_rps:.0}, \
-         \"interleaved_vs_row_major\": {layout_speedup:.3}}},"
     );
     json.push_str(
         "  \"latency_note\": \"per-shard latency now feeds a lock-free 65-bucket log2 \
@@ -359,7 +279,6 @@ fn main() {
 
     println!("kernel: {}", hdhash_simdkernels::kernel_name());
     println!("scheduler: {}", scheduler.name());
-    println!("layout: {layout_label}");
     println!("multi-shard vs single-shard at {max_workers} workers: {scaling:.2}x");
     // Surface the scaling caveat in the stdout summary too, so CI logs
     // are self-explanatory without opening the JSON.

@@ -18,8 +18,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod layout_sweep;
 pub mod params;
 pub mod telemetry_embed;
 
 pub use params::Params;
+
+/// JSON fragment naming the hardware a benchmark ran on: the dispatched
+/// kernel tier, the host's best supported tier, and the core count.
+/// Indented to sit inside a top-level object.
+#[must_use]
+pub fn machine_stamp() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    format!(
+        "  \"machine\": {{\"kernel\": \"{}\", \"host_isa\": \"{}\", \"cores\": {cores}}},\n",
+        hdhash_simdkernels::kernel_name(),
+        hdhash_simdkernels::host_isa(),
+    )
+}

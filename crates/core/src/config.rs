@@ -28,7 +28,6 @@ pub struct HdConfig {
     pub(crate) search: SearchStrategy,
     pub(crate) flip_strategy: FlipStrategy,
     pub(crate) seed: u64,
-    pub(crate) engine: EngineOptions,
 }
 
 impl HdConfig {
@@ -74,14 +73,6 @@ impl HdConfig {
         self.seed
     }
 
-    /// The lookup-engine construction options (matrix layout and scan
-    /// block size). Unset fields are autotuned per dimension when the
-    /// associative memory is built.
-    #[must_use]
-    pub fn engine_options(&self) -> EngineOptions {
-        self.engine
-    }
-
     /// The robustness quantum `c = d / n`: the exact Hamming-distance step
     /// between adjacent circle nodes. Assignments tolerate any corruption
     /// below `c / 2` bits per stored hypervector.
@@ -122,7 +113,6 @@ pub struct HdConfigBuilder {
     search: SearchStrategy,
     flip_strategy: Option<FlipStrategy>,
     seed: u64,
-    engine: EngineOptions,
 }
 
 impl Default for HdConfigBuilder {
@@ -134,7 +124,6 @@ impl Default for HdConfigBuilder {
             search: SearchStrategy::Serial,
             flip_strategy: None,
             seed: 0x4844_4153_4821, // "HDHASH!"
-            engine: EngineOptions::default(),
         }
     }
 }
@@ -187,12 +176,10 @@ impl HdConfigBuilder {
         self
     }
 
-    /// Overrides the lookup-engine construction options (matrix layout
-    /// and/or scan block size). Fields left unset keep the per-dimension
-    /// autotuned defaults; see [`EngineOptions`].
+    /// Accepts lookup-engine options and changes nothing: the engine has
+    /// a single layout and scan, so [`EngineOptions`] has nothing to set.
     #[must_use]
-    pub fn engine_options(mut self, options: EngineOptions) -> Self {
-        self.engine = options;
+    pub fn engine_options(self, _options: EngineOptions) -> Self {
         self
     }
 
@@ -217,7 +204,6 @@ impl HdConfigBuilder {
             search: self.search,
             flip_strategy: self.flip_strategy.unwrap_or(FlipStrategy::Partition),
             seed: self.seed,
-            engine: self.engine,
         })
     }
 
@@ -303,17 +289,6 @@ mod tests {
         // Zero rounds up to the minimum viable dimension.
         let c = HdConfig::builder().dimension(0).codebook_size(8).build_config().expect("valid");
         assert_eq!(c.dimension(), 16);
-    }
-
-    #[test]
-    fn engine_options_flow_through_the_builder() {
-        use hdhash_hdc::MatrixLayout;
-        let c = HdConfig::default();
-        assert_eq!(c.engine_options(), EngineOptions::default());
-        let options =
-            EngineOptions::default().with_layout(MatrixLayout::Interleaved).with_row_block(8);
-        let c = HdConfig::builder().engine_options(options).build_config().expect("valid");
-        assert_eq!(c.engine_options(), options);
     }
 
     #[test]

@@ -60,7 +60,6 @@ pub mod weighted;
 pub use bounded::BoundedHdTable;
 pub use codebook::Codebook;
 pub use config::{HdConfig, HdConfigBuilder, HdConfigError};
-pub use hdhash_hdc::{EngineOptions, MatrixLayout};
 pub use hierarchical::HierarchicalHdTable;
 pub use table::HdHashTable;
 pub use weighted::WeightedHdTable;

@@ -95,7 +95,7 @@ impl HdHashTable {
                 Box::new(hdhash_hashfn::XxHash64::with_seed(0)),
                 config.seed,
             );
-        let memory = AssociativeMemory::with_engine_options(config.dimension, config.engine)
+        let memory = AssociativeMemory::new(config.dimension)
             .with_metric(config.metric)
             .with_strategy(config.search);
         let signature = MembershipCentroid::new(config.dimension);
@@ -235,10 +235,9 @@ impl HdHashTable {
     }
 
     fn rebuild_memory(&mut self) {
-        let mut memory =
-            AssociativeMemory::with_engine_options(self.config.dimension, self.config.engine)
-                .with_metric(self.config.metric)
-                .with_strategy(self.config.search);
+        let mut memory = AssociativeMemory::new(self.config.dimension)
+            .with_metric(self.config.metric)
+            .with_strategy(self.config.search);
         for &(server, slot) in &self.members {
             memory
                 .insert(server, self.codebook.hypervector(slot).clone())
@@ -329,8 +328,8 @@ impl DynamicHashTable for HdHashTable {
                     }
                 }
                 hdhash_hdc::basis::FlipStrategy::Independent { .. } => {
-                    // Raw arg-max path: the cache-blocked multi-probe
-                    // kernel in one sweep.
+                    // Raw arg-max path: one early-abandon sweep per
+                    // distinct probe.
                     for (slot, matched) in
                         distinct.iter().zip(self.memory.nearest_batch(&probes))
                     {

@@ -88,7 +88,7 @@ impl WeightedHdTable {
             Box::new(hdhash_hashfn::XxHash64::with_seed(0)),
             config.seed,
         );
-        let memory = AssociativeMemory::with_engine_options(config.dimension, config.engine)
+        let memory = AssociativeMemory::new(config.dimension)
             .with_metric(config.metric)
             .with_strategy(config.search);
         let signature = MembershipCentroid::new(config.dimension);
@@ -219,10 +219,9 @@ impl WeightedHdTable {
     }
 
     fn rebuild_memory(&mut self) {
-        let mut memory =
-            AssociativeMemory::with_engine_options(self.config.dimension, self.config.engine)
-                .with_metric(self.config.metric)
-                .with_strategy(self.config.search);
+        let mut memory = AssociativeMemory::new(self.config.dimension)
+            .with_metric(self.config.metric)
+            .with_strategy(self.config.search);
         for replica in &self.replicas {
             memory
                 .insert(

@@ -1,173 +1,40 @@
-//! The batched nearest-neighbour engine: one contiguous word matrix under
-//! every associative-memory scan.
+//! The nearest-neighbour engine: one contiguous row-major word matrix
+//! under every associative-memory scan.
 //!
 //! [`AssociativeMemory`](crate::memory::AssociativeMemory) stores its
 //! entries as `Vec<(K, Hypervector)>` — fine as an API surface, hostile as
 //! a scan layout: every candidate costs a pointer chase into a separately
 //! allocated word buffer. [`BatchLookup`] keeps a synchronized flat word
-//! matrix (one `Vec<u64>`), so a scan is a linear walk the prefetcher can
-//! see coming.
+//! matrix (one `Vec<u64>`, row `r` at `r * row_words`), so a scan is a
+//! linear walk the prefetcher can see coming.
 //!
-//! Three scan shapes, all allocation-free in steady state:
+//! Every query is one **early-abandon sweep** over a row range: rows are
+//! scanned in order, each distance is counted through the dispatched
+//! kernel in 16-word blocks, and a row is abandoned as soon as its running
+//! count exceeds the best verdict so far. The sweep minimises
+//! `(q, order(row), row)` with `q = ⌊(dist + c/2)/c⌋` for a quantum `c`;
+//! its bound is quantum-aware, so a row that could still *tie* the best
+//! level is counted to the end and the `order` tie-break sees it. The
+//! plain arg-min is the `c = 1`, `order = ()` case: lowest distance,
+//! earliest row on ties. The query shapes are thin calls into that sweep:
 //!
-//! * [`nearest_one`](BatchLookup::nearest_one) — single-probe argmin
-//!   through an **adaptive incremental-prefix schedule** (see below);
-//! * [`nearest_batch_into`](BatchLookup::nearest_batch_into) — multi-probe
-//!   scan, cache-blocked so each block of member rows is streamed through
-//!   once for the whole probe batch (the emulator issues thousands of
-//!   lookups per tick);
-//! * [`nearest_in_range`](BatchLookup::nearest_in_range) — the shard
-//!   primitive for the multi-threaded path, with a caller-supplied
-//!   starting bound so shards can inherit a global best.
+//! * [`nearest_one`](BatchLookup::nearest_one) — the arg-min over all rows;
+//! * [`nearest_in_range`](BatchLookup::nearest_in_range) — the arg-min over
+//!   one row range (the shard primitive of the multi-threaded path);
+//! * [`nearest_quantized_by`](BatchLookup::nearest_quantized_by) — the
+//!   quantized arg-max of `hdhash-core`'s partitioned codebook;
+//! * [`nearest_batch_into`](BatchLookup::nearest_batch_into) — one sweep
+//!   per probe of a batch.
 //!
-//! ## Matrix layouts
-//!
-//! The matrix has two physical layouts, selected (or autotuned) at
-//! construction via [`EngineOptions`]:
-//!
-//! * [`MatrixLayout::RowMajor`] — one row after another
-//!   (`matrix[row * row_words + w]`). Full-row scans are perfectly
-//!   sequential; a *prefix* round of width `k` reads `k` words then skips
-//!   `row_words − k`, a strided access pattern that wastes most of every
-//!   cache line once `k` is small relative to the row.
-//! * [`MatrixLayout::Interleaved`] — column-blocked word interleaving:
-//!   rows are grouped into blocks of `row_block` *lanes* and stored
-//!   word-major within the block
-//!   (`matrix[(row/B)·row_words·B + w·B + row%B]`). The first `k` words
-//!   of **every** lane in a block are one contiguous range, so prefix
-//!   rounds — the hot step of the adaptive schedule — become sequential
-//!   streams, and widening a prefix from `k₀` to `k₁` words reads exactly
-//!   the new segment. Scans go through the accumulating fused kernel
-//!   [`hdhash_simdkernels::xor_popcount_interleaved`]; whole blocks are
-//!   abandoned early once every lane's lower bound exceeds the current
-//!   pruning limit.
-//!
-//! Both layouts produce **byte-identical results** on every query path —
-//! same argmin, same tie-breaks — pinned by this module's tests and the
-//! cross-layout property suite in `crates/hdc/tests/kernel_equivalence.rs`.
-//! Row-major scans use the overwriting fused kernel
-//! ([`hdhash_simdkernels::xor_popcount_rows`]) for bulk prefix rounds and
-//! drop software prefetch hints one row ahead on sweep loops.
-//! `retain_rows` compaction under the interleaved layout rebuilds into a
-//! persistent per-engine arena buffer that is swapped with the matrix and
-//! kept, so membership churn reuses the same two allocations forever
-//! instead of fragmenting the heap.
-//!
-//! ## The adaptive scan schedule
-//!
-//! An HD-hash table sees two probe shapes with opposite optimal scans.
-//! *Inference-shaped* probes (a noisy copy of a stored row — the memory's
-//! contract) have one far-below-the-field near match: a short prefix pass
-//! identifies it and the rest of the population dies on prefix lower
-//! bounds alone. *Adversarial* probes (uniformly random, no near match)
-//! gain nothing from any filter: every partial distance concentrates at
-//! half the prefix, so the only good plan is one straight early-exit
-//! sweep. A fixed prefix filter is therefore pure overhead exactly when
-//! the table is under adversarial load.
-//!
-//! [`nearest_one`] resolves the tension twice over:
-//!
-//! 1. **Incremental-prefix escalation** — the first round scores every
-//!    row on a short prefix (~1/8 of the words). If a row stands out, the
-//!    leader is verified fully, survivors are re-ranked, and subsequent
-//!    rounds widen the prefix geometrically (×4 per round), pruning any
-//!    row whose partial distance (a lower bound) exceeds the best full
-//!    distance. No word is ever counted twice: each round extends the
-//!    stored partials over the new segment only. If no row stands out the
-//!    scan completes as one suffix sweep in insertion order, still
-//!    reusing the round-one partials.
-//! 2. **An online calibrator** — a per-engine atomic score tracks whether
-//!    recent probes were inference-shaped (filter helped) or adversarial
-//!    (filter idle). Under sustained adversarial traffic the engine
-//!    *collapses to the straight blocked scan*, skipping the prefix pass
-//!    entirely, and re-probes the filtered path on a small fraction of
-//!    queries so it can re-engage when the workload turns.
-//!
-//! Every path — tiny table, straight scan, early collapse, full
-//! escalation, either layout — returns the exact argmin with the
-//! earliest-row tie-break; the property suite pins each one against
-//! `ops::reference`.
-//!
-//! [`nearest_one`]: BatchLookup::nearest_one
-
-use std::sync::atomic::{AtomicI32, AtomicU32, Ordering};
+//! None of them allocates; the batch call refills a caller-owned output
+//! buffer. [`distances_into`](BatchLookup::distances_into) scores every
+//! row without abandonment through the fused multi-row kernel
+//! ([`hdhash_simdkernels::xor_popcount_rows`]).
 
 use crate::hypervector::{hamming_words_within, DimensionMismatchError, Hypervector};
 
-/// Physical layout of the scan matrix. See the
-/// [module docs](self#matrix-layouts) for the trade-off; both layouts are
-/// result-identical on every query path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MatrixLayout {
-    /// One row after another: word `w` of row `r` lives at
-    /// `r * row_words + w`. Best when scans read whole rows.
-    RowMajor,
-    /// Column-blocked word interleaving: rows are grouped into blocks of
-    /// `row_block` lanes, stored word-major within the block, so a prefix
-    /// of the whole block is one contiguous range. Best when scans read
-    /// short prefixes of many rows.
-    Interleaved,
-}
-
-impl MatrixLayout {
-    /// Every layout, in autotune preference order (benchmarks sweep this).
-    pub const ALL: [MatrixLayout; 2] = [MatrixLayout::RowMajor, MatrixLayout::Interleaved];
-
-    /// Stable external name (config files, bench JSON, CLI flags).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            MatrixLayout::RowMajor => "row-major",
-            MatrixLayout::Interleaved => "interleaved",
-        }
-    }
-
-    /// Inverse of [`name`](Self::name), tolerant of underscore spellings.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "row-major" | "row_major" | "rowmajor" => Some(MatrixLayout::RowMajor),
-            "interleaved" => Some(MatrixLayout::Interleaved),
-            _ => None,
-        }
-    }
-}
-
-/// Construction options for [`BatchLookup`] (and everything above it:
-/// the associative memory, the HD-hash table, the serving shards).
-///
-/// Every field defaults to `None`, meaning *autotune*: the engine picks
-/// the measured-best value for the dimension and the detected kernel tier
-/// from a small static table fed by the `bench_layout` sweep (recorded in
-/// `BENCH_lookup.json`). Set a field to pin it — benchmarks and the
-/// cross-layout property tests do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct EngineOptions {
-    /// Physical matrix layout; `None` = autotune from dimension + tier.
-    pub layout: Option<MatrixLayout>,
-    /// Rows per block: the lane count of the interleaved layout and the
-    /// cache-block height of row-major batch sweeps. `None` = autotune.
-    pub row_block: Option<usize>,
-}
-
-impl EngineOptions {
-    /// Pins the matrix layout.
-    #[must_use]
-    pub fn with_layout(mut self, layout: MatrixLayout) -> Self {
-        self.layout = Some(layout);
-        self
-    }
-
-    /// Pins the row-block height (must be positive).
-    #[must_use]
-    pub fn with_row_block(mut self, row_block: usize) -> Self {
-        self.row_block = Some(row_block);
-        self
-    }
-}
-
-/// Rows of member hypervectors in one contiguous, cache-blocked word
-/// matrix, scanned by Hamming distance.
+/// Rows of member hypervectors in one contiguous row-major word matrix,
+/// scanned by Hamming distance.
 ///
 /// Row indices are stable under [`push`](Self::push) (append) and shift
 /// down under [`rebuild`](Self::rebuild) and
@@ -177,82 +44,7 @@ impl EngineOptions {
 pub struct BatchLookup {
     dimension: usize,
     row_words: usize,
-    rows: usize,
-    layout: MatrixLayout,
-    row_block: usize,
     matrix: Vec<u64>,
-    /// Compaction arena for the interleaved layout: `retain_rows` rebuilds
-    /// into this buffer and swaps it with `matrix`, so churn ping-pongs
-    /// between two long-lived allocations instead of fragmenting.
-    arena: Vec<u64>,
-    calibrator: ScanCalibrator,
-}
-
-/// The per-engine online probe-shape calibrator.
-///
-/// A small saturating score votes on whether recent single-probe queries
-/// were inference-shaped (`+1`: the prefix round found a stand-out row) or
-/// adversarial (`-2`: it did not). While the score is negative the engine
-/// skips the prefix pass and runs the straight blocked scan, re-probing
-/// the filtered path once every [`EXPLORE_PERIOD`] queries so a workload
-/// shift back to inference-shaped traffic re-engages the filter.
-///
-/// All state is atomic with `Relaxed` ordering: queries take `&self`, the
-/// score is a heuristic, and a lost update merely delays adaptation by a
-/// query — exactness of results never depends on it.
-#[derive(Debug)]
-struct ScanCalibrator {
-    /// Saturating vote in `[-SCORE_SATURATION, SCORE_SATURATION]`;
-    /// negative collapses the scan.
-    score: AtomicI32,
-    /// Query counter driving periodic exploration while collapsed.
-    queries: AtomicU32,
-}
-
-/// Score bounds; small so both collapse and re-engagement happen within a
-/// handful of queries.
-const SCORE_SATURATION: i32 = 8;
-/// Fresh engines assume inference-shaped probes (the memory's contract);
-/// two adversarial probes in a row are enough to collapse from here.
-const INITIAL_SCORE: i32 = 2;
-/// While collapsed, one query in this many runs the filtered path anyway.
-const EXPLORE_PERIOD: u32 = 32;
-
-impl ScanCalibrator {
-    fn new() -> Self {
-        Self { score: AtomicI32::new(INITIAL_SCORE), queries: AtomicU32::new(0) }
-    }
-
-    /// Whether this query should attempt the filtered schedule.
-    fn wants_filter(&self) -> bool {
-        if self.score.load(Ordering::Relaxed) >= 0 {
-            return true;
-        }
-        // Collapsed: still explore occasionally.
-        self.queries.fetch_add(1, Ordering::Relaxed).is_multiple_of(EXPLORE_PERIOD)
-    }
-
-    /// Records whether the prefix round found a stand-out row.
-    fn record(&self, stood_out: bool) {
-        // Saturating add/sub via compare-free clamp: racing updates can
-        // overshoot transiently, which the clamp on the next load hides.
-        let delta = if stood_out { 1 } else { -2 };
-        let old = self.score.fetch_add(delta, Ordering::Relaxed);
-        let new = old + delta;
-        if !(-SCORE_SATURATION..=SCORE_SATURATION).contains(&new) {
-            let clamped = new.clamp(-SCORE_SATURATION, SCORE_SATURATION);
-            self.score.store(clamped, Ordering::Relaxed);
-        }
-    }
-}
-
-impl Clone for ScanCalibrator {
-    fn clone(&self) -> Self {
-        Self {
-            score: AtomicI32::new(self.score.load(Ordering::Relaxed)),
-            queries: AtomicU32::new(self.queries.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 /// A scan hit: row index and exact Hamming distance.
@@ -264,102 +56,16 @@ pub struct Hit {
     pub distance: usize,
 }
 
-std::thread_local! {
-    /// Reusable `(prefix distance, row)` buffer for the prefix-filter
-    /// scan in [`BatchLookup::nearest_one`] — queries take `&self`, so the
-    /// scratch lives with the thread, keeping the hot path allocation-free.
-    static PREFIX_SCRATCH: std::cell::RefCell<Vec<(u32, u32)>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-
-    /// Reusable distance buffer for the fused row-major prefix round.
-    static DIST_SCRATCH: std::cell::RefCell<Vec<u32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-
-    /// Reusable per-lane accumulators for interleaved block sweeps.
-    static LANE_SCRATCH: std::cell::RefCell<Vec<u32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Autotune fallback for the rows-per-block height: 16 rows of a
-/// `d = 10_240` memory are 20 KiB — comfortably inside L1/L2 alongside
-/// the probe — while still amortizing the per-probe bookkeeping.
-const DEFAULT_ROW_BLOCK: usize = 16;
-
-/// Populations below this always scan straight: the prefix bookkeeping
-/// cannot pay for itself over a handful of rows.
-const MIN_FILTER_ROWS: usize = 8;
-
-/// Upper bound on schedule rounds (widths grow ×4 per round, so even
-/// gigabit rows fit; the array lives on the stack).
-const MAX_ROUNDS: usize = 16;
-
-/// Chunk width (words) between early-abandon checks when an interleaved
-/// block sweep extends its lane accumulators: 64 words × 16 lanes = 8 KiB
-/// per check, long enough for the fused kernel to stream flat out.
-const SUFFIX_CHUNK_WORDS: usize = 64;
-
-/// Lane-accumulator sentinel for rows pruned before (or outside) a block
-/// sweep. Far above any distance but with headroom for the accumulation
-/// that still lands on pruned lanes (distances fit u32 throughout the
-/// engine, so `PRUNED + dimension` cannot wrap).
-const PRUNED: u32 = u32::MAX / 2;
-
 impl BatchLookup {
-    /// An empty engine for dimension `d` with autotuned layout options.
+    /// An empty engine for dimension `d`.
     ///
     /// # Panics
     ///
     /// Panics if `d == 0`.
     #[must_use]
     pub fn new(d: usize) -> Self {
-        Self::with_options(d, EngineOptions::default())
-    }
-
-    /// An empty engine for dimension `d`; unset [`EngineOptions`] fields
-    /// are filled from the static autotune table (dimension × detected
-    /// kernel tier, measured by `bench_layout`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d == 0` or `options.row_block == Some(0)`.
-    #[must_use]
-    pub fn with_options(d: usize, options: EngineOptions) -> Self {
         assert!(d > 0, "dimension must be positive");
-        if let Some(b) = options.row_block {
-            assert!(b > 0, "row block must be positive");
-        }
-        let row_words = d.div_ceil(64);
-        let (layout, row_block) = Self::autotuned(row_words, options);
-        Self {
-            dimension: d,
-            row_words,
-            rows: 0,
-            layout,
-            row_block,
-            matrix: Vec::new(),
-            arena: Vec::new(),
-            calibrator: ScanCalibrator::new(),
-        }
-    }
-
-    /// Resolves unset options from the static autotune table.
-    ///
-    /// The table is fed by the `bench_layout` sweep (layout × `ROW_BLOCK`
-    /// × kernel tier × dimension; see the `layout_sweep` block of
-    /// `BENCH_lookup.json` and `docs/BENCHMARKS.md` for regeneration).
-    /// The sweep's verdict on the AVX-capable reference host: row-major
-    /// wins or ties at every measured dimension — the adaptive schedule's
-    /// per-row early abandon prunes harder than the interleaved sweep's
-    /// all-lanes-dead test, and at `d = 10_240` that gap is ~1.6× on
-    /// noisy-probe workloads. Block heights 8–32 measure within noise of
-    /// each other (only 4 is consistently bad), so the default stays at
-    /// [`DEFAULT_ROW_BLOCK`]. The interleaved layout remains selectable
-    /// via [`EngineOptions::with_layout`] for streaming-dominated
-    /// workloads and is property-pinned byte-identical to row-major.
-    fn autotuned(_row_words: usize, options: EngineOptions) -> (MatrixLayout, usize) {
-        let layout = options.layout.unwrap_or(MatrixLayout::RowMajor);
-        let row_block = options.row_block.unwrap_or(DEFAULT_ROW_BLOCK);
-        (layout, row_block)
+        Self { dimension: d, row_words: d.div_ceil(64), matrix: Vec::new() }
     }
 
     /// Hypervector dimension of every row.
@@ -368,40 +74,16 @@ impl BatchLookup {
         self.dimension
     }
 
-    /// The physical matrix layout this engine scans.
-    #[must_use]
-    pub fn layout(&self) -> MatrixLayout {
-        self.layout
-    }
-
-    /// Rows per block: interleave lane count / batch cache-block height.
-    #[must_use]
-    pub fn row_block(&self) -> usize {
-        self.row_block
-    }
-
     /// Number of member rows.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.rows
+        self.matrix.len() / self.row_words
     }
 
     /// Whether the engine holds no rows.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Flat index of word `w` of row `row` under the current layout.
-    #[inline]
-    fn word_index(&self, row: usize, w: usize) -> usize {
-        match self.layout {
-            MatrixLayout::RowMajor => row * self.row_words + w,
-            MatrixLayout::Interleaved => {
-                let b = self.row_block;
-                (row / b) * self.row_words * b + w * b + (row % b)
-            }
-        }
+        self.matrix.is_empty()
     }
 
     /// Appends a member row.
@@ -411,27 +93,9 @@ impl BatchLookup {
     /// Returns [`DimensionMismatchError`] on dimension mismatch.
     pub fn push(&mut self, hv: &Hypervector) -> Result<(), DimensionMismatchError> {
         if hv.dimension() != self.dimension {
-            return Err(DimensionMismatchError {
-                left: self.dimension,
-                right: hv.dimension(),
-            });
+            return Err(DimensionMismatchError { left: self.dimension, right: hv.dimension() });
         }
-        match self.layout {
-            MatrixLayout::RowMajor => self.matrix.extend_from_slice(hv.as_words()),
-            MatrixLayout::Interleaved => {
-                let b = self.row_block;
-                if self.rows.is_multiple_of(b) {
-                    // Open a zeroed block; tail lanes stay zero-padded
-                    // until later pushes claim them.
-                    self.matrix.resize(self.matrix.len() + self.row_words * b, 0);
-                }
-                let off = (self.rows / b) * self.row_words * b + self.rows % b;
-                for (w, &word) in hv.as_words().iter().enumerate() {
-                    self.matrix[off + w * b] = word;
-                }
-            }
-        }
-        self.rows += 1;
+        self.matrix.extend_from_slice(hv.as_words());
         Ok(())
     }
 
@@ -440,97 +104,44 @@ impl BatchLookup {
     /// noise is cleared).
     pub fn rebuild<'a, I: Iterator<Item = &'a Hypervector>>(&mut self, rows: I) {
         self.matrix.clear();
-        self.rows = 0;
         for hv in rows {
             assert_eq!(hv.dimension(), self.dimension, "row dimension mismatch");
             self.push(hv).expect("dimension checked above");
         }
     }
 
-    /// Drops every row whose index fails `keep`, compacting the matrix
-    /// without touching the owning entries. Surviving rows keep their
+    /// Drops every row whose index fails `keep`, compacting the matrix in
+    /// place with one forward `copy_within` pass. Surviving rows keep their
     /// relative order, so the earliest-row tie-break still matches the
     /// owner's entry order.
-    ///
-    /// Row-major compaction is one forward `copy_within` pass in place.
-    /// Interleaved compaction re-lanes survivors into the persistent
-    /// per-engine arena and swaps it with the matrix, so sustained
-    /// membership churn reuses the same two allocations instead of
-    /// fragmenting the heap.
     pub fn retain_rows<F: FnMut(usize) -> bool>(&mut self, mut keep: F) {
-        match self.layout {
-            MatrixLayout::RowMajor => {
-                let w = self.row_words;
-                let mut kept = 0usize;
-                for row in 0..self.rows {
-                    if keep(row) {
-                        if kept != row {
-                            self.matrix.copy_within(row * w..(row + 1) * w, kept * w);
-                        }
-                        kept += 1;
-                    }
+        let w = self.row_words;
+        let mut kept = 0usize;
+        for row in 0..self.len() {
+            if keep(row) {
+                if kept != row {
+                    self.matrix.copy_within(row * w..(row + 1) * w, kept * w);
                 }
-                self.rows = kept;
-                self.matrix.truncate(kept * w);
-            }
-            MatrixLayout::Interleaved => {
-                let b = self.row_block;
-                let rw = self.row_words;
-                self.arena.clear();
-                let mut kept = 0usize;
-                for row in 0..self.rows {
-                    if !keep(row) {
-                        continue;
-                    }
-                    if kept.is_multiple_of(b) {
-                        self.arena.resize(self.arena.len() + rw * b, 0);
-                    }
-                    let src = (row / b) * rw * b + row % b;
-                    let dst = (kept / b) * rw * b + kept % b;
-                    for w in 0..rw {
-                        self.arena[dst + w * b] = self.matrix[src + w * b];
-                    }
-                    kept += 1;
-                }
-                std::mem::swap(&mut self.matrix, &mut self.arena);
-                // The old matrix becomes the next compaction's arena;
-                // clearing keeps its capacity.
-                self.arena.clear();
-                self.rows = kept;
+                kept += 1;
             }
         }
+        self.matrix.truncate(kept * w);
     }
 
-    /// Copies the packed words of row `i` into `out` (cleared first).
-    ///
-    /// Layout-independent replacement for borrowing a row slice, which
-    /// only the row-major layout could offer; callers needing bulk
-    /// distances should prefer [`distances_into`](Self::distances_into).
+    /// The packed words of row `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn copy_row_into(&self, i: usize, out: &mut Vec<u64>) {
-        assert!(i < self.rows, "row index out of range");
-        out.clear();
-        match self.layout {
-            MatrixLayout::RowMajor => {
-                out.extend_from_slice(
-                    &self.matrix[i * self.row_words..(i + 1) * self.row_words],
-                );
-            }
-            MatrixLayout::Interleaved => {
-                let b = self.row_block;
-                let off = (i / b) * self.row_words * b + i % b;
-                out.extend((0..self.row_words).map(|w| self.matrix[off + w * b]));
-            }
-        }
+    #[must_use]
+    pub fn row(&self, i: usize) -> &[u64] {
+        assert!(i < self.len(), "row index out of range");
+        &self.matrix[i * self.row_words..(i + 1) * self.row_words]
     }
 
     /// Exact Hamming distances from `probe` to every row, into `out`
     /// (cleared and refilled; reuse the buffer to stay allocation-free).
-    /// Runs the layout's fused kernel: one dispatcher entry per block
-    /// instead of one per row.
+    /// One fused-kernel call scores the whole matrix.
     ///
     /// # Panics
     ///
@@ -538,502 +149,86 @@ impl BatchLookup {
     pub fn distances_into(&self, probe: &Hypervector, out: &mut Vec<u32>) {
         assert_eq!(probe.dimension(), self.dimension, "probe dimension mismatch");
         out.clear();
-        out.resize(self.rows, 0);
-        if self.rows == 0 {
-            return;
-        }
-        let probe_words = probe.as_words();
-        match self.layout {
-            MatrixLayout::RowMajor => {
-                hdhash_simdkernels::xor_popcount_rows(
-                    probe_words,
-                    &self.matrix,
-                    self.row_words,
-                    out,
-                );
-            }
-            MatrixLayout::Interleaved => {
-                let b = self.row_block;
-                let rw = self.row_words;
-                LANE_SCRATCH.with(|cell| {
-                    let mut acc = cell.borrow_mut();
-                    for blk in 0..=(self.rows - 1) / b {
-                        let base = blk * b;
-                        let off = blk * rw * b;
-                        acc.clear();
-                        acc.resize(b, 0);
-                        hdhash_simdkernels::prefetch_words(&self.matrix, off + rw * b);
-                        hdhash_simdkernels::xor_popcount_interleaved(
-                            probe_words,
-                            &self.matrix[off..off + rw * b],
-                            b,
-                            &mut acc,
-                        );
-                        for (lane, &d) in acc.iter().enumerate().take(self.rows - base) {
-                            out[base + lane] = d;
-                        }
-                    }
-                });
-            }
-        }
+        out.resize(self.len(), 0);
+        hdhash_simdkernels::xor_popcount_rows(probe.as_words(), &self.matrix, self.row_words, out);
     }
 
     /// Flips one bit of row `i` (noise injection keeps the engine in sync
     /// with the owning memory's entries).
     pub(crate) fn flip_bit(&mut self, row: usize, bit: usize) {
         debug_assert!(bit < self.dimension);
-        let idx = self.word_index(row, bit / 64);
-        self.matrix[idx] ^= 1u64 << (bit % 64);
+        self.matrix[row * self.row_words + bit / 64] ^= 1u64 << (bit % 64);
     }
 
-    /// Prefix distances (lower bounds) of rows `start..end` against
-    /// `probe_prefix`, appended to `partials` as `(distance, row)` in row
-    /// order, through the layout's fused kernel.
-    fn prefix_partials_into(
+    /// The one scan: minimises `(q, order(row), row)` over rows
+    /// `[start, end)`, where `q = ⌊(dist + c/2)/c⌋` for `c = quantum`.
+    ///
+    /// Rows are swept in order with a software prefetch one row ahead.
+    /// Once a best level `q` is known, a row is abandoned as soon as its
+    /// running distance exceeds the largest distance that still maps to
+    /// `q` — it can never improve `(q, order)`. Rows that could tie the
+    /// level are counted to the end, so the `order` tie-break sees them.
+    fn sweep<O: Ord>(
         &self,
-        probe_prefix: &[u64],
+        probe: &Hypervector,
+        quantum: usize,
         start: usize,
         end: usize,
-        partials: &mut Vec<(u32, u32)>,
-    ) {
-        match self.layout {
-            MatrixLayout::RowMajor => DIST_SCRATCH.with(|cell| {
-                let mut dist = cell.borrow_mut();
-                dist.clear();
-                dist.resize(end - start, 0);
-                hdhash_simdkernels::xor_popcount_rows(
-                    probe_prefix,
-                    &self.matrix[start * self.row_words..],
-                    self.row_words,
-                    &mut dist,
-                );
-                partials.extend(dist.iter().zip(start..end).map(|(&p, row)| (p, row as u32)));
-            }),
-            MatrixLayout::Interleaved => {
-                let b = self.row_block;
-                let rw = self.row_words;
-                let k = probe_prefix.len();
-                LANE_SCRATCH.with(|cell| {
-                    let mut acc = cell.borrow_mut();
-                    for blk in start / b..=(end - 1) / b {
-                        let base = blk * b;
-                        let off = blk * rw * b;
-                        acc.clear();
-                        acc.resize(b, 0);
-                        // The next block's prefix while this one counts.
-                        hdhash_simdkernels::prefetch_words(&self.matrix, off + rw * b);
-                        hdhash_simdkernels::xor_popcount_interleaved(
-                            probe_prefix,
-                            &self.matrix[off..off + k * b],
-                            b,
-                            &mut acc,
-                        );
-                        for (lane, &p) in acc.iter().enumerate() {
-                            let row = base + lane;
-                            if row >= start && row < end {
-                                partials.push((p, row as u32));
-                            }
-                        }
-                    }
-                });
+        order: impl Fn(usize) -> O,
+    ) -> Option<(usize, O, usize)> {
+        let probe_words = probe.as_words();
+        let mut best: Option<(usize, O, usize)> = None;
+        let mut limit = self.dimension;
+        for row in start..end.min(self.len()) {
+            hdhash_simdkernels::prefetch_words(&self.matrix, (row + 1) * self.row_words);
+            let row_words = &self.matrix[row * self.row_words..(row + 1) * self.row_words];
+            let Some(dist) = hamming_words_within(probe_words, row_words, limit) else {
+                continue;
+            };
+            let q = (dist + quantum / 2) / quantum;
+            let key_order = order(row);
+            if best.as_ref().is_none_or(|(bq, bo, _)| (q, &key_order) < (*bq, bo)) {
+                // The largest distance still mapping to level `q`.
+                limit = (q * quantum + quantum - 1 - quantum / 2).min(self.dimension);
+                best = Some((q, key_order, row));
             }
         }
-    }
-
-    /// Hamming distance between `probe_words[from..to]` and the matching
-    /// word segment of `row`, early-exiting with `None` once the running
-    /// total exceeds `budget` — the per-survivor step of the escalation
-    /// rounds, layout-dispatched.
-    fn dist_segment_within(
-        &self,
-        probe_words: &[u64],
-        row: usize,
-        from: usize,
-        to: usize,
-        budget: usize,
-    ) -> Option<usize> {
-        match self.layout {
-            MatrixLayout::RowMajor => {
-                let off = row * self.row_words;
-                hamming_words_within(
-                    &probe_words[from..to],
-                    &self.matrix[off + from..off + to],
-                    budget,
-                )
-            }
-            MatrixLayout::Interleaved => {
-                // Survivor sets are tiny by the time this runs, so a
-                // strided per-lane walk (with the same 16-word early-exit
-                // cadence as `hamming_words_within`) beats re-streaming
-                // whole blocks for one lane.
-                let b = self.row_block;
-                let off = (row / b) * self.row_words * b + row % b;
-                let mut total = 0usize;
-                for (i, w) in (from..to).enumerate() {
-                    total += (probe_words[w] ^ self.matrix[off + w * b]).count_ones() as usize;
-                    if i % 16 == 15 && total > budget {
-                        return None;
-                    }
-                }
-                (total <= budget).then_some(total)
-            }
-        }
-    }
-
-    /// Extends the lane accumulators of one interleaved block (word
-    /// offset `off`) over words `[from_word, row_words)`, checking every
-    /// [`SUFFIX_CHUNK_WORDS`] whether all lanes' lower bounds already
-    /// exceed `limit` (abandon: returns `false`, accumulators partial).
-    /// On `true` the accumulators hold exact totals.
-    fn extend_block(
-        &self,
-        probe_words: &[u64],
-        off: usize,
-        from_word: usize,
-        limit: usize,
-        acc: &mut [u32],
-    ) -> bool {
-        let b = self.row_block;
-        let rw = self.row_words;
-        let mut w = from_word;
-        while w < rw {
-            let stop = (w + SUFFIX_CHUNK_WORDS).min(rw);
-            // Hint the next chunk while this one is counted.
-            hdhash_simdkernels::prefetch_words(&self.matrix, off + stop * b);
-            hdhash_simdkernels::xor_popcount_interleaved(
-                &probe_words[w..stop],
-                &self.matrix[off + w * b..off + stop * b],
-                b,
-                acc,
-            );
-            w = stop;
-            if w < rw && acc.iter().all(|&a| a as usize > limit) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Streams the interleaved blocks covering rows `[start, end)`,
-    /// extending per-lane accumulators over words `[from_word, row_words)`
-    /// via [`extend_block`](Self::extend_block). `seed(row)` supplies each
-    /// in-range row's starting partial (`None`, or a value above the
-    /// current limit, prunes the lane). `visit(row, exact_distance, limit)`
-    /// runs in row order for every live lane of each completed block;
-    /// visitors shrink `*limit` as they find better candidates.
-    ///
-    /// Pruning is sound on every caller: accumulators are monotone lower
-    /// bounds, so a block abandoned at `min > limit` holds no row that
-    /// any caller's comparator could still accept.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_interleaved<S, V>(
-        &self,
-        probe_words: &[u64],
-        from_word: usize,
-        start: usize,
-        end: usize,
-        limit: &mut usize,
-        mut seed: S,
-        mut visit: V,
-    ) where
-        S: FnMut(usize) -> Option<u32>,
-        V: FnMut(usize, usize, &mut usize),
-    {
-        debug_assert_eq!(self.layout, MatrixLayout::Interleaved);
-        if start >= end {
-            return;
-        }
-        let b = self.row_block;
-        let rw = self.row_words;
-        LANE_SCRATCH.with(|cell| {
-            let mut acc = cell.borrow_mut();
-            for blk in start / b..=(end - 1) / b {
-                let base = blk * b;
-                let off = blk * rw * b;
-                acc.clear();
-                let mut live = false;
-                for lane in 0..b {
-                    let row = base + lane;
-                    let p = if row >= start && row < end {
-                        match seed(row) {
-                            Some(p) if p as usize <= *limit => {
-                                live = true;
-                                p
-                            }
-                            _ => PRUNED,
-                        }
-                    } else {
-                        PRUNED
-                    };
-                    acc.push(p);
-                }
-                if !live {
-                    continue;
-                }
-                if !self.extend_block(probe_words, off, from_word, *limit, &mut acc) {
-                    continue;
-                }
-                for (lane, &a) in acc.iter().enumerate() {
-                    let row = base + lane;
-                    if row < start || row >= end || a >= PRUNED {
-                        continue;
-                    }
-                    visit(row, a as usize, limit);
-                }
-            }
-        });
-    }
-
-    /// The cumulative prefix widths (in words) of the incremental scan
-    /// schedule, written into `cuts`; returns how many rounds there are.
-    ///
-    /// Round one covers ~1/8 of the row (rounded to whole 16-word kernel
-    /// blocks when long enough, so the hot loop runs fully unrolled);
-    /// every later round widens the prefix ×4 until the full row is
-    /// covered. A single-round schedule means the row is too short to
-    /// filter and the caller should scan straight.
-    fn scan_schedule(&self, cuts: &mut [usize; MAX_ROUNDS]) -> usize {
-        let block_align = |w: usize| if w >= 16 { w & !15 } else { w };
-        let mut len = 0;
-        let mut w = block_align(self.row_words / 8);
-        while w > 0 && w < self.row_words && len + 1 < MAX_ROUNDS {
-            cuts[len] = w;
-            len += 1;
-            w = block_align(w.saturating_mul(4));
-        }
-        cuts[len] = self.row_words;
-        len + 1
+        best
     }
 
     /// Nearest row to `probe` over all rows: lowest distance, earliest row
     /// on ties. `None` when empty.
-    ///
-    /// Runs the **adaptive incremental-prefix schedule** described in the
-    /// module docs: a short prefix round scores every row; with a
-    /// stand-out leader the field is pruned and escalated through
-    /// geometrically widening prefixes (survivors re-ranked between
-    /// rounds), otherwise the scan finishes as one suffix sweep. A
-    /// per-engine calibrator collapses to the plain blocked scan under
-    /// sustained adversarial (no-near-match) traffic. Every path returns
-    /// the exact argmin with the earliest-row tie-break.
     ///
     /// # Panics
     ///
     /// Panics if `probe` has the wrong dimension.
     #[must_use]
     pub fn nearest_one(&self, probe: &Hypervector) -> Option<Hit> {
+        self.nearest_in_range(probe, 0, self.len())
+    }
+
+    /// Nearest row within `rows[start..end)`: lowest distance, earliest
+    /// row on ties. `end` is clamped to the row count; an empty range
+    /// yields `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probe` has the wrong dimension.
+    #[must_use]
+    pub fn nearest_in_range(&self, probe: &Hypervector, start: usize, end: usize) -> Option<Hit> {
         assert_eq!(probe.dimension(), self.dimension, "probe dimension mismatch");
-        let mut cuts = [0usize; MAX_ROUNDS];
-        let rounds = self.scan_schedule(&mut cuts);
-        if self.rows < MIN_FILTER_ROWS || rounds < 2 {
-            // Tiny population or single-round schedule: nothing to filter.
-            return self.nearest_in_range(probe, 0, self.rows, self.dimension);
-        }
-        if !self.calibrator.wants_filter() {
-            // Collapsed: recent probes were adversarial, the prefix pass
-            // would be pure overhead.
-            return self.nearest_in_range(probe, 0, self.rows, self.dimension);
-        }
-        self.nearest_filtered(probe, &cuts[..rounds])
+        // With a quantum of 1 the level is the distance itself.
+        self.sweep(probe, 1, start, end, |_| ()).map(|(distance, (), row)| Hit { row, distance })
     }
 
-    /// The filtered path of [`nearest_one`](Self::nearest_one): round one
-    /// plus either the escalation rounds (stand-out leader) or a single
-    /// suffix sweep (no stand-out). `cuts` holds the cumulative prefix
-    /// widths; `cuts[last] == row_words`.
-    fn nearest_filtered(&self, probe: &Hypervector, cuts: &[usize]) -> Option<Hit> {
-        let probe_words = probe.as_words();
-        let first_cut = cuts[0];
-
-        PREFIX_SCRATCH.with(|cell| {
-            // Round one: prefix distances (lower bounds on the full
-            // distance) for every row through the layout's fused kernel,
-            // in a thread-local scratch so steady-state queries allocate
-            // nothing.
-            let mut partials = cell.borrow_mut();
-            partials.clear();
-            self.prefix_partials_into(&probe_words[..first_cut], 0, self.rows, &mut partials);
-            let mut min_p = u32::MAX;
-            let mut sum_p: u64 = 0;
-            for &(p, _) in partials.iter() {
-                min_p = min_p.min(p);
-                sum_p += u64::from(p);
-            }
-            let mean_p = sum_p / self.rows as u64;
-            // A stand-out minimum (≤ ¾ of the mean) signals a near match —
-            // the shape of real HDC inference, where the probe is a noisy
-            // copy of a stored row. Feed the verdict back to the
-            // calibrator either way.
-            let stood_out = u64::from(min_p) * 4 <= mean_p * 3;
-            self.calibrator.record(stood_out);
-
-            if !stood_out {
-                // Adversarial-shaped probe: finish as one suffix sweep in
-                // insertion order, reusing the round-one partials so no
-                // word is counted twice.
-                return self.sweep_suffixes(probe_words, first_cut, &partials);
-            }
-
-            // Rank the field and verify the leader fully: its exact
-            // distance is the pruning bound every later round uses.
-            partials.sort_unstable();
-            let (p0, row0) = partials[0];
-            let row0 = row0 as usize;
-            let leader_rest = self
-                .dist_segment_within(probe_words, row0, first_cut, self.row_words, self.dimension)
-                .expect("budget = dimension admits every distance");
-            let mut best = Hit { row: row0, distance: p0 as usize + leader_rest };
-            let mut limit = best.distance;
-
-            // Escalation rounds: extend surviving partials over the next
-            // segment only, prune on the lower bound, re-rank. The final
-            // round's partials are exact distances.
-            let mut live = partials.len();
-            for (r, window) in cuts.windows(2).enumerate() {
-                let (from, to) = (window[0], window[1]);
-                let final_round = r + 2 == cuts.len();
-                let mut kept = 1usize; // slot 0 is the verified leader
-                for i in 1..live {
-                    let (p, row) = partials[i];
-                    if p as usize > limit {
-                        // Sorted ascending and `limit` only shrinks: every
-                        // later candidate is also above the bound.
-                        break;
-                    }
-                    let row_idx = row as usize;
-                    let Some(seg) = self.dist_segment_within(
-                        probe_words,
-                        row_idx,
-                        from,
-                        to,
-                        limit - p as usize,
-                    ) else {
-                        continue;
-                    };
-                    let extended = p as usize + seg;
-                    if final_round {
-                        // Exact distance; `<= limit` here, and ties lose
-                        // to the leader unless strictly earlier.
-                        if extended < best.distance
-                            || (extended == best.distance && row_idx < best.row)
-                        {
-                            best = Hit { row: row_idx, distance: extended };
-                            limit = extended;
-                        }
-                    } else {
-                        partials[kept] = (extended as u32, row);
-                        kept += 1;
-                    }
-                }
-                if final_round {
-                    break;
-                }
-                live = kept;
-                // Re-rank the survivors (leader stays the sentinel bound).
-                partials[1..live].sort_unstable();
-            }
-            Some(best)
-        })
-    }
-
-    /// Finishes a non-stand-out filtered scan: one pass over the row
-    /// suffixes in insertion order, each budgeted by the best-so-far
-    /// distance minus the row's known prefix partial. `partials` holds
-    /// `(prefix distance, row)` for rows `0..self.rows` in row order.
-    fn sweep_suffixes(
-        &self,
-        probe_words: &[u64],
-        first_cut: usize,
-        partials: &[(u32, u32)],
-    ) -> Option<Hit> {
-        let mut best: Option<Hit> = None;
-        let mut limit = self.dimension;
-        match self.layout {
-            MatrixLayout::RowMajor => {
-                for &(p, row) in partials {
-                    if p as usize > limit {
-                        continue;
-                    }
-                    let row = row as usize;
-                    hdhash_simdkernels::prefetch_words(
-                        &self.matrix,
-                        (row + 1) * self.row_words + first_cut,
-                    );
-                    let row_rest = &self.matrix
-                        [row * self.row_words + first_cut..(row + 1) * self.row_words];
-                    let Some(rest) = hamming_words_within(
-                        &probe_words[first_cut..],
-                        row_rest,
-                        limit - p as usize,
-                    ) else {
-                        continue;
-                    };
-                    let distance = p as usize + rest;
-                    // Insertion order makes `<` sufficient, but keep the
-                    // explicit tie-break for symmetry with the other paths.
-                    let better = match best {
-                        None => true,
-                        Some(b) => {
-                            distance < b.distance || (distance == b.distance && row < b.row)
-                        }
-                    };
-                    if better {
-                        best = Some(Hit { row, distance });
-                        limit = distance;
-                    }
-                }
-            }
-            MatrixLayout::Interleaved => {
-                self.sweep_interleaved(
-                    probe_words,
-                    first_cut,
-                    0,
-                    self.rows,
-                    &mut limit,
-                    |row| Some(partials[row].0),
-                    |row, distance, limit| {
-                        if distance > *limit {
-                            return;
-                        }
-                        let better = match best {
-                            None => true,
-                            Some(b) => {
-                                distance < b.distance
-                                    || (distance == b.distance && row < b.row)
-                            }
-                        };
-                        if better {
-                            best = Some(Hit { row, distance });
-                            *limit = distance;
-                        }
-                    },
-                );
-            }
-        }
-        best
-    }
-
-    /// Quantized arg-max over `rows[start..end)` on the **adaptive
-    /// incremental-prefix schedule**: distances are rounded to the grid
-    /// `quantum` (`q = ⌊(dist + c/2)/c⌋`) and the minimum is taken over
-    /// `(q, order(row), row)` — the deterministic,
+    /// Quantized arg-max over `rows[start..end)`: distances are rounded
+    /// to the grid `quantum` (`q = ⌊(dist + c/2)/c⌋`) and the minimum is
+    /// taken over `(q, order(row), row)` — the deterministic,
     /// membership-order-independent tie-break `hdhash-core`'s partitioned
     /// codebook requires.
     ///
-    /// This is the quantized twin of [`nearest_one`](Self::nearest_one):
-    /// the same prefix round → stand-out test → escalation/suffix-sweep
-    /// machinery, the same per-engine calibrator (quantized probes vote
-    /// alongside plain ones — the traffic shape is a property of the
-    /// workload, not of the comparator), and the same exactness
-    /// guarantee. The pruning bound is quantum-aware: once a best level
-    /// `q` is known, any row whose partial distance already exceeds the
-    /// largest distance mapping to `q` can never improve `(q, order)`
-    /// and is abandoned. Rows that could still *tie* the level are
-    /// scanned to completion so the `order` tie-break sees them.
-    ///
     /// Returns `(q, order(row), row)` of the winner, or `None` when the
-    /// range is empty. Byte-identical to the straight bounded scan it
-    /// replaces (`kernel_equivalence` pins this, engaged and collapsed).
+    /// range is empty (`end` is clamped to the row count).
     ///
     /// # Panics
     ///
@@ -1053,420 +248,21 @@ impl BatchLookup {
     {
         assert_eq!(probe.dimension(), self.dimension, "probe dimension mismatch");
         assert!(quantum > 0, "quantum must be positive");
-        let end = end.min(self.rows);
-        if start >= end {
-            return None;
-        }
-        let mut cuts = [0usize; MAX_ROUNDS];
-        let rounds = self.scan_schedule(&mut cuts);
-        if end - start < MIN_FILTER_ROWS || rounds < 2 || !self.calibrator.wants_filter() {
-            // Tiny range, single-round schedule, or collapsed calibrator:
-            // the straight bounded sweep is the best plan.
-            return self.quantized_straight(probe, quantum, start, end, &order);
-        }
-        self.quantized_filtered(probe, quantum, start, end, &order, &cuts[..rounds])
+        self.sweep(probe, quantum, start, end, order)
     }
 
-    /// Largest distance still mapping to quantum level `q`:
-    /// `dist ≤ q·c + c − 1 − c/2` (the level bound every quantized scan
-    /// path prunes on, clamped to the dimension).
-    fn quantum_limit(&self, q: usize, quantum: usize) -> usize {
-        (q * quantum + quantum - 1 - quantum / 2).min(self.dimension)
-    }
-
-    /// The straight path of
-    /// [`nearest_quantized_by`](Self::nearest_quantized_by): one bounded
-    /// early-exit sweep in row order (the pre-adaptive behavior,
-    /// preserved as the collapsed plan).
-    fn quantized_straight<O: Ord, F: Fn(usize) -> O>(
-        &self,
-        probe: &Hypervector,
-        quantum: usize,
-        start: usize,
-        end: usize,
-        order: &F,
-    ) -> Option<(usize, O, usize)> {
-        let probe_words = probe.as_words();
-        let mut best: Option<(usize, O, usize)> = None;
-        let mut limit = self.dimension;
-        match self.layout {
-            MatrixLayout::RowMajor => {
-                for row in start..end {
-                    hdhash_simdkernels::prefetch_words(&self.matrix, (row + 1) * self.row_words);
-                    let row_words =
-                        &self.matrix[row * self.row_words..(row + 1) * self.row_words];
-                    let Some(dist) = hamming_words_within(probe_words, row_words, limit) else {
-                        continue;
-                    };
-                    let q = (dist + quantum / 2) / quantum;
-                    let key_order = order(row);
-                    let better = match &best {
-                        None => true,
-                        Some((bq, bo, _)) => (q, &key_order) < (*bq, bo),
-                    };
-                    if better {
-                        limit = self.quantum_limit(q, quantum);
-                        best = Some((q, key_order, row));
-                    }
-                }
-            }
-            MatrixLayout::Interleaved => {
-                self.sweep_interleaved(
-                    probe_words,
-                    0,
-                    start,
-                    end,
-                    &mut limit,
-                    |_| Some(0),
-                    |row, dist, limit| {
-                        if dist > *limit {
-                            return;
-                        }
-                        let q = (dist + quantum / 2) / quantum;
-                        let key_order = order(row);
-                        let better = match &best {
-                            None => true,
-                            Some((bq, bo, _)) => (q, &key_order) < (*bq, bo),
-                        };
-                        if better {
-                            *limit = self.quantum_limit(q, quantum);
-                            best = Some((q, key_order, row));
-                        }
-                    },
-                );
-            }
-        }
-        best
-    }
-
-    /// The filtered path of
-    /// [`nearest_quantized_by`](Self::nearest_quantized_by): prefix round
-    /// over the range, stand-out test (feeding the shared calibrator),
-    /// then either escalation through widening prefixes or a single
-    /// suffix sweep. Exact: every row whose distance could reach the best
-    /// level's bound is resolved fully before the `(q, order, row)`
-    /// minimum is taken.
-    fn quantized_filtered<O: Ord, F: Fn(usize) -> O>(
-        &self,
-        probe: &Hypervector,
-        quantum: usize,
-        start: usize,
-        end: usize,
-        order: &F,
-        cuts: &[usize],
-    ) -> Option<(usize, O, usize)> {
-        let probe_words = probe.as_words();
-        let first_cut = cuts[0];
-
-        PREFIX_SCRATCH.with(|cell| {
-            let mut partials = cell.borrow_mut();
-            partials.clear();
-            self.prefix_partials_into(&probe_words[..first_cut], start, end, &mut partials);
-            let mut min_p = u32::MAX;
-            let mut sum_p: u64 = 0;
-            for &(p, _) in partials.iter() {
-                min_p = min_p.min(p);
-                sum_p += u64::from(p);
-            }
-            let mean_p = sum_p / (end - start) as u64;
-            let stood_out = u64::from(min_p) * 4 <= mean_p * 3;
-            self.calibrator.record(stood_out);
-
-            if !stood_out {
-                // Suffix sweep in row order, budgeted by the best level's
-                // bound minus each row's known prefix partial.
-                let mut best: Option<(usize, O, usize)> = None;
-                let mut limit = self.dimension;
-                match self.layout {
-                    MatrixLayout::RowMajor => {
-                        for &(p, row) in partials.iter() {
-                            if p as usize > limit {
-                                continue;
-                            }
-                            let row = row as usize;
-                            let row_rest = &self.matrix
-                                [row * self.row_words + first_cut..(row + 1) * self.row_words];
-                            let Some(rest) = hamming_words_within(
-                                &probe_words[first_cut..],
-                                row_rest,
-                                limit - p as usize,
-                            ) else {
-                                continue;
-                            };
-                            let dist = p as usize + rest;
-                            let q = (dist + quantum / 2) / quantum;
-                            let key_order = order(row);
-                            let better = match &best {
-                                None => true,
-                                Some((bq, bo, _)) => (q, &key_order) < (*bq, bo),
-                            };
-                            if better {
-                                limit = self.quantum_limit(q, quantum);
-                                best = Some((q, key_order, row));
-                            }
-                        }
-                    }
-                    MatrixLayout::Interleaved => {
-                        self.sweep_interleaved(
-                            probe_words,
-                            first_cut,
-                            start,
-                            end,
-                            &mut limit,
-                            |row| Some(partials[row - start].0),
-                            |row, dist, limit| {
-                                if dist > *limit {
-                                    return;
-                                }
-                                let q = (dist + quantum / 2) / quantum;
-                                let key_order = order(row);
-                                let better = match &best {
-                                    None => true,
-                                    Some((bq, bo, _)) => (q, &key_order) < (*bq, bo),
-                                };
-                                if better {
-                                    *limit = self.quantum_limit(q, quantum);
-                                    best = Some((q, key_order, row));
-                                }
-                            },
-                        );
-                    }
-                }
-                return best;
-            }
-
-            // Stand-out leader: verify it fully; its level bound prunes
-            // the escalation rounds.
-            partials.sort_unstable();
-            let (p0, row0) = partials[0];
-            let row0 = row0 as usize;
-            let leader_rest = self
-                .dist_segment_within(probe_words, row0, first_cut, self.row_words, self.dimension)
-                .expect("budget = dimension admits every distance");
-            let leader_q = (p0 as usize + leader_rest + quantum / 2) / quantum;
-            let mut best: (usize, O, usize) = (leader_q, order(row0), row0);
-            let mut limit = self.quantum_limit(leader_q, quantum);
-
-            let mut live = partials.len();
-            for (r, window) in cuts.windows(2).enumerate() {
-                let (from, to) = (window[0], window[1]);
-                let final_round = r + 2 == cuts.len();
-                let mut kept = 1usize; // slot 0 is the verified leader
-                for i in 1..live {
-                    let (p, row) = partials[i];
-                    if p as usize > limit {
-                        // Sorted ascending; the level bound only shrinks.
-                        break;
-                    }
-                    let row_idx = row as usize;
-                    let Some(seg) = self.dist_segment_within(
-                        probe_words,
-                        row_idx,
-                        from,
-                        to,
-                        limit - p as usize,
-                    ) else {
-                        continue;
-                    };
-                    let extended = p as usize + seg;
-                    if final_round {
-                        // Exact distance (≤ limit, so its level ≤ best's).
-                        let q = (extended + quantum / 2) / quantum;
-                        let key_order = order(row_idx);
-                        if (q, &key_order, row_idx) < (best.0, &best.1, best.2) {
-                            limit = self.quantum_limit(q, quantum);
-                            best = (q, key_order, row_idx);
-                        }
-                    } else {
-                        partials[kept] = (extended as u32, row);
-                        kept += 1;
-                    }
-                }
-                if final_round {
-                    break;
-                }
-                live = kept;
-                partials[1..live].sort_unstable();
-            }
-            Some(best)
-        })
-    }
-
-    /// Nearest row within `rows[start..end)`, considering only candidates
-    /// at distance `≤ bound` (callers pass the dimension for an unbounded
-    /// scan, or a shared best-so-far to prune across shards).
-    ///
-    /// Ties break toward the earliest row, and a candidate merely *equal*
-    /// to `bound` is still returned — both properties the quantized
-    /// arg-max in `hdhash-core` relies on.
-    #[must_use]
-    pub fn nearest_in_range(
-        &self,
-        probe: &Hypervector,
-        start: usize,
-        end: usize,
-        bound: usize,
-    ) -> Option<Hit> {
-        assert_eq!(probe.dimension(), self.dimension, "probe dimension mismatch");
-        let probe_words = probe.as_words();
-        let end = end.min(self.rows);
-        let mut best: Option<Hit> = None;
-        let mut limit = bound;
-        if start >= end {
-            return None;
-        }
-        match self.layout {
-            MatrixLayout::RowMajor => {
-                for row in start..end {
-                    hdhash_simdkernels::prefetch_words(&self.matrix, (row + 1) * self.row_words);
-                    let row_words =
-                        &self.matrix[row * self.row_words..(row + 1) * self.row_words];
-                    if let Some(distance) = hamming_words_within(probe_words, row_words, limit) {
-                        if best.is_none_or(|b| distance < b.distance) {
-                            best = Some(Hit { row, distance });
-                            limit = distance;
-                        }
-                    }
-                }
-            }
-            MatrixLayout::Interleaved => {
-                self.sweep_interleaved(
-                    probe_words,
-                    0,
-                    start,
-                    end,
-                    &mut limit,
-                    |_| Some(0),
-                    |row, distance, limit| {
-                        if distance <= *limit && best.is_none_or(|b| distance < b.distance) {
-                            best = Some(Hit { row, distance });
-                            *limit = distance;
-                        }
-                    },
-                );
-            }
-        }
-        best
-    }
-
-    /// Resolves a batch of probes, choosing the scan plan the calibrator
-    /// currently believes in.
-    ///
-    /// While the per-engine calibrator holds the filter engaged (recent
-    /// probes were inference-shaped) each probe of the batch runs the same
-    /// **adaptive incremental-prefix schedule** as
-    /// [`nearest_one`](Self::nearest_one): a short prefix round kills most
-    /// of the population per probe, which beats re-streaming the full
-    /// matrix. Under a collapsed calibrator (adversarial traffic, where no
-    /// prefix filter can help) the batch falls back to the cache-blocked
-    /// sweep, streaming each block of member rows once for the whole
-    /// batch. Each filtered probe feeds its stand-out verdict back to the
-    /// calibrator, so a workload shift mid-stream flips the plan within a
-    /// batch or two; the occasional exploration query of a collapsed
-    /// engine runs one whole batch through the filtered path.
+    /// Resolves a batch of probes, one sweep per probe: slot `i` of `out`
+    /// equals [`nearest_one`](Self::nearest_one) for `probes[i]`.
     ///
     /// Results land in `out` (cleared and refilled; reuse the buffer to
-    /// keep the path allocation-free). Both plans compute the exact argmin
-    /// with the earliest-row tie-break, so each slot matches
-    /// [`nearest_one`](Self::nearest_one) for the corresponding probe
-    /// **byte-identically, whichever plan ran**
-    /// (`crates/hdc/tests/kernel_equivalence.rs` pins this).
+    /// keep the path allocation-free).
     ///
     /// # Panics
     ///
     /// Panics if any probe has the wrong dimension.
     pub fn nearest_batch_into(&self, probes: &[&Hypervector], out: &mut Vec<Option<Hit>>) {
-        for probe in probes {
-            assert_eq!(probe.dimension(), self.dimension, "probe dimension mismatch");
-        }
         out.clear();
-        out.resize(probes.len(), None);
-        if probes.is_empty() {
-            return;
-        }
-        let mut cuts = [0usize; MAX_ROUNDS];
-        let rounds = self.scan_schedule(&mut cuts);
-        if self.rows >= MIN_FILTER_ROWS && rounds >= 2 && self.calibrator.wants_filter() {
-            for (probe, slot) in probes.iter().zip(out.iter_mut()) {
-                *slot = self.nearest_filtered(probe, &cuts[..rounds]);
-            }
-            return;
-        }
-        self.blocked_batch_into(probes, out);
-    }
-
-    /// The straight cache-blocked multi-probe sweep: member rows are
-    /// streamed block by block ([`row_block`](Self::row_block) rows at a
-    /// time), each block scanned for every probe before the next block is
-    /// touched, so the matrix is read once per block regardless of batch
-    /// size. Under the interleaved layout each block is one fused-kernel
-    /// accumulation per probe, abandoned early once every lane exceeds
-    /// the probe's running bound. `out` must already hold one `None` per
-    /// probe.
-    fn blocked_batch_into(&self, probes: &[&Hypervector], out: &mut [Option<Hit>]) {
-        if self.rows == 0 {
-            return;
-        }
-        match self.layout {
-            MatrixLayout::RowMajor => {
-                let mut block_start = 0;
-                while block_start < self.rows {
-                    let block_end = (block_start + self.row_block).min(self.rows);
-                    for (probe, slot) in probes.iter().zip(out.iter_mut()) {
-                        let probe_words = probe.as_words();
-                        let mut limit = slot.map_or(self.dimension, |b| b.distance);
-                        for row in block_start..block_end {
-                            hdhash_simdkernels::prefetch_words(
-                                &self.matrix,
-                                (row + 1) * self.row_words,
-                            );
-                            let row_words =
-                                &self.matrix[row * self.row_words..(row + 1) * self.row_words];
-                            if let Some(distance) =
-                                hamming_words_within(probe_words, row_words, limit)
-                            {
-                                if slot.is_none_or(|b| distance < b.distance) {
-                                    *slot = Some(Hit { row, distance });
-                                    limit = distance;
-                                }
-                            }
-                        }
-                    }
-                    block_start = block_end;
-                }
-            }
-            MatrixLayout::Interleaved => {
-                let b = self.row_block;
-                let rw = self.row_words;
-                LANE_SCRATCH.with(|cell| {
-                    let mut acc = cell.borrow_mut();
-                    for blk in 0..=(self.rows - 1) / b {
-                        let base = blk * b;
-                        let off = blk * rw * b;
-                        let lanes = (self.rows - base).min(b);
-                        for (probe, slot) in probes.iter().zip(out.iter_mut()) {
-                            let probe_words = probe.as_words();
-                            let mut limit = slot.map_or(self.dimension, |h| h.distance);
-                            acc.clear();
-                            acc.resize(lanes, 0);
-                            acc.resize(b, PRUNED); // zero-padded tail lanes
-                            if !self.extend_block(probe_words, off, 0, limit, &mut acc) {
-                                continue;
-                            }
-                            for (lane, &a) in acc.iter().enumerate().take(lanes) {
-                                let distance = a as usize;
-                                if distance <= limit
-                                    && slot.is_none_or(|h| distance < h.distance)
-                                {
-                                    *slot = Some(Hit { row: base + lane, distance });
-                                    limit = distance;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        }
+        out.extend(probes.iter().map(|probe| self.nearest_one(probe)));
     }
 }
 
@@ -1475,14 +271,9 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
 
-    fn engine_with_options(
-        n: usize,
-        d: usize,
-        seed: u64,
-        options: EngineOptions,
-    ) -> (BatchLookup, Vec<Hypervector>) {
+    fn engine_with(n: usize, d: usize, seed: u64) -> (BatchLookup, Vec<Hypervector>) {
         let mut rng = Rng::new(seed);
-        let mut engine = BatchLookup::with_options(d, options);
+        let mut engine = BatchLookup::new(d);
         let mut rows = Vec::new();
         for _ in 0..n {
             let hv = Hypervector::random(d, &mut rng);
@@ -1490,30 +281,6 @@ mod tests {
             rows.push(hv);
         }
         (engine, rows)
-    }
-
-    fn engine_with(n: usize, d: usize, seed: u64) -> (BatchLookup, Vec<Hypervector>) {
-        engine_with_options(n, d, seed, EngineOptions::default())
-    }
-
-    /// Every (layout, row_block) combination the suite cross-checks,
-    /// including a degenerate one-lane interleave and a non-divisor block.
-    fn option_grid() -> Vec<EngineOptions> {
-        let mut grid = Vec::new();
-        for layout in MatrixLayout::ALL {
-            for row_block in [1usize, 3, 16] {
-                grid.push(EngineOptions::default()
-                    .with_layout(layout)
-                    .with_row_block(row_block));
-            }
-        }
-        grid
-    }
-
-    fn row_of(engine: &BatchLookup, i: usize) -> Vec<u64> {
-        let mut out = Vec::new();
-        engine.copy_row_into(i, &mut out);
-        out
     }
 
     fn naive_nearest(rows: &[Hypervector], probe: &Hypervector) -> Option<Hit> {
@@ -1526,186 +293,64 @@ mod tests {
     #[test]
     fn nearest_matches_naive_scan() {
         for d in [64usize, 65, 130, 1000] {
-            for options in option_grid() {
-                let (engine, rows) = engine_with_options(40, d, d as u64, options);
-                let mut rng = Rng::new(999);
-                for _ in 0..25 {
-                    let probe = Hypervector::random(d, &mut rng);
-                    assert_eq!(
-                        engine.nearest_one(&probe),
-                        naive_nearest(&rows, &probe),
-                        "d={d} options={options:?}"
-                    );
-                }
+            let (engine, rows) = engine_with(40, d, d as u64);
+            let mut rng = Rng::new(999);
+            for _ in 0..25 {
+                let probe = Hypervector::random(d, &mut rng);
+                assert_eq!(engine.nearest_one(&probe), naive_nearest(&rows, &probe), "d={d}");
             }
         }
     }
 
     #[test]
     fn noisy_match_probes_agree_with_naive_scan() {
-        // The prefix-filter path: the probe is a corrupted copy of one row,
-        // the shape of real HDC inference.
+        // The probe is a corrupted copy of one row, the shape of real HDC
+        // inference.
         for d in [512usize, 1000, 10_240] {
-            for layout in MatrixLayout::ALL {
-                let options = EngineOptions::default().with_layout(layout);
-                let (engine, rows) = engine_with_options(200, d, 3 * d as u64 + 1, options);
-                let mut rng = Rng::new(4242);
-                for _ in 0..15 {
-                    let victim = rng.next_below(200) as usize;
-                    let mut probe = rows[victim].clone();
-                    probe.flip_bits(rng.distinct_indices(d / 20, d));
-                    let hit = engine.nearest_one(&probe);
-                    assert_eq!(hit, naive_nearest(&rows, &probe), "d={d} layout={layout:?}");
-                    assert_eq!(hit.expect("non-empty").row, victim);
-                }
+            let (engine, rows) = engine_with(200, d, 3 * d as u64 + 1);
+            let mut rng = Rng::new(4242);
+            for _ in 0..15 {
+                let victim = rng.next_below(200) as usize;
+                let mut probe = rows[victim].clone();
+                probe.flip_bits(rng.distinct_indices(d / 20, d));
+                let hit = engine.nearest_one(&probe);
+                assert_eq!(hit, naive_nearest(&rows, &probe), "d={d}");
+                assert_eq!(hit.expect("non-empty").row, victim);
             }
         }
     }
 
     #[test]
-    fn layouts_agree_byte_identically() {
-        // The same membership behind every (layout, row_block) must return
-        // the same hits on every query path, probe shape, and plan.
-        let d = 10_240;
-        let engines: Vec<(BatchLookup, Vec<Hypervector>)> = option_grid()
-            .into_iter()
-            .map(|options| engine_with_options(48, d, 8181, options))
-            .collect();
-        let rows = engines[0].1.clone();
-        let mut rng = Rng::new(8182);
-        let order = |row: usize| row * 7 % 13;
-        for i in 0..16 {
-            let probe = if i % 2 == 0 {
-                Hypervector::random(d, &mut rng)
-            } else {
-                let victim = rng.next_below(48) as usize;
-                let mut p = rows[victim].clone();
-                p.flip_bits(rng.distinct_indices(d / 25, d));
-                p
-            };
-            let expect_one = naive_nearest(&rows, &probe);
-            for (engine, _) in &engines {
-                assert_eq!(
-                    engine.nearest_one(&probe),
-                    expect_one,
-                    "probe {i} layout={:?} block={}",
-                    engine.layout(),
-                    engine.row_block()
-                );
-                assert_eq!(
-                    engine.nearest_quantized_by(&probe, 64, 3, 41, order),
-                    engines[0].0.nearest_quantized_by(&probe, 64, 3, 41, order),
-                    "probe {i} quantized layout={:?} block={}",
-                    engine.layout(),
-                    engine.row_block()
-                );
-                assert_eq!(
-                    engine.nearest_in_range(&probe, 5, 37, d / 2),
-                    engines[0].0.nearest_in_range(&probe, 5, 37, d / 2),
-                    "probe {i} ranged layout={:?} block={}",
-                    engine.layout(),
-                    engine.row_block()
-                );
+    fn in_range_matches_naive_scan_of_the_range() {
+        let d = 1000;
+        let (engine, rows) = engine_with(40, d, 31);
+        let mut rng = Rng::new(32);
+        for _ in 0..10 {
+            let probe = Hypervector::random(d, &mut rng);
+            for (start, end) in [(0usize, 40usize), (5, 25), (30, 40), (12, 13)] {
+                let want = naive_nearest(&rows[start..end], &probe)
+                    .map(|h| Hit { row: h.row + start, distance: h.distance });
+                assert_eq!(engine.nearest_in_range(&probe, start, end), want, "{start}..{end}");
             }
+            // Out-of-range end clamps; an empty range finds nothing.
+            assert_eq!(engine.nearest_in_range(&probe, 0, 999), engine.nearest_one(&probe));
+            assert!(engine.nearest_in_range(&probe, 20, 20).is_none());
+            assert!(engine.nearest_in_range(&probe, 40, 45).is_none());
         }
     }
 
     #[test]
     fn batch_matches_single_probe() {
-        for options in option_grid() {
-            let (engine, _) = engine_with_options(100, 320, 5, options);
-            let mut rng = Rng::new(6);
-            let probes: Vec<Hypervector> =
-                (0..37).map(|_| Hypervector::random(320, &mut rng)).collect();
-            let refs: Vec<&Hypervector> = probes.iter().collect();
-            let mut out = Vec::new();
-            engine.nearest_batch_into(&refs, &mut out);
-            assert_eq!(out.len(), probes.len());
-            for (probe, got) in probes.iter().zip(&out) {
-                assert_eq!(*got, engine.nearest_one(probe), "options={options:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn calibrated_batch_is_exact_in_both_plans() {
-        // The batch path consults the calibrator: inference-shaped batches
-        // run the per-probe prefix schedule, collapsed engines run the
-        // blocked sweep. Both must produce the exact argmin.
-        let d = 10_240;
-        for layout in MatrixLayout::ALL {
-            let options = EngineOptions::default().with_layout(layout);
-            let (engine, rows) = engine_with_options(64, d, 2024, options);
-            let mut rng = Rng::new(2025);
-            // Engaged path: noisy batches (fresh engines assume inference).
-            for _ in 0..3 {
-                let probes: Vec<Hypervector> = (0..9)
-                    .map(|_| {
-                        let victim = rng.next_below(64) as usize;
-                        let mut p = rows[victim].clone();
-                        p.flip_bits(rng.distinct_indices(d / 20, d));
-                        p
-                    })
-                    .collect();
-                let refs: Vec<&Hypervector> = probes.iter().collect();
-                let mut out = Vec::new();
-                engine.nearest_batch_into(&refs, &mut out);
-                for (probe, got) in probes.iter().zip(&out) {
-                    assert_eq!(*got, naive_nearest(&rows, probe), "layout={layout:?}");
-                }
-            }
-            assert!(
-                engine.calibrator.score.load(Ordering::Relaxed) >= 0,
-                "noisy batches must keep the filter engaged"
-            );
-            // Adversarial batches collapse the calibrator, switching later
-            // batches to the blocked sweep — results stay exact throughout.
-            for _ in 0..4 {
-                let probes: Vec<Hypervector> =
-                    (0..8).map(|_| Hypervector::random(d, &mut rng)).collect();
-                let refs: Vec<&Hypervector> = probes.iter().collect();
-                let mut out = Vec::new();
-                engine.nearest_batch_into(&refs, &mut out);
-                for (probe, got) in probes.iter().zip(&out) {
-                    assert_eq!(*got, naive_nearest(&rows, probe), "layout={layout:?}");
-                }
-            }
-            assert!(
-                engine.calibrator.score.load(Ordering::Relaxed) < 0,
-                "adversarial batches must collapse the filter"
-            );
-        }
-    }
-
-    #[test]
-    fn collapsed_and_engaged_batches_agree_byte_identically() {
-        let d = 10_240;
-        for layout in MatrixLayout::ALL {
-            let options = EngineOptions::default().with_layout(layout);
-            let (engaged, rows) = engine_with_options(48, d, 7070, options);
-            let collapsed = engaged.clone();
-            collapsed.calibrator.score.store(-SCORE_SATURATION, Ordering::Relaxed);
-            // Offset the query counter so no exploration query re-runs the
-            // filtered plan mid-test.
-            collapsed.calibrator.queries.store(1, Ordering::Relaxed);
-            let mut rng = Rng::new(7071);
-            let probes: Vec<Hypervector> = (0..20)
-                .map(|i| {
-                    if i % 2 == 0 {
-                        Hypervector::random(d, &mut rng)
-                    } else {
-                        let victim = rng.next_below(48) as usize;
-                        let mut p = rows[victim].clone();
-                        p.flip_bits(rng.distinct_indices(d / 25, d));
-                        p
-                    }
-                })
-                .collect();
-            let refs: Vec<&Hypervector> = probes.iter().collect();
-            let (mut a, mut b) = (Vec::new(), Vec::new());
-            engaged.nearest_batch_into(&refs, &mut a);
-            collapsed.nearest_batch_into(&refs, &mut b);
-            assert_eq!(a, b, "scan plan must never change batch results (layout={layout:?})");
+        let (engine, _) = engine_with(100, 320, 5);
+        let mut rng = Rng::new(6);
+        let probes: Vec<Hypervector> =
+            (0..37).map(|_| Hypervector::random(320, &mut rng)).collect();
+        let refs: Vec<&Hypervector> = probes.iter().collect();
+        let mut out = vec![None; 3]; // stale contents must be replaced
+        engine.nearest_batch_into(&refs, &mut out);
+        assert_eq!(out.len(), probes.len());
+        for (probe, got) in probes.iter().zip(&out) {
+            assert_eq!(*got, engine.nearest_one(probe));
         }
     }
 
@@ -1732,27 +377,24 @@ mod tests {
     #[test]
     fn quantized_matches_naive_on_both_probe_shapes() {
         let d = 10_240;
-        for layout in MatrixLayout::ALL {
-            let options = EngineOptions::default().with_layout(layout);
-            let (engine, rows) = engine_with_options(64, d, 4040, options);
-            let mut rng = Rng::new(4041);
-            let order = |row: usize| row * 7 % 13; // collides → order tie-breaks matter
-            for quantum in [32usize, 64, 160] {
-                for i in 0..24 {
-                    let probe = if i % 2 == 0 {
-                        Hypervector::random(d, &mut rng)
-                    } else {
-                        let victim = rng.next_below(64) as usize;
-                        let mut p = rows[victim].clone();
-                        p.flip_bits(rng.distinct_indices(d / 20, d));
-                        p
-                    };
-                    assert_eq!(
-                        engine.nearest_quantized_by(&probe, quantum, 0, 64, order),
-                        naive_quantized(&rows, &probe, quantum, 0, 64, order),
-                        "quantum {quantum}, probe {i}, layout={layout:?}"
-                    );
-                }
+        let (engine, rows) = engine_with(64, d, 4040);
+        let mut rng = Rng::new(4041);
+        let order = |row: usize| row * 7 % 13; // collides → order tie-breaks matter
+        for quantum in [32usize, 64, 160] {
+            for i in 0..24 {
+                let probe = if i % 2 == 0 {
+                    Hypervector::random(d, &mut rng)
+                } else {
+                    let victim = rng.next_below(64) as usize;
+                    let mut p = rows[victim].clone();
+                    p.flip_bits(rng.distinct_indices(d / 20, d));
+                    p
+                };
+                assert_eq!(
+                    engine.nearest_quantized_by(&probe, quantum, 0, 64, order),
+                    naive_quantized(&rows, &probe, quantum, 0, 64, order),
+                    "quantum {quantum}, probe {i}"
+                );
             }
         }
     }
@@ -1760,116 +402,58 @@ mod tests {
     #[test]
     fn quantized_respects_row_ranges() {
         let d = 4096;
-        for options in option_grid() {
-            let (engine, rows) = engine_with_options(40, d, 5050, options);
-            let mut rng = Rng::new(5051);
-            let order = |row: usize| row * 7 % 13;
-            for _ in 0..10 {
-                let probe = Hypervector::random(d, &mut rng);
-                for (start, end) in [(0usize, 40usize), (5, 25), (30, 40), (12, 13), (20, 20)] {
-                    assert_eq!(
-                        engine.nearest_quantized_by(&probe, 64, start, end, order),
-                        naive_quantized(&rows, &probe, 64, start, end, order),
-                        "range {start}..{end} options={options:?}"
-                    );
-                }
-                // Out-of-range end clamps; fully out-of-range start is None.
+        let (engine, rows) = engine_with(40, d, 5050);
+        let mut rng = Rng::new(5051);
+        let order = |row: usize| row * 7 % 13;
+        for _ in 0..10 {
+            let probe = Hypervector::random(d, &mut rng);
+            for (start, end) in [(0usize, 40usize), (5, 25), (30, 40), (12, 13), (20, 20)] {
                 assert_eq!(
-                    engine.nearest_quantized_by(&probe, 64, 0, 999, order),
-                    naive_quantized(&rows, &probe, 64, 0, 40, order)
-                );
-                assert!(engine.nearest_quantized_by(&probe, 64, 40, 45, order).is_none());
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_collapsed_equals_engaged() {
-        // The scan plan must never change the quantized verdict: an
-        // engine collapsed by adversarial traffic and a fresh engaged one
-        // agree on every (q, order, row) verdict.
-        let d = 10_240;
-        for layout in MatrixLayout::ALL {
-            let options = EngineOptions::default().with_layout(layout);
-            let (engaged, rows) = engine_with_options(48, d, 6060, options);
-            let collapsed = engaged.clone();
-            collapsed.calibrator.score.store(-SCORE_SATURATION, Ordering::Relaxed);
-            collapsed.calibrator.queries.store(1, Ordering::Relaxed);
-            let mut rng = Rng::new(6061);
-            let order = |row: usize| row % 5;
-            for i in 0..30 {
-                let probe = if i % 2 == 0 {
-                    Hypervector::random(d, &mut rng)
-                } else {
-                    let victim = rng.next_below(48) as usize;
-                    let mut p = rows[victim].clone();
-                    p.flip_bits(rng.distinct_indices(d / 25, d));
-                    p
-                };
-                let a = engaged.nearest_quantized_by(&probe, 64, 0, 48, order);
-                let b = collapsed.nearest_quantized_by(&probe, 64, 0, 48, order);
-                assert_eq!(a, b, "probe {i}: scan plan changed the quantized verdict");
-                assert_eq!(
-                    a,
-                    naive_quantized(&rows, &probe, 64, 0, 48, order),
-                    "probe {i} layout={layout:?}"
+                    engine.nearest_quantized_by(&probe, 64, start, end, order),
+                    naive_quantized(&rows, &probe, 64, start, end, order),
+                    "range {start}..{end}"
                 );
             }
+            // Out-of-range end clamps; fully out-of-range start is None.
+            assert_eq!(
+                engine.nearest_quantized_by(&probe, 64, 0, 999, order),
+                naive_quantized(&rows, &probe, 64, 0, 40, order)
+            );
+            assert!(engine.nearest_quantized_by(&probe, 64, 40, 45, order).is_none());
         }
     }
 
     #[test]
     fn ties_break_to_earliest_row() {
-        for options in option_grid() {
-            let mut engine = BatchLookup::with_options(128, options);
-            let hv = Hypervector::ones(128);
-            engine.push(&hv).expect("dims");
-            engine.push(&hv).expect("dims");
-            let hit = engine.nearest_one(&hv).expect("non-empty");
-            assert_eq!((hit.row, hit.distance), (0, 0), "options={options:?}");
-        }
-    }
-
-    #[test]
-    fn bound_still_admits_equal_distance() {
-        for options in option_grid() {
-            let (engine, rows) = engine_with_options(10, 256, 8, options);
-            let probe = rows[7].clone();
-            // Bound exactly the winner's distance (0): it must still be found.
-            let hit = engine.nearest_in_range(&probe, 0, 10, 0).expect("bounded hit");
-            assert_eq!(hit.row, 7, "options={options:?}");
-            // A bound below every distance yields nothing.
-            let mut rng = Rng::new(77);
-            let far = Hypervector::random(256, &mut rng);
-            assert!(engine.nearest_in_range(&far, 0, 10, 0).is_none());
-        }
+        let mut engine = BatchLookup::new(128);
+        let hv = Hypervector::ones(128);
+        engine.push(&hv).expect("dims");
+        engine.push(&hv).expect("dims");
+        let hit = engine.nearest_one(&hv).expect("non-empty");
+        assert_eq!((hit.row, hit.distance), (0, 0));
     }
 
     #[test]
     fn rebuild_and_rows_roundtrip() {
-        for options in option_grid() {
-            let (mut engine, rows) = engine_with_options(9, 130, 11, options);
-            assert_eq!(engine.len(), 9);
-            for (i, hv) in rows.iter().enumerate() {
-                assert_eq!(row_of(&engine, i), hv.as_words(), "options={options:?}");
-            }
-            engine.rebuild(rows.iter().skip(4));
-            assert_eq!(engine.len(), 5);
-            assert_eq!(row_of(&engine, 0), rows[4].as_words());
+        let (mut engine, rows) = engine_with(9, 130, 11);
+        assert_eq!(engine.len(), 9);
+        for (i, hv) in rows.iter().enumerate() {
+            assert_eq!(engine.row(i), hv.as_words());
         }
+        engine.rebuild(rows.iter().skip(4));
+        assert_eq!(engine.len(), 5);
+        assert_eq!(engine.row(0), rows[4].as_words());
     }
 
     #[test]
     fn empty_engine_finds_nothing() {
-        for options in option_grid() {
-            let engine = BatchLookup::with_options(64, options);
-            let probe = Hypervector::zeros(64);
-            assert!(engine.nearest_one(&probe).is_none());
-            assert!(engine.is_empty());
-            let mut out = vec![Some(Hit { row: 9, distance: 9 })];
-            engine.nearest_batch_into(&[&probe], &mut out);
-            assert_eq!(out, vec![None]);
-        }
+        let engine = BatchLookup::new(64);
+        let probe = Hypervector::zeros(64);
+        assert!(engine.nearest_one(&probe).is_none());
+        assert!(engine.is_empty());
+        let mut out = vec![Some(Hit { row: 9, distance: 9 })];
+        engine.nearest_batch_into(&[&probe], &mut out);
+        assert_eq!(out, vec![None]);
     }
 
     #[test]
@@ -1881,219 +465,51 @@ mod tests {
     }
 
     #[test]
-    fn retain_rows_compacts_under_every_layout() {
-        for options in option_grid() {
-            let (mut engine, rows) = engine_with_options(9, 130, 11, options);
-            engine.retain_rows(|row| row % 3 != 1);
-            assert_eq!(engine.len(), 6);
-            let survivors: Vec<usize> = (0..9).filter(|r| r % 3 != 1).collect();
-            for (new_row, &old_row) in survivors.iter().enumerate() {
-                assert_eq!(
-                    row_of(&engine, new_row),
-                    rows[old_row].as_words(),
-                    "row {old_row} options={options:?}"
-                );
-            }
-            // Scans agree with a freshly built engine over the survivors.
-            let mut fresh = BatchLookup::with_options(130, options);
-            for &old_row in &survivors {
-                fresh.push(&rows[old_row]).expect("dims");
-            }
-            let mut rng = Rng::new(321);
-            for _ in 0..10 {
-                let probe = Hypervector::random(130, &mut rng);
-                assert_eq!(engine.nearest_one(&probe), fresh.nearest_one(&probe));
-            }
-            // Dropping everything leaves an empty engine.
-            engine.retain_rows(|_| false);
-            assert!(engine.is_empty());
-            assert_eq!(engine.matrix.len(), 0, "options={options:?}");
+    fn retain_rows_compacts_in_place() {
+        let (mut engine, rows) = engine_with(9, 130, 11);
+        engine.retain_rows(|row| row % 3 != 1);
+        assert_eq!(engine.len(), 6);
+        let survivors: Vec<usize> = (0..9).filter(|r| r % 3 != 1).collect();
+        for (new_row, &old_row) in survivors.iter().enumerate() {
+            assert_eq!(engine.row(new_row), rows[old_row].as_words(), "row {old_row}");
         }
-    }
-
-    #[test]
-    fn interleaved_churn_reuses_the_arena() {
-        // Repeated compactions under the interleaved layout must ping-pong
-        // between the matrix and the arena without shrinking correctness.
-        let options = EngineOptions::default()
-            .with_layout(MatrixLayout::Interleaved)
-            .with_row_block(4);
-        let (mut engine, mut rows) = engine_with_options(20, 512, 909, options);
-        let mut rng = Rng::new(910);
-        for round in 0..5 {
-            let drop_mod = 2 + round % 3;
-            let survivors: Vec<usize> =
-                (0..engine.len()).filter(|r| r % drop_mod != 0).collect();
-            engine.retain_rows(|row| row % drop_mod != 0);
-            rows = survivors.iter().map(|&r| rows[r].clone()).collect();
-            assert_eq!(engine.len(), rows.len());
-            for (i, hv) in rows.iter().enumerate() {
-                assert_eq!(row_of(&engine, i), hv.as_words(), "round {round} row {i}");
-            }
-            // Refill a little so later rounds have material.
-            for _ in 0..3 {
-                let hv = Hypervector::random(512, &mut rng);
-                engine.push(&hv).expect("dims");
-                rows.push(hv);
-            }
-            let probe = Hypervector::random(512, &mut rng);
-            assert_eq!(engine.nearest_one(&probe), naive_nearest(&rows, &probe));
+        // Scans agree with a freshly built engine over the survivors.
+        let mut fresh = BatchLookup::new(130);
+        for &old_row in &survivors {
+            fresh.push(&rows[old_row]).expect("dims");
         }
+        let mut rng = Rng::new(321);
+        for _ in 0..10 {
+            let probe = Hypervector::random(130, &mut rng);
+            assert_eq!(engine.nearest_one(&probe), fresh.nearest_one(&probe));
+        }
+        // Dropping everything leaves an empty engine.
+        engine.retain_rows(|_| false);
+        assert!(engine.is_empty());
+        assert_eq!(engine.matrix.len(), 0);
     }
 
     #[test]
     fn distances_into_matches_per_row_distances() {
         for d in [64usize, 130, 1000, 10_240] {
-            for options in option_grid() {
-                let (engine, rows) = engine_with_options(21, d, d as u64 + 5, options);
-                let mut rng = Rng::new(42);
-                let probe = Hypervector::random(d, &mut rng);
-                let mut out = vec![7u32; 3]; // stale contents must be replaced
-                engine.distances_into(&probe, &mut out);
-                assert_eq!(out.len(), 21);
-                for (i, hv) in rows.iter().enumerate() {
-                    assert_eq!(
-                        out[i] as usize,
-                        probe.hamming_distance(hv),
-                        "d={d} row {i} options={options:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn schedule_covers_row_and_escalates() {
-        for d in [64usize, 1000, 10_240, 65_536] {
-            let engine = BatchLookup::new(d);
-            let mut cuts = [0usize; MAX_ROUNDS];
-            let rounds = engine.scan_schedule(&mut cuts);
-            assert!(rounds >= 1);
-            assert_eq!(cuts[rounds - 1], engine.row_words, "d={d} must end at the full row");
-            for pair in cuts[..rounds].windows(2) {
-                assert!(pair[0] < pair[1], "d={d} schedule must be strictly increasing");
-            }
-        }
-        // d = 10_240 (160 words): first round is one 16-word kernel block.
-        let engine = BatchLookup::new(10_240);
-        let mut cuts = [0usize; MAX_ROUNDS];
-        let rounds = engine.scan_schedule(&mut cuts);
-        assert_eq!(&cuts[..rounds], &[16, 64, 160]);
-    }
-
-    #[test]
-    fn calibrator_collapses_and_explores() {
-        let calibrator = ScanCalibrator::new();
-        assert!(calibrator.wants_filter(), "fresh engines start filtered");
-        // Sustained adversarial verdicts collapse the scan.
-        for _ in 0..8 {
-            calibrator.record(false);
-        }
-        let filtered = (0..EXPLORE_PERIOD as usize).filter(|_| calibrator.wants_filter()).count();
-        assert_eq!(filtered, 1, "collapsed engines explore exactly once per period");
-        // Stand-out verdicts (from exploration queries) re-engage it.
-        for _ in 0..3 * SCORE_SATURATION {
-            calibrator.record(true);
-        }
-        assert!(calibrator.wants_filter(), "inference traffic must re-engage the filter");
-    }
-
-    #[test]
-    fn collapsed_engine_still_exact() {
-        // Force the collapsed path and confirm exactness on both probe
-        // shapes, including the periodic exploration queries.
-        let d = 10_240;
-        for layout in MatrixLayout::ALL {
-            let options = EngineOptions::default().with_layout(layout);
-            let (engine, rows) = engine_with_options(64, d, 77, options);
-            let mut rng = Rng::new(78);
-            for _ in 0..12 {
-                let probe = Hypervector::random(d, &mut rng);
-                let _ = engine.nearest_one(&probe);
-            }
-            assert!(
-                engine.calibrator.score.load(Ordering::Relaxed) < 0,
-                "should have collapsed"
-            );
-            for i in 0..40 {
-                let probe = if i % 2 == 0 {
-                    Hypervector::random(d, &mut rng)
-                } else {
-                    let victim = rng.next_below(64) as usize;
-                    let mut p = rows[victim].clone();
-                    p.flip_bits(rng.distinct_indices(d / 20, d));
-                    p
-                };
-                assert_eq!(
-                    engine.nearest_one(&probe),
-                    naive_nearest(&rows, &probe),
-                    "query {i} layout={layout:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn adversarial_stream_collapses_then_reengages() {
-        let d = 10_240;
-        let (engine, rows) = engine_with(32, d, 99);
-        let mut rng = Rng::new(100);
-        for _ in 0..12 {
+            let (engine, rows) = engine_with(21, d, d as u64 + 5);
+            let mut rng = Rng::new(42);
             let probe = Hypervector::random(d, &mut rng);
-            assert_eq!(engine.nearest_one(&probe), naive_nearest(&rows, &probe));
-        }
-        assert!(engine.calibrator.score.load(Ordering::Relaxed) < 0);
-        // A long inference-shaped phase re-engages the filter through the
-        // exploration queries.
-        for i in 0..(3 * EXPLORE_PERIOD * SCORE_SATURATION as u32) {
-            let victim = (i as usize) % 32;
-            let mut probe = rows[victim].clone();
-            probe.flip_bits(rng.distinct_indices(d / 30, d));
-            assert_eq!(engine.nearest_one(&probe), naive_nearest(&rows, &probe));
-            if engine.calibrator.score.load(Ordering::Relaxed) >= 0 {
-                break;
+            let mut out = vec![7u32; 3]; // stale contents must be replaced
+            engine.distances_into(&probe, &mut out);
+            assert_eq!(out.len(), 21);
+            for (i, hv) in rows.iter().enumerate() {
+                assert_eq!(out[i] as usize, probe.hamming_distance(hv), "d={d} row {i}");
             }
         }
-        assert!(
-            engine.calibrator.score.load(Ordering::Relaxed) >= 0,
-            "filter must re-engage under inference traffic"
-        );
     }
 
     #[test]
     fn flip_bit_tracks_rows() {
-        for options in option_grid() {
-            let (mut engine, rows) = engine_with_options(3, 130, 13, options);
-            engine.flip_bit(2, 129);
-            let mut expect = rows[2].clone();
-            expect.flip_bit(129);
-            assert_eq!(row_of(&engine, 2), expect.as_words(), "options={options:?}");
-        }
-    }
-
-    #[test]
-    fn layout_names_roundtrip() {
-        for layout in MatrixLayout::ALL {
-            assert_eq!(MatrixLayout::parse(layout.name()), Some(layout));
-        }
-        assert_eq!(MatrixLayout::parse("row_major"), Some(MatrixLayout::RowMajor));
-        assert_eq!(MatrixLayout::parse("column-major"), None);
-    }
-
-    #[test]
-    fn autotune_fills_unset_options() {
-        // The measured table picks row-major at every dimension (see
-        // `autotuned`); pinned options are honored verbatim.
-        let long = BatchLookup::new(10_240);
-        assert_eq!(long.layout(), MatrixLayout::RowMajor);
-        assert!(long.row_block() > 0);
-        let short = BatchLookup::new(512);
-        assert_eq!(short.layout(), MatrixLayout::RowMajor);
-        let pinned = BatchLookup::with_options(
-            10_240,
-            EngineOptions::default().with_layout(MatrixLayout::Interleaved).with_row_block(5),
-        );
-        assert_eq!(pinned.layout(), MatrixLayout::Interleaved);
-        assert_eq!(pinned.row_block(), 5);
+        let (mut engine, rows) = engine_with(3, 130, 13);
+        engine.flip_bit(2, 129);
+        let mut expect = rows[2].clone();
+        expect.flip_bit(129);
+        assert_eq!(engine.row(2), expect.as_words());
     }
 }

@@ -34,9 +34,9 @@
 //!   (`argmax` similarity, Eq. 2 of the paper) with serial and
 //!   multi-threaded search paths (the paper's GPU substitute);
 //! * [`batch`] — the [`BatchLookup`] engine behind every memory scan: one
-//!   contiguous word matrix (row-major or word-interleaved, autotuned via
-//!   [`EngineOptions`]), single-probe early-exit scans and cache-blocked
-//!   multi-probe batches through the fused SIMD kernels;
+//!   contiguous row-major word matrix and one early-abandon sweep (plain,
+//!   ranged, quantized and batched queries) over the dispatched SIMD
+//!   distance kernel;
 //! * [`noise`] — seeded bit-error injection into stored hypervectors
 //!   (single-event upsets and multi-cell burst upsets);
 //! * [`profile`] — pairwise similarity matrices (paper Figure 2).
@@ -71,12 +71,12 @@ pub mod profile;
 pub mod rng;
 pub mod similarity;
 
-pub use batch::{BatchLookup, EngineOptions, MatrixLayout};
+pub use batch::BatchLookup;
 pub use classifier::CentroidClassifier;
 pub use maintenance::{
     diff_memberships, signature_diff, CentroidDelta, MembershipCentroid, SignatureDelta,
 };
 pub use hypervector::{DimensionMismatchError, Hypervector};
-pub use memory::{AssociativeMemory, SearchStrategy};
+pub use memory::{AssociativeMemory, EngineOptions, SearchStrategy};
 pub use rng::Rng;
 pub use similarity::SimilarityMetric;

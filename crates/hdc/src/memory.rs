@@ -13,15 +13,15 @@
 //!
 //! Both paths run on the [`BatchLookup`] engine: member hypervectors live
 //! in one contiguous row-major word matrix (no per-entry pointer chase),
-//! scans work on integer Hamming distances with best-so-far abandonment
-//! ([`Hypervector::hamming_distance_within`]), and the float similarity is
-//! computed once, for the winner. The parallel path reuses a precomputed
-//! shard plan — rebuilt when membership changes, not re-derived per query.
-//! Both metrics are monotone decreasing in Hamming distance, so the
-//! distance argmin *is* the similarity argmax, ties (earliest insert)
+//! every query is one early-abandon sweep over integer Hamming distances
+//! (a row is dropped once it exceeds the best so far), and the float
+//! similarity is computed once, for the winner. The parallel path reuses a
+//! precomputed shard plan — rebuilt when membership changes, not re-derived
+//! per query. Both metrics are monotone decreasing in Hamming distance, so
+//! the distance argmin *is* the similarity argmax, ties (earliest insert)
 //! included.
 
-use crate::batch::{BatchLookup, EngineOptions, Hit};
+use crate::batch::{BatchLookup, Hit};
 use crate::hypervector::{DimensionMismatchError, Hypervector};
 use crate::similarity::SimilarityMetric;
 
@@ -38,6 +38,17 @@ pub enum SearchStrategy {
         threads: usize,
     },
 }
+
+/// Scan-engine options accepted by
+/// [`AssociativeMemory::with_engine_options`].
+///
+/// The engine has one matrix layout and one scan, so there is nothing to
+/// choose: the type has no fields and every constructor that takes it
+/// ignores it. It remains so callers written against the options-taking
+/// constructors (`HdConfigBuilder::engine_options` and
+/// `ServeConfig::engine` in the table and serving crates) keep compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct EngineOptions;
 
 /// A single stored match returned by a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,35 +102,26 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     /// Panics if `d == 0`.
     #[must_use]
     pub fn new(d: usize) -> Self {
-        Self::with_engine_options(d, EngineOptions::default())
-    }
-
-    /// Creates an empty memory whose scan engine uses explicit
-    /// [`EngineOptions`] (matrix layout / row block); unset fields are
-    /// autotuned exactly as in [`new`](Self::new).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d == 0` or `options.row_block == Some(0)`.
-    #[must_use]
-    pub fn with_engine_options(d: usize, options: EngineOptions) -> Self {
         assert!(d > 0, "dimension must be positive");
         Self {
             dimension: d,
             metric: SimilarityMetric::default(),
             strategy: SearchStrategy::default(),
             entries: Vec::new(),
-            engine: BatchLookup::with_options(d, options),
+            engine: BatchLookup::new(d),
             shard_plan: Vec::new(),
         }
     }
 
-    /// The resolved scan-engine layout options (post-autotune).
+    /// The same as [`new`](Self::new): [`EngineOptions`] has nothing to
+    /// set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d == 0`.
     #[must_use]
-    pub fn engine_options(&self) -> EngineOptions {
-        EngineOptions::default()
-            .with_layout(self.engine.layout())
-            .with_row_block(self.engine.row_block())
+    pub fn with_engine_options(d: usize, _options: EngineOptions) -> Self {
+        Self::new(d)
     }
 
     /// Sets the similarity metric (builder style).
@@ -177,10 +179,9 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     /// Removes all entries whose key satisfies the predicate; returns how
     /// many were removed.
     ///
-    /// The scan matrix is compacted without reallocating
-    /// ([`BatchLookup::retain_rows`]: an in-place forward copy pass, or an
-    /// arena swap under the interleaved layout) — removing one server from
-    /// a large memory never re-reads every stored hypervector.
+    /// The scan matrix is compacted in place without reallocating
+    /// ([`BatchLookup::retain_rows`]: one forward copy pass) — removing one
+    /// server from a large memory never re-reads every stored hypervector.
     pub fn remove_where<F: FnMut(&K) -> bool>(&mut self, mut predicate: F) -> usize {
         // Evaluate the predicate once per entry, in row order, so the
         // entry list and the matrix stay row-for-row in sync.
@@ -234,12 +235,12 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
         Some(self.hit_to_match(hit))
     }
 
-    /// Resolves a whole probe batch with the cache-blocked multi-probe
-    /// kernel; result `i` matches `nearest(probes[i])` exactly.
+    /// Resolves a whole probe batch, one sweep per probe; result `i`
+    /// matches `nearest(probes[i])` exactly.
     ///
     /// Under [`SearchStrategy::Parallel`] the *probes* are sharded across
-    /// the worker threads (each worker runs the blocked scan over the full
-    /// matrix), which preserves per-probe determinism.
+    /// the worker threads (each worker sweeps the full matrix per probe),
+    /// which preserves per-probe determinism.
     ///
     /// # Panics
     ///
@@ -423,12 +424,9 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
         }
     }
 
-    /// Quantized scan over one row range; returns `(q, order(key), row)`.
-    ///
-    /// Rides [`BatchLookup::nearest_quantized_by`] — the adaptive
-    /// incremental-prefix schedule with the quantum-aware pruning bound —
-    /// so the Partition-strategy path shares the plain argmin's scan
-    /// machinery and calibrator instead of always sweeping straight.
+    /// Quantized scan over one row range; returns `(q, order(key), row)`
+    /// through [`BatchLookup::nearest_quantized_by`], the same sweep as the
+    /// plain argmin with a quantum-aware bound.
     fn quantized_in_range<O: Ord, F: Fn(&K) -> O>(
         &self,
         probe: &Hypervector,
@@ -465,7 +463,7 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
             for (&(start, end), slot) in self.shard_plan.iter().zip(results.iter_mut()) {
                 let engine = &self.engine;
                 scope.spawn(move |_| {
-                    *slot = engine.nearest_in_range(probe, start, end, engine.dimension());
+                    *slot = engine.nearest_in_range(probe, start, end);
                 });
             }
         })

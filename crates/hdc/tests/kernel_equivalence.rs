@@ -4,11 +4,10 @@
 //! included, and especially dimensions that are not multiples of 64, which
 //! exercise the masked tail word of the packed representation.
 
+use hdhash_hdc::basis::CircularBasis;
 use hdhash_hdc::batch::Hit;
 use hdhash_hdc::ops::{bundle, permute, reference, MajorityBundler};
-use hdhash_hdc::{
-    AssociativeMemory, BatchLookup, EngineOptions, Hypervector, MatrixLayout, Rng,
-};
+use hdhash_hdc::{AssociativeMemory, BatchLookup, Hypervector, Rng};
 use proptest::prelude::*;
 
 /// Dimensions biased toward word-boundary edge cases.
@@ -27,24 +26,40 @@ fn dims() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Engine construction options spanning both matrix layouts and row-block
-/// heights that do and do not divide typical populations (1 = degenerate
-/// single-lane interleave, 16 = the production default).
-fn engine_options() -> impl Strategy<Value = EngineOptions> {
-    (
-        prop_oneof![Just(MatrixLayout::RowMajor), Just(MatrixLayout::Interleaved)],
-        prop_oneof![Just(1usize), Just(3), Just(7), Just(16)],
-    )
-        .prop_map(|(layout, row_block)| {
-            EngineOptions::default().with_layout(layout).with_row_block(row_block)
-        })
+/// A corrupted copy of `row` (`d / 25` flipped bits): the near-match
+/// shape of HDC inference.
+fn noisy_copy(row: &Hypervector, rng: &mut Rng) -> Hypervector {
+    let d = row.dimension();
+    let mut p = row.clone();
+    p.flip_bits(rng.distinct_indices(d / 25, d));
+    p
 }
 
-/// Row `i` of an engine as an owned word vector (layout-independent).
-fn engine_row(engine: &BatchLookup, i: usize) -> Vec<u64> {
-    let mut out = Vec::new();
-    engine.copy_row_into(i, &mut out);
-    out
+/// The reference argmin over `rows`: `(row, distance)`, lowest distance,
+/// earliest row on ties.
+fn reference_argmin<'a>(
+    rows: impl IntoIterator<Item = &'a Hypervector>,
+    probe: &Hypervector,
+) -> Option<Hit> {
+    rows.into_iter()
+        .enumerate()
+        .map(|(i, hv)| (reference::hamming(probe, hv), i))
+        .min()
+        .map(|(distance, row)| Hit { row, distance })
+}
+
+/// The reference quantized arg-max over `rows`: the minimum of
+/// `(⌊(dist + c/2)/c⌋, order(row), row)`.
+fn reference_quantized(
+    rows: &[&Hypervector],
+    probe: &Hypervector,
+    quantum: usize,
+    order: impl Fn(usize) -> usize,
+) -> Option<(usize, usize, usize)> {
+    rows.iter()
+        .enumerate()
+        .map(|(row, hv)| ((reference::hamming(probe, hv) + quantum / 2) / quantum, order(row), row))
+        .min()
 }
 
 proptest! {
@@ -125,15 +140,16 @@ proptest! {
         prop_assert_eq!(a.hamming_distance(&b), exact);
     }
 
-    /// The batched engine returns exactly the naive argmin — lowest
-    /// distance, earliest row on ties — for random populations, random
-    /// probes, and near-match probes (which take the prefix-filter path).
+    /// The engine returns exactly the reference argmin — lowest distance,
+    /// earliest row on ties — for random populations and a batch of random
+    /// and near-match probes, through both the single-probe and the batch
+    /// entry point.
     #[test]
     fn batch_lookup_equals_naive_argmin(
         seed in any::<u64>(),
         d in dims(),
         n in 1usize..40,
-        noisy in any::<bool>(),
+        shapes in prop::collection::vec(any::<bool>(), 1..12),
     ) {
         let mut rng = Rng::new(seed);
         let rows: Vec<Hypervector> =
@@ -142,196 +158,111 @@ proptest! {
         for hv in &rows {
             engine.push(hv).unwrap();
         }
-        let probe = if noisy {
-            let victim = rng.next_below(n as u64) as usize;
-            let mut p = rows[victim].clone();
-            p.flip_bits(rng.distinct_indices(d / 20, d));
-            p
-        } else {
-            Hypervector::random(d, &mut rng)
-        };
-        let naive = rows
-            .iter()
-            .enumerate()
-            .map(|(i, hv)| (reference::hamming(&probe, hv), i))
-            .min()
-            .map(|(dist, i)| (i, dist));
-        let got = engine.nearest_one(&probe).map(|h| (h.row, h.distance));
-        prop_assert_eq!(got, naive);
-        // The multi-probe kernel agrees with the single-probe kernel.
-        let mut out = Vec::new();
-        engine.nearest_batch_into(&[&probe], &mut out);
-        prop_assert_eq!(out[0].map(|h| (h.row, h.distance)), got);
-    }
-
-    /// The calibrated batch path is byte-identical across scan plans: an
-    /// engine whose calibrator is engaged (fresh, inference-assuming) and
-    /// one collapsed by an adversarial warm-up stream must resolve the
-    /// same probe batch to identical `(row, distance)` hits, and both must
-    /// equal the naive per-probe argmin — whether the batch itself is
-    /// inference-shaped, adversarial, or mixed.
-    #[test]
-    fn calibrated_batch_equals_blocked_batch(
-        seed in any::<u64>(),
-        d in prop_oneof![Just(1000usize), Just(4096), Just(10_240)],
-        n in 9usize..40,
-        shapes in prop::collection::vec(any::<bool>(), 4..24),
-    ) {
-        let mut rng = Rng::new(seed);
-        let rows: Vec<Hypervector> =
-            (0..n).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let mut engaged = BatchLookup::new(d);
-        for hv in &rows {
-            engaged.push(hv).unwrap();
-        }
-        // A second engine, collapsed by sustained adversarial single-probe
-        // traffic, takes the cache-blocked plan for the same batch.
-        let collapsed = engaged.clone();
-        for _ in 0..10 {
-            let probe = Hypervector::random(d, &mut rng);
-            let _ = collapsed.nearest_one(&probe);
-        }
         let probes: Vec<Hypervector> = shapes
             .iter()
             .map(|&noisy| {
                 if noisy {
-                    let victim = rng.next_below(n as u64) as usize;
-                    let mut p = rows[victim].clone();
-                    p.flip_bits(rng.distinct_indices(d / 25, d));
-                    p
+                    noisy_copy(&rows[rng.next_below(n as u64) as usize], &mut rng)
                 } else {
                     Hypervector::random(d, &mut rng)
                 }
             })
             .collect();
         let refs: Vec<&Hypervector> = probes.iter().collect();
-        let (mut via_engaged, mut via_collapsed) = (Vec::new(), Vec::new());
-        engaged.nearest_batch_into(&refs, &mut via_engaged);
-        collapsed.nearest_batch_into(&refs, &mut via_collapsed);
-        prop_assert_eq!(&via_engaged, &via_collapsed);
-        for (probe, got) in probes.iter().zip(&via_engaged) {
-            let naive = rows
-                .iter()
-                .enumerate()
-                .map(|(i, hv)| (reference::hamming(probe, hv), i))
-                .min()
-                .map(|(dist, i)| Hit { row: i, distance: dist });
-            prop_assert_eq!(*got, naive);
+        let mut batch = Vec::new();
+        engine.nearest_batch_into(&refs, &mut batch);
+        prop_assert_eq!(batch.len(), probes.len());
+        for (probe, got) in probes.iter().zip(&batch) {
+            let want = reference_argmin(&rows, probe);
+            prop_assert_eq!(engine.nearest_one(probe), want);
+            prop_assert_eq!(*got, want);
         }
     }
 
-    /// The adaptive scan stays exact across *streams* of probes on one
-    /// engine: mixed adversarial and inference-shaped probes drive the
-    /// calibrator through its whole state machine — filtered rounds with
-    /// and without a stand-out leader, the collapsed straight scan, and
-    /// the periodic exploration queries — and every single answer must
-    /// still be the reference argmin with the earliest-row tie-break.
+    /// The quantized arg-max equals the exhaustive reference
+    /// `(q, order, row)` minimum on three probe shapes:
+    ///
+    /// * random and near-match probes against random rows;
+    /// * codebook probes — the shape the table serves — where the rows are
+    ///   members of one partitioned `CircularBasis` and the probe is any
+    ///   node of it, so every distance is an exact multiple of the quantum
+    ///   `c = d / nodes` and two members equidistant from the probe tie on
+    ///   `q`.
+    ///
+    /// `order` collides on purpose, so ties on `q` are decided by `order`
+    /// and ties on both by the row.
     #[test]
-    fn adaptive_scan_exact_under_probe_streams(
+    fn quantized_equals_reference(
         seed in any::<u64>(),
         d in prop_oneof![Just(512usize), Just(1000), Just(4096), Just(10_240)],
-        n in 8usize..48,
-        shapes in prop::collection::vec(any::<bool>(), 20..60),
+        n in 9usize..48,
+        quantum_div in 1usize..64,
+        shapes in prop::collection::vec(0u8..3, 6..20),
     ) {
         let mut rng = Rng::new(seed);
+        let order = |row: usize| row % 5;
+        // Random rows under a quantum from the whole range.
+        let quantum = (d / (quantum_div * 2).max(2)).max(1);
         let rows: Vec<Hypervector> =
             (0..n).map(|_| Hypervector::random(d, &mut rng)).collect();
         let mut engine = BatchLookup::new(d);
         for hv in &rows {
             engine.push(hv).unwrap();
         }
-        for &noisy in &shapes {
-            let probe = if noisy {
-                let victim = rng.next_below(n as u64) as usize;
-                let mut p = rows[victim].clone();
-                p.flip_bits(rng.distinct_indices(d / 25, d));
-                p
-            } else {
-                Hypervector::random(d, &mut rng)
+        let row_refs: Vec<&Hypervector> = rows.iter().collect();
+        // Codebook rows: `n` of the `2n` nodes of a partitioned circle whose
+        // dimension is padded to a multiple of `2 · 2n`, as the table does.
+        let nodes = 2 * n;
+        let padded = d.div_ceil(2 * nodes) * 2 * nodes;
+        let basis = CircularBasis::generate(nodes, padded, &mut rng).unwrap();
+        let code_quantum = padded / nodes;
+        let members: Vec<&Hypervector> = rng
+            .distinct_indices(n, nodes)
+            .into_iter()
+            .map(|slot| &basis[slot])
+            .collect();
+        let mut codebook_engine = BatchLookup::new(padded);
+        for hv in &members {
+            codebook_engine.push(hv).unwrap();
+        }
+        for &shape in &shapes {
+            let (engine, rows, quantum, probe) = match shape {
+                0 => (&engine, &row_refs, quantum, Hypervector::random(d, &mut rng)),
+                1 => {
+                    let victim = &rows[rng.next_below(n as u64) as usize];
+                    (&engine, &row_refs, quantum, noisy_copy(victim, &mut rng))
+                }
+                _ => {
+                    let node = basis[rng.next_below(nodes as u64) as usize].clone();
+                    (&codebook_engine, &members, code_quantum, node)
+                }
             };
-            let naive = rows
-                .iter()
-                .enumerate()
-                .map(|(i, hv)| (reference::hamming(&probe, hv), i))
-                .min()
-                .map(|(dist, i)| (i, dist));
+            if shape == 2 {
+                for hv in rows.iter() {
+                    prop_assert_eq!(reference::hamming(&probe, hv) % quantum, 0);
+                }
+            }
             prop_assert_eq!(
-                engine.nearest_one(&probe).map(|h| (h.row, h.distance)),
-                naive
+                engine.nearest_quantized_by(&probe, quantum, 0, rows.len(), order),
+                reference_quantized(rows, &probe, quantum, order),
+                "shape {} diverged (d={}, q={})", shape, engine.dimension(), quantum
             );
         }
     }
 
-    /// The quantized arg-max on the adaptive incremental-prefix schedule
-    /// is **byte-identical to the straight bounded scan**: for every probe
-    /// shape (inference-shaped and adversarial), every calibrator state
-    /// (a fresh engaged engine and one collapsed by adversarial warm-up
-    /// runs opposite plans), and colliding order keys (forcing the
-    /// `(q, order, row)` tie-break), the `(q, order, row)` verdict equals
-    /// the exhaustive reference minimum.
-    #[test]
-    fn quantized_adaptive_equals_straight_scan(
-        seed in any::<u64>(),
-        d in prop_oneof![Just(512usize), Just(1000), Just(4096), Just(10_240)],
-        n in 9usize..48,
-        quantum_div in 1usize..64,
-        shapes in prop::collection::vec(any::<bool>(), 6..20),
-    ) {
-        let quantum = (d / (quantum_div * 2).max(2)).max(1);
-        let mut rng = Rng::new(seed);
-        let rows: Vec<Hypervector> =
-            (0..n).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let mut engaged = BatchLookup::new(d);
-        for hv in &rows {
-            engaged.push(hv).unwrap();
-        }
-        // A second engine, collapsed by sustained adversarial warm-up,
-        // runs the straight plan for the same probes.
-        let collapsed = engaged.clone();
-        for _ in 0..10 {
-            let probe = Hypervector::random(d, &mut rng);
-            let _ = collapsed.nearest_one(&probe);
-        }
-        let order = |row: usize| row % 5; // collides → order tie-break exercised
-        for &noisy in &shapes {
-            let probe = if noisy {
-                let victim = rng.next_below(n as u64) as usize;
-                let mut p = rows[victim].clone();
-                p.flip_bits(rng.distinct_indices(d / 25, d));
-                p
-            } else {
-                Hypervector::random(d, &mut rng)
-            };
-            let want = rows
-                .iter()
-                .enumerate()
-                .map(|(row, hv)| {
-                    ((reference::hamming(&probe, hv) + quantum / 2) / quantum, order(row), row)
-                })
-                .min();
-            let via_engaged = engaged.nearest_quantized_by(&probe, quantum, 0, n, order);
-            let via_collapsed = collapsed.nearest_quantized_by(&probe, quantum, 0, n, order);
-            prop_assert_eq!(&via_engaged, &want, "engaged plan diverged (d={}, q={})", d, quantum);
-            prop_assert_eq!(&via_collapsed, &want, "collapsed plan diverged (d={}, q={})", d, quantum);
-        }
-    }
-
     /// Row compaction under churn equals a fresh engine built from the
-    /// surviving rows — matrix contents and scan results alike — under
-    /// both layouts (in-place copy for row-major, arena re-laning for
-    /// interleaved) and non-divisor row blocks.
+    /// surviving rows — matrix contents and scan results alike.
     #[test]
     fn retained_rows_equal_fresh_engine(
         seed in any::<u64>(),
         d in dims(),
         n in 1usize..30,
         keep_mask in prop::collection::vec(any::<bool>(), 30),
-        options in engine_options(),
     ) {
         let mut rng = Rng::new(seed);
         let rows: Vec<Hypervector> =
             (0..n).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let mut engine = BatchLookup::with_options(d, options);
+        let mut engine = BatchLookup::new(d);
         for hv in &rows {
             engine.push(hv).unwrap();
         }
@@ -339,45 +270,37 @@ proptest! {
         let survivors: Vec<&Hypervector> =
             rows.iter().enumerate().filter(|(i, _)| keep_mask[*i]).map(|(_, hv)| hv).collect();
         prop_assert_eq!(engine.len(), survivors.len());
-        let mut fresh = BatchLookup::with_options(d, options);
+        let mut fresh = BatchLookup::new(d);
         for hv in &survivors {
             fresh.push(hv).unwrap();
         }
         for (i, hv) in survivors.iter().enumerate() {
-            prop_assert_eq!(engine_row(&engine, i), engine_row(&fresh, i));
-            prop_assert_eq!(engine_row(&engine, i), hv.as_words().to_vec());
+            prop_assert_eq!(engine.row(i), fresh.row(i));
+            prop_assert_eq!(engine.row(i), hv.as_words());
         }
         let probe = Hypervector::random(d, &mut rng);
-        let got = engine.nearest_one(&probe).map(|h| (h.row, h.distance));
-        let want = survivors
-            .iter()
-            .enumerate()
-            .map(|(i, hv)| (reference::hamming(&probe, hv), i))
-            .min()
-            .map(|(dist, i)| (i, dist));
-        prop_assert_eq!(got, want);
+        prop_assert_eq!(engine.nearest_one(&probe), reference_argmin(survivors, &probe));
     }
 
-    /// Cross-layout × cross-tier pin: the same membership behind every
-    /// (layout, row_block) resolves every scan shape — plain argmin,
-    /// batch, bounded range, quantized arg-max, and bulk distances —
-    /// byte-identically to the bit-at-a-time reference, on non-×64
-    /// dimensions and after row compaction. The dispatched kernel under
-    /// all of this is whatever tier the host runs (scalar/AVX2/AVX-512),
-    /// so a pass pins that tier against the reference too.
+    /// After row compaction every scan shape — plain argmin, batch, row
+    /// range, quantized arg-max, and bulk distances — equals the
+    /// bit-at-a-time reference on non-×64 dimensions. The dispatched
+    /// kernel under all of this is whatever tier the host runs
+    /// (scalar/AVX2/AVX-512), so a pass pins that tier against the
+    /// reference too.
     #[test]
-    fn layouts_agree_with_reference_after_churn(
+    fn scans_agree_with_reference_after_churn(
         seed in any::<u64>(),
         d in dims(),
         n in 1usize..30,
         keep_mask in prop::collection::vec(any::<bool>(), 30),
         noisy in any::<bool>(),
-        options in engine_options(),
+        cut in 0usize..30,
     ) {
         let mut rng = Rng::new(seed);
         let all_rows: Vec<Hypervector> =
             (0..n).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let mut engine = BatchLookup::with_options(d, options);
+        let mut engine = BatchLookup::new(d);
         for hv in &all_rows {
             engine.push(hv).unwrap();
         }
@@ -389,53 +312,32 @@ proptest! {
             .map(|(_, hv)| hv)
             .collect();
         let probe = if noisy && !rows.is_empty() {
-            let victim = rng.next_below(rows.len() as u64) as usize;
-            let mut p = rows[victim].clone();
-            p.flip_bits(rng.distinct_indices(d / 20, d));
-            p
+            noisy_copy(rows[rng.next_below(rows.len() as u64) as usize], &mut rng)
         } else {
             Hypervector::random(d, &mut rng)
         };
-        let naive = rows
-            .iter()
-            .enumerate()
-            .map(|(i, hv)| (reference::hamming(&probe, hv), i))
-            .min()
-            .map(|(dist, i)| (i, dist));
-        prop_assert_eq!(engine.nearest_one(&probe).map(|h| (h.row, h.distance)), naive);
+        let naive = reference_argmin(rows.iter().copied(), &probe);
+        prop_assert_eq!(engine.nearest_one(&probe), naive);
         let mut out = Vec::new();
         engine.nearest_batch_into(&[&probe], &mut out);
-        prop_assert_eq!(out[0].map(|h| (h.row, h.distance)), naive);
+        prop_assert_eq!(out[0], naive);
         let mut dists = Vec::new();
         engine.distances_into(&probe, &mut dists);
         prop_assert_eq!(dists.len(), rows.len());
         for (i, hv) in rows.iter().enumerate() {
             prop_assert_eq!(dists[i] as usize, reference::hamming(&probe, hv));
         }
-        if !rows.is_empty() {
-            let order = |row: usize| row % 3;
-            let quantum = (d / 8).max(1);
-            let want = rows
-                .iter()
-                .enumerate()
-                .map(|(row, hv)| {
-                    ((reference::hamming(&probe, hv) + quantum / 2) / quantum, order(row), row)
-                })
-                .min();
-            prop_assert_eq!(
-                engine.nearest_quantized_by(&probe, quantum, 0, rows.len(), order),
-                want
-            );
-            let bound = d / 2;
-            let want_bounded = rows
-                .iter()
-                .enumerate()
-                .map(|(i, hv)| (reference::hamming(&probe, hv), i))
-                .filter(|&(dist, _)| dist <= bound)
-                .min()
-                .map(|(dist, i)| Hit { row: i, distance: dist });
-            prop_assert_eq!(engine.nearest_in_range(&probe, 0, rows.len(), bound), want_bounded);
-        }
+        // A row range `[cut, len)` resolves to the argmin of that range.
+        let cut = cut.min(rows.len());
+        let want_range = reference_argmin(rows[cut..].iter().copied(), &probe)
+            .map(|h| Hit { row: h.row + cut, distance: h.distance });
+        prop_assert_eq!(engine.nearest_in_range(&probe, cut, rows.len()), want_range);
+        let order = |row: usize| row % 3;
+        let quantum = (d / 8).max(1);
+        prop_assert_eq!(
+            engine.nearest_quantized_by(&probe, quantum, 0, rows.len(), order),
+            reference_quantized(&rows, &probe, quantum, order)
+        );
     }
 
     /// `nearest_k` with partial selection equals a full sort of the naive

@@ -80,10 +80,9 @@ pub struct ServeConfig {
     pub seed: u64,
     /// The scheduling substrate between `submit` and the workers.
     pub scheduler: SchedulerKind,
-    /// Lookup-engine construction options for every shard's table: matrix
-    /// layout and scan block size. Fields left unset are autotuned per
-    /// dimension; benches override them to A/B layouts
-    /// (see [`hdhash_hdc::MatrixLayout`]).
+    /// Lookup-engine options for every shard's table. The engine has a
+    /// single layout and scan, so [`EngineOptions`] has no fields and this
+    /// one changes nothing.
     pub engine: EngineOptions,
     /// Request-path tracing (disabled by default; see
     /// [`hdhash_obs::Tracer`] and `docs/OBSERVABILITY.md`).
@@ -101,7 +100,7 @@ impl Default for ServeConfig {
             codebook_size: 256,
             seed: 0x5E27E,
             scheduler: SchedulerKind::SharedQueue,
-            engine: EngineOptions::default(),
+            engine: EngineOptions,
             trace: TraceConfig::disabled(),
         }
     }
@@ -133,9 +132,6 @@ impl ServeConfig {
                 "dimension {} must be at least 2 × codebook_size {}",
                 self.dimension, self.codebook_size
             )));
-        }
-        if self.engine.row_block == Some(0) {
-            return Err(ServeError::InvalidConfig("engine.row_block must be positive".into()));
         }
         if self.trace.enabled {
             if self.trace.sample_every == 0 {
@@ -195,22 +191,6 @@ mod tests {
         // Any scheduler choice passes structural validation.
         let c = ServeConfig { scheduler: SchedulerKind::WorkStealing, ..ServeConfig::default() };
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn engine_options_validate_and_default_to_autotune() {
-        use hdhash_hdc::MatrixLayout;
-        assert_eq!(ServeConfig::default().engine, EngineOptions::default());
-        let pinned = ServeConfig {
-            engine: EngineOptions::default().with_layout(MatrixLayout::Interleaved),
-            ..ServeConfig::default()
-        };
-        assert!(pinned.validate().is_ok());
-        let zero_block = ServeConfig {
-            engine: EngineOptions::default().with_row_block(0),
-            ..ServeConfig::default()
-        };
-        assert!(matches!(zero_block.validate(), Err(ServeError::InvalidConfig(_))));
     }
 
     #[test]

@@ -63,7 +63,6 @@ impl EngineCore {
                 .dimension(config.dimension)
                 .codebook_size(config.codebook_size)
                 .seed(config.seed.wrapping_add(i as u64))
-                .engine_options(config.engine)
                 .build()
                 .map_err(|e| ServeError::InvalidConfig(e.to_string()))?;
             shards.push(Shard::new(i, table));
@@ -116,9 +115,11 @@ impl EngineCore {
 
     /// Serves one coalesced batch: jobs are grouped per shard and each
     /// group resolved through a single epoch snapshot with one
-    /// `lookup_batch` call — the zero-alloc batched scan under the hood.
-    /// `keys`/`latencies` are caller-owned scratch so steady-state serving
-    /// allocates only the per-batch result vector.
+    /// `lookup_batch` call. `keys`/`latencies` are caller-owned scratch,
+    /// reused across batches. The lookup itself allocates on every call:
+    /// `HdHashTable::lookup_batch` builds the key → slot vector, a
+    /// slot → verdict `HashMap`, the distinct-slot and probe vectors, the
+    /// memory's per-probe verdict vector and the returned result vector.
     pub(crate) fn serve_batch(
         &self,
         worker: usize,

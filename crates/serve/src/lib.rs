@@ -4,9 +4,9 @@
 //! datacenter-scale request routing; everything below this crate is
 //! single-caller, synchronous library code. `hdhash-serve` is the front
 //! end that puts the workspace's three performance layers — the
-//! zero-alloc batched lookup engine, the runtime-dispatched SIMD distance
-//! kernels, and the incremental membership maintenance — under real
-//! concurrent traffic:
+//! slot-deduplicated batched lookup engine, the runtime-dispatched SIMD
+//! distance kernels, and the incremental membership maintenance — under
+//! real concurrent traffic:
 //!
 //! ```text
 //!  generator ──► scheduler core ─► coalescing workers ─► shard 0 ─┐
@@ -24,9 +24,8 @@
 //!   backpressure and consistency contracts, test-proven under both.
 //! * **Batch coalescing** — worker threads pick fixed-capacity probe
 //!   batches out of the scheduler and drive each shard's
-//!   `HdHashTable::lookup_batch`, so the slot-deduplicated,
-//!   cache-blocked scan path finally sees multi-client traffic instead
-//!   of one synchronous caller.
+//!   `HdHashTable::lookup_batch`, so the slot-deduplicated scan path
+//!   finally sees multi-client traffic instead of one synchronous caller.
 //! * **Async-capable tickets** — [`Ticket`] resolves by blocking
 //!   [`wait`](Ticket::wait), non-blocking
 //!   [`try_response`](Ticket::try_response), or `.await` (it implements
@@ -120,7 +119,6 @@ pub mod wire;
 
 pub use chaos::{ChaosEndpoint, ChaosNetwork, ChaosStats, FaultPlan, LinkFaults};
 pub use config::{SchedulerKind, ServeConfig};
-pub use hdhash_hdc::{EngineOptions, MatrixLayout};
 pub use engine::ServeEngine;
 pub use executor::{block_on, block_on_timeout};
 pub use gossip::{GossipConfig, GossipMessage, GossipMetrics, GossipNode, PeerHealth};

@@ -23,9 +23,9 @@
 //! function pointers; every later call is an indirect call with no
 //! re-detection. Binaries therefore run on any x86-64 — no compile-time
 //! `-C target-cpu` requirement — and still use the widest tier the host
-//! exposes. The multi-row entry points ([`xor_popcount_rows`],
-//! [`xor_popcount_interleaved`]) amortize that indirect call across a
-//! whole row block instead of re-entering the dispatcher per row.
+//! exposes. The multi-row entry point ([`xor_popcount_rows`]) amortizes
+//! that indirect call across a whole row block instead of re-entering the
+//! dispatcher per row.
 //!
 //! Steering the ladder (CI portability jobs, A/B benchmarking):
 //!
@@ -66,7 +66,6 @@ struct Kernel {
     within: fn(&[u64], &[u64], usize) -> Option<usize>,
     popcount: fn(&[u64]) -> usize,
     xor_rows: fn(&[u64], &[u64], usize, &mut [u32]),
-    xor_interleaved: fn(&[u64], &[u64], usize, &mut [u32]),
 }
 
 static KERNEL: OnceLock<Kernel> = OnceLock::new();
@@ -88,7 +87,6 @@ fn kernel() -> &'static Kernel {
                     within: avx512::hamming_within,
                     popcount: avx512::popcount,
                     xor_rows: avx512::xor_popcount_rows,
-                    xor_interleaved: avx512::xor_popcount_interleaved,
                 };
             }
             if std::arch::is_x86_feature_detected!("avx2") {
@@ -98,7 +96,6 @@ fn kernel() -> &'static Kernel {
                     within: avx2::hamming_within,
                     popcount: avx2::popcount,
                     xor_rows: avx2::xor_popcount_rows,
-                    xor_interleaved: avx2::xor_popcount_interleaved,
                 };
             }
         }
@@ -112,7 +109,6 @@ const SCALAR: Kernel = Kernel {
     within: scalar::hamming_within_words,
     popcount: scalar::popcount_words,
     xor_rows: scalar::xor_popcount_rows,
-    xor_interleaved: scalar::xor_popcount_interleaved,
 };
 
 /// Whether the scalar fallback is forced (feature or environment).
@@ -202,10 +198,7 @@ pub fn popcount_words(words: &[u64]) -> usize {
 /// words. One dispatcher entry covers the whole block — the per-row
 /// indirect call of [`hamming_distance_words`] is amortized away, and a
 /// prefix scan (`probe.len() < row_stride`) expresses its stride to the
-/// kernel instead of slicing per row.
-///
-/// Overwrites `out`; see [`xor_popcount_interleaved`] for the
-/// accumulating column-blocked twin.
+/// kernel instead of slicing per row. Overwrites `out`.
 ///
 /// # Panics
 ///
@@ -221,28 +214,6 @@ pub fn xor_popcount_rows(probe: &[u64], rows: &[u64], row_stride: usize, out: &m
         "row matrix shorter than out.len() rows"
     );
     (kernel().xor_rows)(probe, rows, row_stride, out);
-}
-
-/// Fused column-blocked distance accumulation for the word-interleaved
-/// matrix layout: `block` holds `probe.len()` groups of `lanes`
-/// consecutive words — group `w` stores word `w` of `lanes` different
-/// rows — and the kernel adds `popcount(probe[w] ^ block[w*lanes + l])`
-/// into `out[l]` for every word and lane. Because the accumulation walks
-/// `block` strictly sequentially, an incremental-prefix scan widening
-/// from `k0` to `k1` words passes `probe[k0..k1]` and the matching block
-/// segment, never touching a word twice.
-///
-/// **Accumulates** into `out` (callers zero it for a fresh round);
-/// see [`xor_popcount_rows`] for the overwriting row-major twin.
-///
-/// # Panics
-///
-/// Panics unless `block.len() == probe.len() * lanes` and
-/// `out.len() == lanes`.
-pub fn xor_popcount_interleaved(probe: &[u64], block: &[u64], lanes: usize, out: &mut [u32]) {
-    assert_eq!(block.len(), probe.len() * lanes, "block must hold probe.len() × lanes words");
-    assert_eq!(out.len(), lanes, "one accumulator per lane");
-    (kernel().xor_interleaved)(probe, block, lanes, out);
 }
 
 /// Best-effort software prefetch of `words[index..]` into L1 (a no-op off
@@ -325,22 +296,6 @@ pub mod scalar {
             *slot = hamming_distance_words(probe, &rows[base..base + probe.len()]) as u32;
         }
     }
-
-    /// Scalar fused column-blocked accumulation (see
-    /// [`xor_popcount_interleaved`](super::xor_popcount_interleaved)).
-    pub fn xor_popcount_interleaved(
-        probe: &[u64],
-        block: &[u64],
-        lanes: usize,
-        out: &mut [u32],
-    ) {
-        for (w, &pw) in probe.iter().enumerate() {
-            let group = &block[w * lanes..(w + 1) * lanes];
-            for (slot, &bw) in out.iter_mut().zip(group) {
-                *slot += (pw ^ bw).count_ones();
-            }
-        }
-    }
 }
 
 /// The AVX2 kernels (x86-64 only, installed after runtime detection).
@@ -349,9 +304,8 @@ mod avx2 {
     use super::BLOCK_WORDS;
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_extract_epi64,
-        _mm256_loadu_si256, _mm256_sad_epu8, _mm256_set1_epi64x, _mm256_set1_epi8,
-        _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi16,
-        _mm256_storeu_si256, _mm256_xor_si256,
+        _mm256_loadu_si256, _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8,
+        _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_xor_si256,
     };
 
     /// Per-64-bit-lane popcount of one 256-bit vector: the classic
@@ -464,38 +418,6 @@ mod avx2 {
         }
     }
 
-    #[target_feature(enable = "avx2")]
-    fn interleaved_impl(probe: &[u64], block: &[u64], lanes: usize, out: &mut [u32]) {
-        let mut lane = 0usize;
-        // Four lanes per accumulator: word `w` of lanes `l..l+4` sits at
-        // `block[w*lanes + l ..][..4]`, one unaligned 256-bit load.
-        while lane + 4 <= lanes {
-            let mut acc = _mm256_setzero_si256();
-            for (w, &pw) in probe.iter().enumerate() {
-                let vp = _mm256_set1_epi64x(pw as i64);
-                // SAFETY: w*lanes + lane + 4 <= probe.len()*lanes ==
-                // block.len(), checked by the public wrapper.
-                let vb =
-                    unsafe { _mm256_loadu_si256(block.as_ptr().add(w * lanes + lane).cast()) };
-                acc = _mm256_add_epi64(acc, popcount_epi64(_mm256_xor_si256(vp, vb)));
-            }
-            let mut sums = [0u64; 4];
-            // SAFETY: `sums` is exactly 32 bytes.
-            unsafe { _mm256_storeu_si256(sums.as_mut_ptr().cast(), acc) };
-            for (slot, sum) in out[lane..lane + 4].iter_mut().zip(sums) {
-                *slot += sum as u32;
-            }
-            lane += 4;
-        }
-        for l in lane..lanes {
-            let mut sum = 0u32;
-            for (w, &pw) in probe.iter().enumerate() {
-                sum += (pw ^ block[w * lanes + l]).count_ones();
-            }
-            out[l] += sum;
-        }
-    }
-
     /// Safe entry point: sound only when installed after AVX2 detection,
     /// which the dispatcher guarantees.
     pub fn hamming_distance(a: &[u64], b: &[u64]) -> usize {
@@ -526,18 +448,6 @@ mod avx2 {
         // SAFETY: as for `hamming_distance`.
         unsafe { xor_rows_impl(probe, rows, row_stride, out) }
     }
-
-    /// Safe entry point: sound only when installed after AVX2 detection.
-    pub fn xor_popcount_interleaved(
-        probe: &[u64],
-        block: &[u64],
-        lanes: usize,
-        out: &mut [u32],
-    ) {
-        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
-        // SAFETY: as for `hamming_distance`.
-        unsafe { interleaved_impl(probe, block, lanes, out) }
-    }
 }
 
 /// The AVX-512 kernels (x86-64 only, installed after runtime detection of
@@ -549,8 +459,7 @@ mod avx512 {
     use super::BLOCK_WORDS;
     use std::arch::x86_64::{
         __m512i, _mm512_add_epi64, _mm512_loadu_si512, _mm512_popcnt_epi64,
-        _mm512_reduce_add_epi64, _mm512_set1_epi64, _mm512_setzero_si512, _mm512_storeu_si512,
-        _mm512_xor_si512,
+        _mm512_reduce_add_epi64, _mm512_setzero_si512, _mm512_xor_si512,
     };
 
     /// Whether both required features are present (the dispatcher's gate,
@@ -642,38 +551,6 @@ mod avx512 {
         }
     }
 
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn interleaved_impl(probe: &[u64], block: &[u64], lanes: usize, out: &mut [u32]) {
-        let mut lane = 0usize;
-        // Eight lanes per accumulator: word `w` of lanes `l..l+8` sits at
-        // `block[w*lanes + l ..][..8]`, one unaligned 512-bit load.
-        while lane + 8 <= lanes {
-            let mut acc = _mm512_setzero_si512();
-            for (w, &pw) in probe.iter().enumerate() {
-                let vp = _mm512_set1_epi64(pw as i64);
-                // SAFETY: w*lanes + lane + 8 <= probe.len()*lanes ==
-                // block.len(), checked by the public wrapper.
-                let vb =
-                    unsafe { _mm512_loadu_si512(block.as_ptr().add(w * lanes + lane).cast()) };
-                acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(_mm512_xor_si512(vp, vb)));
-            }
-            let mut sums = [0u64; 8];
-            // SAFETY: `sums` is exactly 64 bytes.
-            unsafe { _mm512_storeu_si512(sums.as_mut_ptr().cast(), acc) };
-            for (slot, sum) in out[lane..lane + 8].iter_mut().zip(sums) {
-                *slot += sum as u32;
-            }
-            lane += 8;
-        }
-        for l in lane..lanes {
-            let mut sum = 0u32;
-            for (w, &pw) in probe.iter().enumerate() {
-                sum += (pw ^ block[w * lanes + l]).count_ones();
-            }
-            out[l] += sum;
-        }
-    }
-
     /// Safe entry point: sound only when installed after AVX-512
     /// detection, which the dispatcher guarantees.
     pub fn hamming_distance(a: &[u64], b: &[u64]) -> usize {
@@ -703,18 +580,6 @@ mod avx512 {
         // SAFETY: as for `hamming_distance`.
         unsafe { xor_rows_impl(probe, rows, row_stride, out) }
     }
-
-    /// Safe entry point: sound only when installed after AVX-512 detection.
-    pub fn xor_popcount_interleaved(
-        probe: &[u64],
-        block: &[u64],
-        lanes: usize,
-        out: &mut [u32],
-    ) {
-        debug_assert!(detected());
-        // SAFETY: as for `hamming_distance`.
-        unsafe { interleaved_impl(probe, block, lanes, out) }
-    }
 }
 
 #[cfg(test)]
@@ -739,18 +604,6 @@ mod tests {
                 }
             })
             .collect()
-    }
-
-    /// Builds a word-interleaved block from `lanes` row prefixes.
-    fn interleave(rows: &[Vec<u64>], words: usize) -> Vec<u64> {
-        let lanes = rows.len();
-        let mut block = vec![0u64; words * lanes];
-        for (l, row) in rows.iter().enumerate() {
-            for w in 0..words {
-                block[w * lanes + l] = row[w];
-            }
-        }
-        block
     }
 
     #[test]
@@ -815,53 +668,6 @@ mod tests {
         xor_popcount_rows(&pattern(4, 8), &[], 0, &mut []);
     }
 
-    #[test]
-    fn fused_interleaved_accumulates_exact_distances() {
-        // Lane counts crossing every vector width: below 4, between 4 and
-        // 8, at 8/16, and a ragged 13.
-        for lanes in [1usize, 3, 4, 5, 8, 13, 16] {
-            for words in [0usize, 1, 5, 16, 40] {
-                let rows: Vec<Vec<u64>> =
-                    (0..lanes).map(|l| pattern(words, 100 + l as u64)).collect();
-                let probe = pattern(words, 999);
-                let block = interleave(&rows, words);
-                // Seed the accumulators to prove the kernel adds rather
-                // than overwrites.
-                let mut out = vec![7u32; lanes];
-                xor_popcount_interleaved(&probe, &block, lanes, &mut out);
-                for (l, row) in rows.iter().enumerate() {
-                    let want = scalar::hamming_distance_words(&probe, row);
-                    assert_eq!(
-                        out[l] as usize,
-                        want + 7,
-                        "lanes={lanes} words={words} lane {l}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_interleaved_segments_sum_to_full_distance() {
-        // Widening a prefix in segments must equal one full-width pass.
-        let (lanes, words) = (8usize, 48usize);
-        let rows: Vec<Vec<u64>> = (0..lanes).map(|l| pattern(words, 50 + l as u64)).collect();
-        let probe = pattern(words, 51);
-        let block = interleave(&rows, words);
-        let mut whole = vec![0u32; lanes];
-        xor_popcount_interleaved(&probe, &block, lanes, &mut whole);
-        let mut staged = vec![0u32; lanes];
-        for (from, to) in [(0usize, 4usize), (4, 16), (16, 48)] {
-            xor_popcount_interleaved(
-                &probe[from..to],
-                &block[from * lanes..to * lanes],
-                lanes,
-                &mut staged,
-            );
-        }
-        assert_eq!(staged, whole);
-    }
-
     /// Every tier the host supports must agree with the scalar
     /// specification on every entry point — regardless of which tier the
     /// dispatcher installed for this process.
@@ -874,7 +680,6 @@ mod tests {
             fn(&[u64], &[u64], usize) -> Option<usize>,
             fn(&[u64]) -> usize,
             fn(&[u64], &[u64], usize, &mut [u32]),
-            fn(&[u64], &[u64], usize, &mut [u32]),
         );
         let mut tiers: Vec<Tier> = Vec::new();
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -884,7 +689,6 @@ mod tests {
                 avx2::hamming_within,
                 avx2::popcount,
                 avx2::xor_popcount_rows,
-                avx2::xor_popcount_interleaved,
             ));
         }
         if std::arch::is_x86_feature_detected!("avx512f")
@@ -896,10 +700,9 @@ mod tests {
                 avx512::hamming_within,
                 avx512::popcount,
                 avx512::xor_popcount_rows,
-                avx512::xor_popcount_interleaved,
             ));
         }
-        for (name, distance, within, popcount, xor_rows, xor_inter) in tiers {
+        for (name, distance, within, popcount, xor_rows) in tiers {
             for len in [0usize, 1, 5, 8, 9, 16, 17, 31, 157, 160] {
                 let a = pattern(len, 11);
                 let b = pattern(len, 12);
@@ -921,15 +724,6 @@ mod tests {
             xor_rows(&probe, &matrix, stride, &mut got);
             scalar::xor_popcount_rows(&probe, &matrix, stride, &mut want);
             assert_eq!(got, want, "{name} xor_popcount_rows");
-            for lanes in [3usize, 8, 13, 16] {
-                let words = 19usize;
-                let block = pattern(words * lanes, 15);
-                let probe = pattern(words, 16);
-                let (mut got, mut want) = (vec![1u32; lanes], vec![1u32; lanes]);
-                xor_inter(&probe, &block, lanes, &mut got);
-                scalar::xor_popcount_interleaved(&probe, &block, lanes, &mut want);
-                assert_eq!(got, want, "{name} interleaved lanes={lanes}");
-            }
         }
     }
 
@@ -987,12 +781,5 @@ mod tests {
     fn short_row_matrix_panics() {
         let mut out = [0u32; 3];
         xor_popcount_rows(&[1, 2], &[0u64; 5], 2, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "probe.len() × lanes")]
-    fn interleaved_shape_mismatch_panics() {
-        let mut out = [0u32; 2];
-        xor_popcount_interleaved(&[1, 2], &[0u64; 3], 2, &mut out);
     }
 }

@@ -44,11 +44,6 @@ fn force_scalar_env_defeats_every_tier() {
     hdhash_simdkernels::scalar::xor_popcount_rows(probe, &b, 48, &mut want);
     assert_eq!(got, want);
 
-    let (mut got, mut want) = (vec![5u32; 8], vec![5u32; 8]);
-    hdhash_simdkernels::xor_popcount_interleaved(&a[..12], &b[..96], 8, &mut got);
-    hdhash_simdkernels::scalar::xor_popcount_interleaved(&a[..12], &b[..96], 8, &mut want);
-    assert_eq!(got, want);
-
     // The hardware capability report ignores the kill switch: it stamps
     // benchmarks with what the machine *could* run.
     let isa = hdhash_simdkernels::host_isa();

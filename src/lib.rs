@@ -42,7 +42,7 @@
 //!   bundling, and the Figure 4 hardware projection;
 //! * [`serve`] — the sharded, batch-coalescing serving layer: a
 //!   pluggable scheduler core (shared queue or work-stealing deques),
-//!   coalescing workers driving the zero-alloc batched lookup path,
+//!   coalescing workers driving the slot-deduplicated batched lookups,
 //!   epoch-published shard snapshots so membership reconfiguration never
 //!   blocks readers, and an async-capable ticket front end (`Ticket` is
 //!   a `Future`; a vendored block-on executor drives it runtime-free).
