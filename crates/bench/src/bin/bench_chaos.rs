@@ -80,7 +80,6 @@ fn serve_config(shards: usize) -> ServeConfig {
         dimension: DIMENSION,
         codebook_size: 64,
         seed: ENGINE_SEED,
-        scheduler: hdhash_serve::SchedulerKind::default(),
         engine: Default::default(),
         trace: Default::default(),
     }

@@ -57,7 +57,6 @@ fn replica(id: u64) -> Arc<ReplicatedEngine> {
         dimension: DIMENSION,
         codebook_size: 256,
         seed: 0x6055,
-        scheduler: hdhash_serve::SchedulerKind::default(),
         engine: Default::default(),
         trace: Default::default(),
     };

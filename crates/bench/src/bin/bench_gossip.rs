@@ -70,7 +70,6 @@ fn replica(id: u64, shards: usize) -> (Arc<ReplicatedEngine>, ReplicaId) {
         dimension: DIMENSION,
         codebook_size: 256,
         seed: 0x6055,
-        scheduler: hdhash_serve::SchedulerKind::default(),
         engine: Default::default(),
         trace: Default::default(),
     };

@@ -10,8 +10,8 @@
 //!
 //! Every cell runs one catalog scenario (diurnal curve, flash crowd,
 //! Zipf hotspot, correlated bursts, churn storm, replica crash/rejoin)
-//! against one engine configuration (scheduler kind × shard count × batch
-//! size × replica count per the scenario) and reports the per-phase
+//! against one engine configuration (shard count × batch size, replica
+//! count per the scenario) and reports the per-phase
 //! trajectory: throughput, p50/p99 latency, shed (open-loop overload),
 //! epoch lag and anti-entropy divergence. Each cell is stamped with the
 //! seed that reproduces it bit-for-bit (`SCENARIO_SEED=<seed>` replays
@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use hdhash_bench::{telemetry_embed, Params};
 use hdhash_obs::TelemetrySnapshot;
 use hdhash_serve::scenario::{self, Scenario, ScenarioConfig};
-use hdhash_serve::{SchedulerKind, ServeConfig};
+use hdhash_serve::ServeConfig;
 
 /// Default seed for the whole grid; `SCENARIO_SEED` or `seed=` overrides.
 const DEFAULT_SEED: u64 = 0x5CE4_A210;
@@ -36,16 +36,11 @@ struct ConfigCell {
 fn configs() -> Vec<ConfigCell> {
     let small = ScenarioConfig::small();
     vec![
-        ConfigCell { name: "sq-2shard-b16", config: small },
+        ConfigCell { name: "2shard-b16", config: small },
         ConfigCell {
-            name: "ws-4shard-b32",
+            name: "4shard-b32",
             config: ScenarioConfig {
-                engine: ServeConfig {
-                    shards: 4,
-                    batch_capacity: 32,
-                    scheduler: SchedulerKind::WorkStealing,
-                    ..small.engine
-                },
+                engine: ServeConfig { shards: 4, batch_capacity: 32, ..small.engine },
                 ..small
             },
         },

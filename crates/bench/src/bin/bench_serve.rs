@@ -5,26 +5,22 @@
 //! cargo run --release -p hdhash-bench --bin bench_serve
 //! cargo run --release -p hdhash-bench --bin bench_serve -- quick=1
 //! cargo run --release -p hdhash-bench --bin bench_serve -- out=/tmp/B.json requests=20000
-//! cargo run --release -p hdhash-bench --bin bench_serve -- --scheduler work-stealing
 //! ```
 //!
 //! Each grid point builds a fresh engine, replays an emulator-generated
-//! uniform workload through `hdhash_serve::load::drive` (closed loop —
-//! tickets are reaped through the async front end's block-on executor),
+//! uniform workload through `hdhash_serve::load::drive` (closed loop),
 //! and reports completed-requests-per-second plus p50/p99 latency and the
-//! mean coalesced batch fill. `scheduler=work-stealing` (or `--scheduler
-//! work-stealing`) runs the whole grid on the work-stealing substrate;
-//! the JSON's `scheduler` field records which one served. The JSON also
-//! records the dispatched distance kernel (`HDHASH_FORCE_SCALAR` is
-//! honored end-to-end: the env var flips every shard's scan kernel to the
-//! portable scalar path, and the `kernel` field proves which one ran) and
-//! the host's core count, since worker scaling is meaningless past it.
+//! mean coalesced batch fill. The JSON also records the dispatched
+//! distance kernel (`HDHASH_FORCE_SCALAR` is honored end-to-end: the env
+//! var flips every shard's scan kernel to the portable scalar path, and
+//! the `kernel` field proves which one ran) and the host's core count,
+//! since worker scaling is meaningless past it.
 
 use std::fmt::Write as _;
 
 use hdhash_bench::Params;
 use hdhash_emulator::{Generator, KeyDistribution, Workload};
-use hdhash_serve::{drive, SchedulerKind, ServeConfig, ServeEngine, TraceConfig};
+use hdhash_serve::{drive, ServeConfig, ServeEngine, TraceConfig};
 use hdhash_table::ServerId;
 
 struct GridPoint {
@@ -44,17 +40,6 @@ fn run_point(
     workers: usize,
     batch: usize,
     requests: usize,
-    scheduler: SchedulerKind,
-) -> GridPoint {
-    run_point_traced(shards, workers, batch, requests, scheduler, TraceConfig::disabled())
-}
-
-fn run_point_traced(
-    shards: usize,
-    workers: usize,
-    batch: usize,
-    requests: usize,
-    scheduler: SchedulerKind,
     trace: TraceConfig,
 ) -> GridPoint {
     let mut engine = ServeEngine::new(ServeConfig {
@@ -65,7 +50,6 @@ fn run_point_traced(
         dimension: 4096,
         codebook_size: 256,
         seed: 0xBEE,
-        scheduler,
         trace,
         ..ServeConfig::default()
     })
@@ -113,29 +97,6 @@ fn main() {
         .skip(1)
         .find_map(|a| a.strip_prefix("out=").map(str::to_owned))
         .unwrap_or_else(|| "BENCH_serve.json".to_owned());
-    // Scheduler substrate: `scheduler=work-stealing` or the two-token
-    // `--scheduler work-stealing` form; default is the shared queue.
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scheduler_name = args
-        .iter()
-        .find_map(|a| a.strip_prefix("scheduler=").map(str::to_owned))
-        .or_else(|| {
-            args.iter().position(|a| a == "--scheduler").map(|i| {
-                // A bare trailing `--scheduler` must not silently run the
-                // default substrate.
-                args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("--scheduler requires a value: shared-queue or work-stealing");
-                    std::process::exit(2);
-                })
-            })
-        });
-    let scheduler = match scheduler_name.as_deref() {
-        None => SchedulerKind::SharedQueue,
-        Some(name) => SchedulerKind::parse(name).unwrap_or_else(|| {
-            eprintln!("unknown scheduler `{name}`; use shared-queue or work-stealing");
-            std::process::exit(2);
-        }),
-    };
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     let shard_counts =
@@ -149,7 +110,8 @@ fn main() {
     for &shards in &shard_counts {
         for &workers in &worker_counts {
             for &batch in &batch_sizes {
-                let point = run_point(shards, workers, batch, requests, scheduler);
+                let point =
+                    run_point(shards, workers, batch, requests, TraceConfig::disabled());
                 println!(
                     "shards={:<2} workers={:<2} batch={:<4} {:>12.0} req/s  \
                      p50 {:>8.1} us  p99 {:>8.1} us  fill {:>6.1}  rejected {}",
@@ -179,15 +141,7 @@ fn main() {
     // enough that a single descheduling blip can't move the number.
     let ab_requests = requests * 4;
     let ab_run = |trace: TraceConfig| -> f64 {
-        run_point_traced(
-            ab_shards,
-            ab_workers,
-            ab_batch,
-            ab_requests,
-            scheduler,
-            trace,
-        )
-        .throughput_rps
+        run_point(ab_shards, ab_workers, ab_batch, ab_requests, trace).throughput_rps
     };
     // Paired trials: each trial runs both arms back to back and yields
     // one on/off throughput ratio, so slow host drift cancels; the
@@ -234,7 +188,6 @@ fn main() {
 
     let mut json = String::from("{\n  \"benchmark\": \"BENCH_serve\",\n");
     let _ = writeln!(json, "  \"kernel\": \"{}\",", hdhash_simdkernels::kernel_name());
-    let _ = writeln!(json, "  \"scheduler\": \"{}\",", scheduler.name());
     let _ = writeln!(json, "  \"host_isa\": \"{}\",", hdhash_simdkernels::host_isa());
     let _ = writeln!(json, "  \"host_cores\": {cores},");
     let _ = writeln!(json, "  \"requests_per_point\": {requests},");
@@ -278,7 +231,6 @@ fn main() {
     json.push_str("  ]\n}\n");
 
     println!("kernel: {}", hdhash_simdkernels::kernel_name());
-    println!("scheduler: {}", scheduler.name());
     println!("multi-shard vs single-shard at {max_workers} workers: {scaling:.2}x");
     // Surface the scaling caveat in the stdout summary too, so CI logs
     // are self-explanatory without opening the JSON.

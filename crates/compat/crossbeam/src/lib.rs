@@ -6,9 +6,9 @@
 //! 1.63, which post-dates crossbeam's scoped threads),
 //! `crossbeam::queue::ArrayQueue` (a bounded MPMC queue, here a
 //! mutex-guarded ring rather than crossbeam's lock-free array — same
-//! contract, no `unsafe`) and `crossbeam::channel` (unbounded MPMC
-//! channels with blocking, timed and non-blocking receives — the gossip
-//! transport's mailbox plumbing).
+//! contract, no `unsafe`; the trace ring) and `crossbeam::channel`
+//! (unbounded MPMC channels with blocking, timed and non-blocking
+//! receives — the gossip transport's mailbox plumbing).
 //!
 //! Semantics match the call sites' expectations:
 //!
@@ -19,7 +19,7 @@
 //! * `Scope::spawn` hands the scope back to the closure so nested spawns
 //!   remain possible;
 //! * `ArrayQueue::push` on a full queue hands the value back as `Err` —
-//!   the backpressure signal the serving layer rejects requests on.
+//!   the signal the trace ring counts as a dropped event.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -159,204 +159,6 @@ pub mod queue {
         #[must_use]
         pub fn capacity(&self) -> usize {
             self.capacity
-        }
-    }
-}
-
-/// Work-stealing deques (`crossbeam::deque`).
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-    /// Outcome of a steal attempt, mirroring `crossbeam::deque::Steal`.
-    ///
-    /// The real crate's lock-free Chase–Lev deque can observe a concurrent
-    /// modification and ask the caller to retry; this lock-based shim
-    /// never does, but the variant is kept so call sites written against
-    /// the real API (`loop { match stealer.steal() { Retry => continue,
-    /// … } }`) compile and behave unchanged.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        /// The deque was empty.
-        Empty,
-        /// One task was stolen.
-        Success(T),
-        /// The operation lost a race and should be retried (never
-        /// produced by this shim).
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        /// The stolen task, if any.
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(task) => Some(task),
-                Steal::Empty | Steal::Retry => None,
-            }
-        }
-
-        /// Whether the deque was observed empty.
-        #[must_use]
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-    }
-
-    #[derive(Debug)]
-    struct Buffer<T> {
-        queue: VecDeque<T>,
-    }
-
-    fn lock<T>(buffer: &Mutex<Buffer<T>>) -> MutexGuard<'_, Buffer<T>> {
-        buffer.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The owner side of a work-stealing deque (Chase–Lev `Worker`).
-    ///
-    /// The owner pushes new tasks and pops from its own end;
-    /// [`Stealer`]s take from the opposite end. This shim is a
-    /// mutex-guarded ring, so unlike the real crate's `Worker` it is
-    /// `Sync`; call sites should still confine `push`/`pop` to the owning
-    /// worker thread so that swapping the real lock-free crate back in
-    /// (a `Cargo.toml`-only change everywhere else) only requires moving
-    /// the `Worker` values into their threads at spawn time.
-    ///
-    /// Only the FIFO flavour is provided — it is the one batch-coalescing
-    /// schedulers want (oldest request first preserves queue fairness and
-    /// latency ordering).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use crossbeam::deque::{Steal, Worker};
-    ///
-    /// let local = Worker::new_fifo();
-    /// let stealer = local.stealer();
-    /// local.push(1);
-    /// local.push(2);
-    /// assert_eq!(stealer.steal(), Steal::Success(1));
-    /// assert_eq!(local.pop(), Some(2));
-    /// assert_eq!(local.pop(), None);
-    /// ```
-    #[derive(Debug)]
-    pub struct Worker<T> {
-        buffer: Arc<Mutex<Buffer<T>>>,
-    }
-
-    impl<T> Default for Worker<T> {
-        fn default() -> Self {
-            Self::new_fifo()
-        }
-    }
-
-    impl<T> Worker<T> {
-        /// Creates an empty FIFO deque: the owner pops the oldest task,
-        /// and stealers take from the same end (matching the real
-        /// crate's `new_fifo` semantics, where owner and thieves agree
-        /// on front-of-queue order).
-        #[must_use]
-        pub fn new_fifo() -> Self {
-            Self { buffer: Arc::new(Mutex::new(Buffer { queue: VecDeque::new() })) }
-        }
-
-        /// A new handle thieves can steal through; clone freely.
-        #[must_use]
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer { buffer: Arc::clone(&self.buffer) }
-        }
-
-        /// Appends a task at the back of the deque.
-        pub fn push(&self, task: T) {
-            lock(&self.buffer).queue.push_back(task);
-        }
-
-        /// Removes the oldest task, or `None` when empty.
-        pub fn pop(&self) -> Option<T> {
-            lock(&self.buffer).queue.pop_front()
-        }
-
-        /// Number of queued tasks (racy under concurrent stealing —
-        /// diagnostic only).
-        #[must_use]
-        pub fn len(&self) -> usize {
-            lock(&self.buffer).queue.len()
-        }
-
-        /// Whether the deque currently holds no tasks.
-        #[must_use]
-        pub fn is_empty(&self) -> bool {
-            lock(&self.buffer).queue.is_empty()
-        }
-    }
-
-    /// The thief side of a work-stealing deque (Chase–Lev `Stealer`).
-    ///
-    /// Cheap to clone; every clone drains the same deque.
-    #[derive(Debug)]
-    pub struct Stealer<T> {
-        buffer: Arc<Mutex<Buffer<T>>>,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Self {
-            Self { buffer: Arc::clone(&self.buffer) }
-        }
-    }
-
-    impl<T> Stealer<T> {
-        /// Steals one task from the front of the victim deque.
-        pub fn steal(&self) -> Steal<T> {
-            match lock(&self.buffer).queue.pop_front() {
-                Some(task) => Steal::Success(task),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Steals a chunk of tasks — half the victim's queue, capped like
-        /// the real crate — into `dest`, and pops one of them.
-        ///
-        /// This is the batch-pickup primitive: a worker whose local deque
-        /// ran dry refills it from a sibling in one locked pass instead
-        /// of trading single tasks.
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            /// Cap on tasks moved per steal, mirroring
-            /// `crossbeam::deque::MAX_BATCH`.
-            const MAX_BATCH: usize = 32;
-            // Drain under the victim's lock only, then fill `dest` after
-            // releasing it: two workers stealing from *each other* would
-            // otherwise take the two locks in opposite orders and
-            // deadlock.
-            let (first, carried) = {
-                let mut victim = lock(&self.buffer);
-                let available = victim.queue.len();
-                if available == 0 {
-                    return Steal::Empty;
-                }
-                // Take ceil(half), capped: the victim keeps at least half
-                // of its backlog, so repeated mutual stealing cannot
-                // ping-pong the whole queue.
-                let take = available.div_ceil(2).min(MAX_BATCH);
-                let first = victim.queue.pop_front().expect("available > 0");
-                let carried: Vec<T> =
-                    (1..take).map(|_| victim.queue.pop_front().expect("len checked")).collect();
-                (first, carried)
-            };
-            if !carried.is_empty() {
-                lock(&dest.buffer).queue.extend(carried);
-            }
-            Steal::Success(first)
-        }
-
-        /// Number of stealable tasks (racy — diagnostic only).
-        #[must_use]
-        pub fn len(&self) -> usize {
-            lock(&self.buffer).queue.len()
-        }
-
-        /// Whether the victim deque currently holds no tasks.
-        #[must_use]
-        pub fn is_empty(&self) -> bool {
-            lock(&self.buffer).queue.is_empty()
         }
     }
 }
@@ -667,92 +469,6 @@ mod tests {
         }
         seen.sort_unstable();
         assert_eq!(seen, (0..10).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn deque_fifo_owner_and_stealer_agree_on_order() {
-        use super::deque::{Steal, Worker};
-        let local = Worker::<u32>::new_fifo();
-        assert!(local.is_empty());
-        assert_eq!(local.pop(), None);
-        let stealer = local.stealer();
-        assert_eq!(stealer.steal(), Steal::Empty);
-        for i in 0..4 {
-            local.push(i);
-        }
-        assert_eq!(local.len(), 4);
-        assert_eq!(stealer.len(), 4);
-        // FIFO: owner pops and thieves steal the oldest task.
-        assert_eq!(local.pop(), Some(0));
-        assert_eq!(stealer.steal(), Steal::Success(1));
-        assert_eq!(stealer.steal().success(), Some(2));
-        assert_eq!(local.pop(), Some(3));
-        assert!(stealer.is_empty());
-        assert!(stealer.steal().is_empty());
-    }
-
-    #[test]
-    fn deque_steal_batch_moves_half_capped() {
-        use super::deque::{Steal, Worker};
-        let victim = Worker::<u32>::new_fifo();
-        let thief = Worker::<u32>::new_fifo();
-        for i in 0..10 {
-            victim.push(i);
-        }
-        // Half of 10 = 5: one popped, four carried into the thief's deque.
-        assert_eq!(victim.stealer().steal_batch_and_pop(&thief), Steal::Success(0));
-        assert_eq!(thief.len(), 4);
-        assert_eq!(victim.len(), 5);
-        assert_eq!(thief.pop(), Some(1));
-        // Order within both deques stays FIFO.
-        assert_eq!(victim.pop(), Some(5));
-        // Empty victim reports Empty and leaves the thief untouched.
-        let empty = Worker::<u32>::new_fifo();
-        assert_eq!(empty.stealer().steal_batch_and_pop(&thief), Steal::Empty);
-        assert_eq!(thief.len(), 3);
-        // A large backlog is capped at the documented batch bound (32).
-        let big = Worker::<u32>::new_fifo();
-        for i in 0..200 {
-            big.push(i);
-        }
-        let dest = Worker::<u32>::new_fifo();
-        assert!(matches!(big.stealer().steal_batch_and_pop(&dest), Steal::Success(0)));
-        assert_eq!(dest.len(), 31, "one popped + 31 carried = MAX_BATCH");
-        assert_eq!(big.len(), 168);
-    }
-
-    #[test]
-    fn deque_mutual_stealing_does_not_deadlock_or_lose_tasks() {
-        // Two workers repeatedly steal from each other while a third party
-        // observes: every task is drained exactly once and the opposing
-        // lock order cannot deadlock (the shim buffers outside the victim
-        // lock).
-        use super::deque::Worker;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let a = Worker::<u32>::new_fifo();
-        let b = Worker::<u32>::new_fifo();
-        for i in 0..500 {
-            a.push(i);
-            b.push(1000 + i);
-        }
-        let drained = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for (own, other) in [(&a, &b), (&b, &a)] {
-                let drained = &drained;
-                let stealer = other.stealer();
-                s.spawn(move || loop {
-                    let popped = own.pop().is_some()
-                        || stealer.steal_batch_and_pop(own).success().is_some();
-                    if popped {
-                        drained.fetch_add(1, Ordering::SeqCst);
-                    } else if own.is_empty() && stealer.is_empty() {
-                        return;
-                    }
-                });
-            }
-        });
-        assert_eq!(drained.load(Ordering::SeqCst), 1000);
-        assert!(a.is_empty() && b.is_empty());
     }
 
     #[test]

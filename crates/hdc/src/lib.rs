@@ -73,9 +73,7 @@ pub mod similarity;
 
 pub use batch::BatchLookup;
 pub use classifier::CentroidClassifier;
-pub use maintenance::{
-    diff_memberships, signature_diff, CentroidDelta, MembershipCentroid, SignatureDelta,
-};
+pub use maintenance::{signature_diff, MembershipCentroid, SignatureDelta};
 pub use hypervector::{DimensionMismatchError, Hypervector};
 pub use memory::{AssociativeMemory, EngineOptions, SearchStrategy};
 pub use rng::Rng;

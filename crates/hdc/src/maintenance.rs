@@ -104,130 +104,6 @@ pub fn signature_diff(
     })
 }
 
-/// The membership moves that turn one centroid's multiset into another's:
-/// the reconciliation step of an anti-entropy exchange, expressed at the
-/// hypervector level.
-///
-/// Produced by [`diff_memberships`]; applied with
-/// [`apply_to`](Self::apply_to). Applying the delta derived from local and
-/// remote member encodings converts the local centroid into a bit-exact
-/// copy of the remote one — the centroid is a pure function of the
-/// encoding multiset.
-///
-/// Note the delta is *positional* (a list of adds and removes), so
-/// applying the same delta twice is **not** a no-op; protocols that need
-/// idempotent reconciliation derive a fresh delta from current state each
-/// round (see `hdhash-serve`'s replication layer, which keys deltas off a
-/// versioned membership log).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CentroidDelta {
-    /// Encodings present remotely but missing locally — to be added.
-    pub add: Vec<Hypervector>,
-    /// Encodings present locally but missing remotely — to be removed.
-    pub remove: Vec<Hypervector>,
-}
-
-impl CentroidDelta {
-    /// Whether the delta moves nothing (the memberships already agree).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.add.is_empty() && self.remove.is_empty()
-    }
-
-    /// Total membership moves the delta carries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.add.len() + self.remove.len()
-    }
-
-    /// Applies every move to `centroid`: removals first (so a centroid
-    /// near capacity never transiently overshoots), then additions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DimensionMismatchError`] on the first move whose
-    /// dimension disagrees with the centroid; moves already applied stay
-    /// applied (derive a fresh delta to recover).
-    pub fn apply_to(
-        &self,
-        centroid: &mut MembershipCentroid,
-    ) -> Result<(), DimensionMismatchError> {
-        for hv in &self.remove {
-            centroid.remove(hv)?;
-        }
-        for hv in &self.add {
-            centroid.add(hv)?;
-        }
-        Ok(())
-    }
-}
-
-/// Computes the [`CentroidDelta`] that turns the `local` encoding multiset
-/// into the `remote` one (multiset semantics: an encoding present twice
-/// remotely and once locally yields one add).
-///
-/// # Examples
-///
-/// ```
-/// use hdhash_hdc::{
-///     maintenance::{diff_memberships, MembershipCentroid},
-///     Hypervector, Rng,
-/// };
-///
-/// let mut rng = Rng::new(9);
-/// let shared: Vec<Hypervector> =
-///     (0..4).map(|_| Hypervector::random(1024, &mut rng)).collect();
-/// let local_only = Hypervector::random(1024, &mut rng);
-/// let remote_only = Hypervector::random(1024, &mut rng);
-///
-/// let mut local_members = shared.clone();
-/// local_members.push(local_only);
-/// let mut remote_members = shared.clone();
-/// remote_members.push(remote_only);
-///
-/// let delta = diff_memberships(&local_members, &remote_members);
-/// assert_eq!((delta.add.len(), delta.remove.len()), (1, 1));
-///
-/// // Applying the delta makes the local centroid byte-identical to the
-/// // remote one.
-/// let mut local = MembershipCentroid::new(1024);
-/// let mut remote = MembershipCentroid::new(1024);
-/// for hv in &local_members {
-///     local.add(hv)?;
-/// }
-/// for hv in &remote_members {
-///     remote.add(hv)?;
-/// }
-/// delta.apply_to(&mut local)?;
-/// assert_eq!(local.read(), remote.read());
-/// # Ok::<(), hdhash_hdc::DimensionMismatchError>(())
-/// ```
-#[must_use]
-pub fn diff_memberships(local: &[Hypervector], remote: &[Hypervector]) -> CentroidDelta {
-    // Multiset difference via occurrence counting on the packed words.
-    // Hypervectors hash by content (word vector), so a HashMap keyed on the
-    // vector gives exact multiset semantics.
-    let mut counts: std::collections::HashMap<&Hypervector, isize> =
-        std::collections::HashMap::new();
-    for hv in remote {
-        *counts.entry(hv).or_insert(0) += 1;
-    }
-    for hv in local {
-        *counts.entry(hv).or_insert(0) -= 1;
-    }
-    let mut delta = CentroidDelta::default();
-    for (hv, count) in counts {
-        for _ in 0..count.abs() {
-            if count > 0 {
-                delta.add.push(hv.clone());
-            } else {
-                delta.remove.push(hv.clone());
-            }
-        }
-    }
-    delta
-}
-
 /// An incrementally maintained majority centroid over a changing
 /// membership of hypervectors.
 ///
@@ -439,64 +315,6 @@ mod tests {
         let mut centroid = MembershipCentroid::new(64);
         assert!(centroid.add(&Hypervector::zeros(65)).is_err());
         assert!(centroid.is_empty());
-    }
-
-    #[test]
-    fn diff_memberships_reconciles_centroids_exactly() {
-        let d = 512;
-        let mut rng = Rng::new(21);
-        let shared: Vec<Hypervector> = (0..5).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let local_extra: Vec<Hypervector> =
-            (0..3).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let remote_extra: Vec<Hypervector> =
-            (0..2).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let local_members: Vec<Hypervector> =
-            shared.iter().chain(&local_extra).cloned().collect();
-        let remote_members: Vec<Hypervector> =
-            shared.iter().chain(&remote_extra).cloned().collect();
-        let delta = diff_memberships(&local_members, &remote_members);
-        assert_eq!(delta.add.len(), 2);
-        assert_eq!(delta.remove.len(), 3);
-        assert_eq!(delta.len(), 5);
-        assert!(!delta.is_empty());
-        let mut local = MembershipCentroid::new(d);
-        for hv in &local_members {
-            local.add(hv).expect("dims");
-        }
-        let mut remote = MembershipCentroid::new(d);
-        for hv in &remote_members {
-            remote.add(hv).expect("dims");
-        }
-        delta.apply_to(&mut local).expect("dims");
-        assert_eq!(local.read(), remote.read());
-        assert_eq!(local.members(), remote.members());
-        // Identical memberships diff to the empty delta — the fixed point.
-        assert!(diff_memberships(&remote_members, &remote_members).is_empty());
-    }
-
-    #[test]
-    fn diff_memberships_respects_multiplicity() {
-        let d = 128;
-        let mut rng = Rng::new(22);
-        let hv = Hypervector::random(d, &mut rng);
-        // Locally once, remotely three times: two adds, no removes.
-        let delta = diff_memberships(
-            std::slice::from_ref(&hv),
-            &[hv.clone(), hv.clone(), hv.clone()],
-        );
-        assert_eq!((delta.add.len(), delta.remove.len()), (2, 0));
-        assert!(delta.add.iter().all(|a| *a == hv));
-    }
-
-    #[test]
-    fn delta_apply_dimension_mismatch_errors() {
-        let delta = CentroidDelta {
-            add: vec![Hypervector::zeros(64)],
-            remove: Vec::new(),
-        };
-        let mut centroid = MembershipCentroid::new(65);
-        assert!(delta.apply_to(&mut centroid).is_err());
-        assert!(centroid.is_empty(), "failed move must not half-apply");
     }
 
     #[test]

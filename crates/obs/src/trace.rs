@@ -51,9 +51,6 @@ pub enum SpanKind {
     /// A worker popped a batch. `lane` = worker, `subject` = batch length,
     /// `amount` = queue-wait µs of the first sampled job in the batch.
     Pickup,
-    /// A work-stealing worker stole jobs. `lane` = thief worker,
-    /// `subject` = victim worker, `amount` = jobs moved.
-    Steal,
     /// A per-shard group executed against the table. Span: `dur_micros`
     /// covers the lookup. `lane` = worker, `subject` = shard,
     /// `amount` = group size.
@@ -91,10 +88,9 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, for exhaustive iteration in tests and validators.
-    pub const ALL: [SpanKind; 14] = [
+    pub const ALL: [SpanKind; 13] = [
         SpanKind::Submit,
         SpanKind::Pickup,
-        SpanKind::Steal,
         SpanKind::BatchExec,
         SpanKind::ResponseFill,
         SpanKind::GossipRound,
@@ -113,7 +109,6 @@ impl SpanKind {
         match self {
             SpanKind::Submit => "submit",
             SpanKind::Pickup => "pickup",
-            SpanKind::Steal => "steal",
             SpanKind::BatchExec => "batch_exec",
             SpanKind::ResponseFill => "response_fill",
             SpanKind::GossipRound => "gossip_round",

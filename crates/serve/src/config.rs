@@ -4,45 +4,6 @@ use crate::ServeError;
 use hdhash_hdc::EngineOptions;
 use hdhash_obs::TraceConfig;
 
-/// Which scheduling substrate moves accepted jobs to the worker threads
-/// (see the [`scheduler`](crate::scheduler) module for the data flow of
-/// each).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerKind {
-    /// One bounded MPMC queue shared by every worker — the original
-    /// engine behavior, and the right choice on few-core hosts where
-    /// queue contention is not the bottleneck.
-    #[default]
-    SharedQueue,
-    /// Per-worker local deques fed by a bounded injector, with Chase–Lev
-    /// batch stealing between siblings — cuts shared-queue contention on
-    /// many-core hosts.
-    WorkStealing,
-}
-
-impl SchedulerKind {
-    /// The substrate's canonical name (metrics, bench JSON, CLI flags).
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::SharedQueue => "shared-queue",
-            SchedulerKind::WorkStealing => "work-stealing",
-        }
-    }
-
-    /// Parses a canonical name back into a kind (the bench/CLI flag
-    /// surface). Accepts the hyphenated names of [`name`](Self::name)
-    /// plus underscore spellings.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "shared-queue" | "shared_queue" => Some(SchedulerKind::SharedQueue),
-            "work-stealing" | "work_stealing" => Some(SchedulerKind::WorkStealing),
-            _ => None,
-        }
-    }
-}
-
 /// Shape of a [`ServeEngine`](crate::ServeEngine): how many shards front
 /// the traffic, how many workers coalesce it, and the HD-table geometry
 /// each shard is built with.
@@ -61,14 +22,14 @@ pub struct ServeConfig {
     /// Number of independent HD-hash shards. Requests are partitioned by
     /// key hash, so each shard sees a disjoint slice of the keyspace.
     pub shards: usize,
-    /// Worker threads draining the shared queue into per-shard batches.
+    /// Worker threads draining the request queue into per-shard batches.
     pub workers: usize,
     /// Maximum jobs one worker drains into a single coalesced batch (the
     /// paper batches 256 requests per GPU dispatch; the CPU sweet spot is
     /// smaller).
     pub batch_capacity: usize,
-    /// Bound of the MPMC request queue — the backpressure knob: a full
-    /// queue rejects submissions with
+    /// Bound of the request queue — the backpressure knob: a full queue
+    /// rejects submissions with
     /// [`ServeError::QueueFull`].
     pub queue_capacity: usize,
     /// Hypervector dimension of every shard's table.
@@ -78,8 +39,6 @@ pub struct ServeConfig {
     /// Base seed; shard `i` derives its codebook from `seed + i`, so the
     /// shards' geometries are independent.
     pub seed: u64,
-    /// The scheduling substrate between `submit` and the workers.
-    pub scheduler: SchedulerKind,
     /// Lookup-engine options for every shard's table. The engine has a
     /// single layout and scan, so [`EngineOptions`] has no fields and this
     /// one changes nothing.
@@ -99,7 +58,6 @@ impl Default for ServeConfig {
             dimension: 4096,
             codebook_size: 256,
             seed: 0x5E27E,
-            scheduler: SchedulerKind::SharedQueue,
             engine: EngineOptions,
             trace: TraceConfig::disabled(),
         }
@@ -178,19 +136,6 @@ mod tests {
     fn undersized_dimension_is_rejected() {
         let c = ServeConfig { dimension: 256, codebook_size: 256, ..ServeConfig::default() };
         assert!(matches!(c.validate(), Err(ServeError::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn scheduler_kind_names_roundtrip() {
-        assert_eq!(SchedulerKind::default(), SchedulerKind::SharedQueue);
-        for kind in [SchedulerKind::SharedQueue, SchedulerKind::WorkStealing] {
-            assert_eq!(SchedulerKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(SchedulerKind::parse("work_stealing"), Some(SchedulerKind::WorkStealing));
-        assert_eq!(SchedulerKind::parse("fifo"), None);
-        // Any scheduler choice passes structural validation.
-        let c = ServeConfig { scheduler: SchedulerKind::WorkStealing, ..ServeConfig::default() };
-        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The serving engine: scheduler substrate, coalescing workers, shard
-//! fan-out.
+//! The serving engine: one bounded request queue, coalescing workers,
+//! shard fan-out.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,25 +16,22 @@ use hdhash_table::{DynamicHashTable, RequestKey, ServerId, TableError};
 use crate::config::ServeConfig;
 use crate::metrics::{EngineMetrics, ShardMetrics};
 use crate::request::{LookupJob, ServeResponse, Ticket};
-use crate::scheduler::{self, Scheduler};
 use crate::shard::{Shard, ShardReceipt, ShardSnapshot};
 use crate::ServeError;
 
 /// The shared state workers and clients operate on.
 #[derive(Debug)]
 pub(crate) struct EngineCore {
-    pub(crate) config: ServeConfig,
-    /// The scheduling substrate jobs park in between submit and pickup
-    /// (shared queue or work-stealing deques, per
-    /// [`ServeConfig::scheduler`]); its submission side is bounded — the
-    /// backpressure surface.
-    pub(crate) scheduler: Box<dyn Scheduler>,
-    /// Parking for idle workers. The lock also brackets the
-    /// submit/shutdown race: both the shutdown flag flip and every
-    /// successful push happen under it, so a submission is either rejected
-    /// with [`ServeError::ShuttingDown`] or guaranteed to be served.
-    pub(crate) park: Mutex<()>,
-    pub(crate) ready: Condvar,
+    config: ServeConfig,
+    /// Accepted jobs awaiting a worker, FIFO, bounded at
+    /// [`ServeConfig::queue_capacity`] — the backpressure surface. Idle
+    /// workers wait on `ready` under this lock. The lock also brackets
+    /// the submit/shutdown race: the shutdown flag flips and every
+    /// successful push happens under it, so a submission is either
+    /// rejected with [`ServeError::ShuttingDown`] or guaranteed to be
+    /// served.
+    queue: Mutex<VecDeque<LookupJob>>,
+    ready: Condvar,
     shards: Vec<Shard>,
     metrics: Vec<ShardMetrics>,
     submitted: AtomicU64,
@@ -48,10 +46,10 @@ pub(crate) struct EngineCore {
     /// The key whose batch the next serving worker panics on — the chaos
     /// test hook behind [`ServeEngine::inject_worker_panic`].
     panic_key: Mutex<Option<RequestKey>>,
-    pub(crate) shutdown: AtomicBool,
+    shutdown: AtomicBool,
     /// Request-path trace collector (per [`ServeConfig::trace`]; a cheap
     /// no-op when tracing is disabled).
-    pub(crate) tracer: Arc<Tracer>,
+    tracer: Arc<Tracer>,
 }
 
 impl EngineCore {
@@ -67,11 +65,9 @@ impl EngineCore {
                 .map_err(|e| ServeError::InvalidConfig(e.to_string()))?;
             shards.push(Shard::new(i, table));
         }
-        let tracer = Arc::new(Tracer::new(config.trace));
         Ok(Self {
-            scheduler: scheduler::build(&config, Arc::clone(&tracer)),
-            tracer,
-            park: Mutex::new(()),
+            tracer: Arc::new(Tracer::new(config.trace)),
+            queue: Mutex::new(VecDeque::with_capacity(config.queue_capacity)),
             ready: Condvar::new(),
             metrics: (0..config.shards).map(|_| ShardMetrics::default()).collect(),
             shards,
@@ -99,18 +95,77 @@ impl EngineCore {
             self.tracer.record(SpanKind::Submit, id, 0, job.shard as u64, 0);
         }
         {
-            let _guard = self.park.lock();
+            let mut queue = self.queue.lock();
             if self.shutdown.load(Ordering::Acquire) {
                 return Err(ServeError::ShuttingDown);
             }
-            if self.scheduler.submit(job).is_err() {
+            if queue.len() >= self.config.queue_capacity {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(ServeError::QueueFull);
             }
+            queue.push_back(job);
             self.ready.notify_one();
         }
         self.submitted.fetch_add(1, Ordering::Relaxed);
         Ok(ticket)
+    }
+
+    /// Moves up to `batch_capacity` jobs, oldest first, into `batch`,
+    /// waiting on `ready` while the queue is empty. Returns `false`
+    /// instead once shutdown has begun and the queue is empty.
+    ///
+    /// No wakeup is lost: the emptiness check and the wait happen under
+    /// the queue lock, and every push and the shutdown flip notify under
+    /// that same lock.
+    fn take_batch(&self, batch: &mut Vec<LookupJob>) -> bool {
+        let mut queue = self.queue.lock();
+        while queue.is_empty() {
+            if self.shutdown.load(Ordering::Acquire) {
+                return false;
+            }
+            self.ready.wait(&mut queue);
+        }
+        let take = queue.len().min(self.config.batch_capacity);
+        batch.extend(queue.drain(..take));
+        true
+    }
+
+    /// The worker loop: serves each batch
+    /// [`take_batch`](Self::take_batch) hands over as one shard-grouped
+    /// coalesced unit, and returns when `take_batch` reports shutdown.
+    ///
+    /// Panic containment: batch execution runs under `catch_unwind`, so a
+    /// panicking lookup (or the injection hook) costs one batch — its
+    /// pending tickets are backfilled with an error response — and the
+    /// worker loops back for the next pickup instead of dying and silently
+    /// shrinking the pool. `AssertUnwindSafe` is sound here: the only
+    /// state crossing the boundary is the batch (fully backfilled and
+    /// cleared by containment), the scratch vectors (cleared before
+    /// reuse), and the engine core, whose shared state is lock-protected
+    /// with poison-recovering mutexes.
+    fn worker_loop(&self, worker: usize) {
+        let mut batch: Vec<LookupJob> = Vec::with_capacity(self.config.batch_capacity);
+        let mut keys = Vec::new();
+        let mut latencies = Vec::new();
+        while self.take_batch(&mut batch) {
+            if self.tracer.is_enabled() {
+                if let Some(sampled) = batch.iter().find(|job| job.trace_id.is_some()) {
+                    self.tracer.record(
+                        SpanKind::Pickup,
+                        sampled.trace_id.unwrap_or(0),
+                        worker as u32,
+                        batch.len() as u64,
+                        sampled.enqueued.elapsed().as_micros() as u64,
+                    );
+                }
+            }
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.serve_batch(worker, &mut batch, &mut keys, &mut latencies);
+            }));
+            if outcome.is_err() {
+                self.contain_panic(&mut batch);
+            }
+        }
     }
 
     /// Serves one coalesced batch: jobs are grouped per shard and each
@@ -120,7 +175,7 @@ impl EngineCore {
     /// `HdHashTable::lookup_batch` builds the key → slot vector, a
     /// slot → verdict `HashMap`, the distinct-slot and probe vectors, the
     /// memory's per-probe verdict vector and the returned result vector.
-    pub(crate) fn serve_batch(
+    fn serve_batch(
         &self,
         worker: usize,
         batch: &mut Vec<LookupJob>,
@@ -217,7 +272,7 @@ impl EngineCore {
     /// abandoned batch with [`TableError::WorkerPanicked`], so a panicking
     /// lookup costs its batch an error response instead of hung clients.
     /// Cells the worker already filled are left untouched.
-    pub(crate) fn contain_panic(&self, batch: &mut Vec<LookupJob>) {
+    fn contain_panic(&self, batch: &mut Vec<LookupJob>) {
         let mut backfilled = 0u64;
         for job in batch.iter() {
             let filled = job.cell.fill_if_pending(ServeResponse {
@@ -285,7 +340,7 @@ impl ServeEngine {
                 let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("hdhash-serve-{w}"))
-                    .spawn(move || scheduler::worker_loop(&core, w))
+                    .spawn(move || core.worker_loop(w))
                     .expect("spawn serve worker")
             })
             .collect();
@@ -410,12 +465,11 @@ impl ServeEngine {
             })
             .collect();
         EngineMetrics {
-            scheduler: self.core.scheduler.name(),
             submitted: self.core.submitted.load(Ordering::Relaxed),
             rejected: self.core.rejected.load(Ordering::Relaxed),
             completed: self.core.completed.load(Ordering::Relaxed),
             panics_contained: self.core.panics_contained.load(Ordering::Relaxed),
-            queue_depth: self.core.scheduler.depth(),
+            queue_depth: self.core.queue.lock().len(),
             shards,
         }
     }
@@ -445,17 +499,15 @@ impl ServeEngine {
     /// hanging. Idempotent; also invoked by `Drop`.
     pub fn shutdown(&mut self) {
         {
-            let _guard = self.core.park.lock();
+            let _queue = self.core.queue.lock();
             self.core.shutdown.store(true, Ordering::Release);
             self.core.ready.notify_all();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        // Stragglers: accepted before the flag flipped, not yet picked up
-        // — including jobs parked in work-stealing local deques.
-        let mut batch = Vec::new();
-        self.core.scheduler.drain_into(&mut batch);
+        // Stragglers: accepted before the flag flipped, not yet picked up.
+        let mut batch: Vec<LookupJob> = self.core.queue.lock().drain(..).collect();
         if !batch.is_empty() {
             let (mut keys, mut latencies) = (Vec::new(), Vec::new());
             // The drain runs inline on the caller's thread; report it on
@@ -480,8 +532,6 @@ impl Drop for ServeEngine {
 mod tests {
     use super::*;
 
-    use crate::config::SchedulerKind;
-
     fn test_config() -> ServeConfig {
         ServeConfig {
             shards: 3,
@@ -491,7 +541,6 @@ mod tests {
             dimension: 2048,
             codebook_size: 64,
             seed: 42,
-            scheduler: SchedulerKind::SharedQueue,
             engine: Default::default(),
             trace: hdhash_obs::TraceConfig::disabled(),
         }
@@ -499,46 +548,41 @@ mod tests {
 
     #[test]
     fn serves_lookups_across_shards() {
-        // The serving contract holds under both scheduling substrates.
-        for kind in [SchedulerKind::SharedQueue, SchedulerKind::WorkStealing] {
-            let config = ServeConfig { scheduler: kind, ..test_config() };
-            let mut engine = ServeEngine::new(config).expect("valid config");
-            for id in 0..12 {
-                engine.join(ServerId::new(id)).expect("fresh server");
-            }
-            let snapshots = engine.snapshots();
-            let tickets: Vec<_> = (0..200u64)
-                .map(|k| (k, engine.submit(RequestKey::new(k)).expect("accepted")))
-                .collect();
-            let mut shards_hit = std::collections::HashSet::new();
-            for (k, ticket) in tickets {
-                let response = ticket.wait();
-                shards_hit.insert(response.shard);
-                // Deterministic: the response equals a direct lookup
-                // against the snapshot of the epoch that served it (static
-                // membership, so that's the current snapshot).
-                assert_eq!(response.epoch, snapshots[response.shard].epoch);
-                assert_eq!(
-                    response.result,
-                    snapshots[response.shard].lookup(RequestKey::new(k)),
-                    "key {k} ({kind:?})"
-                );
-                let server = response.result.expect("non-empty pool");
-                assert!(snapshots[response.shard].contains(server));
-            }
-            assert_eq!(shards_hit.len(), 3, "keys must spread over all shards");
-            // Metrics are published after the response cells are filled;
-            // read them only once the workers have quiesced.
-            engine.shutdown();
-            let metrics = engine.metrics();
-            assert_eq!(metrics.scheduler, engine.config().scheduler.name());
-            assert_eq!(metrics.submitted, 200);
-            assert_eq!(metrics.completed, 200);
-            assert_eq!(metrics.rejected, 0);
-            assert_eq!(metrics.shards.iter().map(|s| s.served).sum::<u64>(), 200);
-            assert!(metrics.shards.iter().all(|s| s.failed == 0));
-            assert!(metrics.shards.iter().any(|s| s.latency.is_some()));
+        let mut engine = ServeEngine::new(test_config()).expect("valid config");
+        for id in 0..12 {
+            engine.join(ServerId::new(id)).expect("fresh server");
         }
+        let snapshots = engine.snapshots();
+        let tickets: Vec<_> = (0..200u64)
+            .map(|k| (k, engine.submit(RequestKey::new(k)).expect("accepted")))
+            .collect();
+        let mut shards_hit = std::collections::HashSet::new();
+        for (k, ticket) in tickets {
+            let response = ticket.wait();
+            shards_hit.insert(response.shard);
+            // Deterministic: the response equals a direct lookup against
+            // the snapshot of the epoch that served it (static membership,
+            // so that's the current snapshot).
+            assert_eq!(response.epoch, snapshots[response.shard].epoch);
+            assert_eq!(
+                response.result,
+                snapshots[response.shard].lookup(RequestKey::new(k)),
+                "key {k}"
+            );
+            let server = response.result.expect("non-empty pool");
+            assert!(snapshots[response.shard].contains(server));
+        }
+        assert_eq!(shards_hit.len(), 3, "keys must spread over all shards");
+        // Metrics are published after the response cells are filled; read
+        // them only once the workers have quiesced.
+        engine.shutdown();
+        let metrics = engine.metrics();
+        assert_eq!(metrics.submitted, 200);
+        assert_eq!(metrics.completed, 200);
+        assert_eq!(metrics.rejected, 0);
+        assert_eq!(metrics.shards.iter().map(|s| s.served).sum::<u64>(), 200);
+        assert!(metrics.shards.iter().all(|s| s.failed == 0));
+        assert!(metrics.shards.iter().any(|s| s.latency.is_some()));
     }
 
     #[test]
@@ -554,48 +598,51 @@ mod tests {
 
     #[test]
     fn backpressure_rejects_at_capacity() {
-        // White-box: a core with no workers, so nothing drains the queue
-        // — under either scheduling substrate.
-        for kind in [SchedulerKind::SharedQueue, SchedulerKind::WorkStealing] {
-            let config =
-                ServeConfig { queue_capacity: 2, scheduler: kind, ..test_config() };
-            let core = EngineCore::new(config).expect("valid config");
-            assert!(core.submit(RequestKey::new(1)).is_ok());
-            assert!(core.submit(RequestKey::new(2)).is_ok());
-            assert_eq!(
-                core.submit(RequestKey::new(3)).unwrap_err(),
-                ServeError::QueueFull,
-                "{kind:?}"
-            );
-            assert_eq!(core.rejected.load(Ordering::Relaxed), 1);
-            assert_eq!(core.submitted.load(Ordering::Relaxed), 2);
-            assert_eq!(core.scheduler.depth(), 2);
+        // White-box: an engine with no workers, so nothing drains the queue
+        // until this test takes a batch or shuts the engine down.
+        let config = ServeConfig { queue_capacity: 3, batch_capacity: 2, ..test_config() };
+        let core = Arc::new(EngineCore::new(config).expect("valid config"));
+        let mut engine = ServeEngine { core: Arc::clone(&core), workers: Vec::new() };
+        engine.join(ServerId::new(1)).expect("fresh server");
+        let mut tickets: Vec<Ticket> = (1..=3)
+            .map(|k| engine.submit(RequestKey::new(k)).expect("below capacity"))
+            .collect();
+        assert_eq!(engine.submit(RequestKey::new(9)).unwrap_err(), ServeError::QueueFull);
+        assert_eq!(core.rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(core.submitted.load(Ordering::Relaxed), 3);
+        assert_eq!(engine.metrics().queue_depth, 3);
+        // A pickup takes at most `batch_capacity` jobs, oldest first, and
+        // frees their queue slots.
+        let mut batch = Vec::new();
+        assert!(core.take_batch(&mut batch));
+        assert_eq!(batch.iter().map(|job| job.key.get()).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(core.queue.lock().front().map(|job| job.key.get()), Some(3));
+        core.serve_batch(0, &mut batch, &mut Vec::new(), &mut Vec::new());
+        tickets.push(engine.submit(RequestKey::new(4)).expect("a pickup frees capacity"));
+        // Shutdown serves the stragglers inline and leaves nothing queued.
+        engine.shutdown();
+        let metrics = engine.metrics();
+        assert_eq!((metrics.queue_depth, metrics.completed), (0, 4));
+        for ticket in tickets {
+            assert!(ticket.try_response().expect("served").result.is_ok());
         }
     }
 
     #[test]
     fn shutdown_serves_stragglers_and_rejects_new_submissions() {
-        for kind in [SchedulerKind::SharedQueue, SchedulerKind::WorkStealing] {
-            let config = ServeConfig { scheduler: kind, ..test_config() };
-            let mut engine = ServeEngine::new(config).expect("valid config");
-            engine.join(ServerId::new(1)).expect("fresh server");
-            let tickets: Vec<_> = (0..50u64)
-                .filter_map(|k| engine.submit(RequestKey::new(k)).ok())
-                .collect();
-            engine.shutdown();
-            for ticket in tickets {
-                // Every accepted ticket resolves — no hangs after
-                // shutdown, wherever the job was parked (shared queue,
-                // injector, or a work-stealing local deque).
-                assert!(ticket.wait().result.is_ok(), "{kind:?}");
-            }
-            assert_eq!(
-                engine.submit(RequestKey::new(9)).unwrap_err(),
-                ServeError::ShuttingDown
-            );
-            // Idempotent.
-            engine.shutdown();
+        let mut engine = ServeEngine::new(test_config()).expect("valid config");
+        engine.join(ServerId::new(1)).expect("fresh server");
+        let tickets: Vec<_> = (0..50u64)
+            .filter_map(|k| engine.submit(RequestKey::new(k)).ok())
+            .collect();
+        engine.shutdown();
+        for ticket in tickets {
+            // Every accepted ticket resolves — no hangs after shutdown.
+            assert!(ticket.wait().result.is_ok());
         }
+        assert_eq!(engine.submit(RequestKey::new(9)).unwrap_err(), ServeError::ShuttingDown);
+        // Idempotent.
+        engine.shutdown();
     }
 
     #[test]
@@ -661,45 +708,35 @@ mod tests {
     #[test]
     fn sampled_requests_produce_trace_events() {
         use hdhash_obs::TraceConfig;
-        for kind in [SchedulerKind::SharedQueue, SchedulerKind::WorkStealing] {
-            let config = ServeConfig {
-                scheduler: kind,
-                engine: Default::default(),
-                trace: TraceConfig { enabled: true, sample_every: 1, ring_capacity: 8192 },
-                ..test_config()
-            };
-            let mut engine = ServeEngine::new(config).expect("valid config");
-            engine.join(ServerId::new(1)).expect("fresh server");
-            let tickets: Vec<_> = (0..100u64)
-                .map(|k| engine.submit(RequestKey::new(k)).expect("accepted"))
-                .collect();
-            for ticket in tickets {
-                let _ = ticket.wait();
-            }
-            engine.shutdown();
-            let tracer = engine.tracer();
-            let events = tracer.drain();
-            let count = |k| events.iter().filter(|e| e.kind == k).count();
-            assert_eq!(count(SpanKind::Submit), 100, "{kind:?}");
-            assert_eq!(count(SpanKind::ResponseFill), 100, "{kind:?}");
-            assert!(count(SpanKind::BatchExec) >= 1, "{kind:?}");
-            assert!(count(SpanKind::Pickup) >= 1, "{kind:?}");
-            // Every request-scoped event carries a nonzero trace id, and
-            // each sampled request's Submit has a matching ResponseFill.
-            let submits: std::collections::HashSet<u64> = events
-                .iter()
-                .filter(|e| e.kind == SpanKind::Submit)
-                .map(|e| e.trace_id)
-                .collect();
-            let fills: std::collections::HashSet<u64> = events
-                .iter()
-                .filter(|e| e.kind == SpanKind::ResponseFill)
-                .map(|e| e.trace_id)
-                .collect();
-            assert_eq!(submits, fills, "{kind:?}");
-            assert!(!submits.contains(&0));
-            assert_eq!(tracer.stats().events_dropped, 0, "{kind:?}");
+        let config = ServeConfig {
+            trace: TraceConfig { enabled: true, sample_every: 1, ring_capacity: 8192 },
+            ..test_config()
+        };
+        let mut engine = ServeEngine::new(config).expect("valid config");
+        engine.join(ServerId::new(1)).expect("fresh server");
+        let tickets: Vec<_> = (0..100u64)
+            .map(|k| engine.submit(RequestKey::new(k)).expect("accepted"))
+            .collect();
+        for ticket in tickets {
+            let _ = ticket.wait();
         }
+        engine.shutdown();
+        let tracer = engine.tracer();
+        let events = tracer.drain();
+        let count = |k| events.iter().filter(|e| e.kind == k).count();
+        assert_eq!(count(SpanKind::Submit), 100);
+        assert_eq!(count(SpanKind::ResponseFill), 100);
+        assert!(count(SpanKind::BatchExec) >= 1);
+        assert!(count(SpanKind::Pickup) >= 1);
+        // Every request-scoped event carries a nonzero trace id, and each
+        // sampled request's Submit has a matching ResponseFill.
+        let ids_of = |kind| -> std::collections::HashSet<u64> {
+            events.iter().filter(|e| e.kind == kind).map(|e| e.trace_id).collect()
+        };
+        let submits = ids_of(SpanKind::Submit);
+        assert_eq!(submits, ids_of(SpanKind::ResponseFill));
+        assert!(!submits.contains(&0));
+        assert_eq!(tracer.stats().events_dropped, 0);
     }
 
     #[test]

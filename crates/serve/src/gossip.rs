@@ -134,11 +134,6 @@ pub struct GossipConfig {
     /// Scheduler-thread round period (ignored by explicit
     /// [`GossipNode::tick`] callers).
     pub period: Duration,
-    /// Hamming threshold handed to `signature_diff`. Identical memberships
-    /// read distance exactly 0, so `0` is the tightest sound setting; a
-    /// small positive value only adds slack against future lossy
-    /// signature compression.
-    pub divergence_threshold: usize,
     /// Peers adverted per round: each tick selects
     /// `min(fanout, peer count)` peers with a deterministic
     /// `(replica, round)`-seeded shuffle, so per-round traffic is
@@ -174,7 +169,6 @@ impl Default for GossipConfig {
     fn default() -> Self {
         Self {
             period: Duration::from_millis(50),
-            divergence_threshold: 0,
             fanout: 3,
             suspect_after: 3,
             dead_after: 8,
@@ -672,9 +666,9 @@ impl<T: Transport> GossipNode<T> {
         }
         let mut diverged = Vec::new();
         for (shard, (ours, theirs)) in local.iter().zip(remote).enumerate() {
-            let delta =
-                signature_diff(ours, theirs, self.config.divergence_threshold).ok()?;
-            if delta.diverged {
+            // Identical memberships read distance exactly 0, so any
+            // nonzero distance is a divergence.
+            if signature_diff(ours, theirs, 0).ok()?.diverged {
                 diverged.push(shard);
             }
         }
@@ -891,7 +885,6 @@ mod tests {
             dimension: 2048,
             codebook_size: 64,
             seed: 31,
-            scheduler: crate::SchedulerKind::default(),
             engine: Default::default(),
             trace: Default::default(),
         }

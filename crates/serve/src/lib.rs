@@ -9,29 +9,25 @@
 //! real concurrent traffic:
 //!
 //! ```text
-//!  generator ──► scheduler core ─► coalescing workers ─► shard 0 ─┐
-//!  (emulator)    (SharedQueue |    (pick up to B jobs,  shard 1  ├─► metrics
-//!   clients ──►   WorkStealing;     group by shard,     …        │   (depth,
-//!   submit())     bounded, rejects  one batched lookup  shard N ─┘    fill,
-//!   await/wait ◄  at capacity)      per shard per batch)            p50/p99)
+//!  generator ──► request queue ──► coalescing workers ─► shard 0 ─┐
+//!  (emulator)    (bounded FIFO;    (pick up to B jobs,  shard 1  ├─► metrics
+//!   clients ──►   rejects at        group by shard,     …        │   (depth,
+//!   submit())     capacity)         one batched lookup  shard N ─┘    fill,
+//!   wait ◄────────────────────────  per shard per batch)            p50/p99)
 //! ```
 //!
-//! * **Pluggable scheduler core** — the substrate between `submit` and
-//!   the workers is the [`Scheduler`] trait, selected by
-//!   [`ServeConfig::scheduler`]: [`scheduler::SharedQueue`] (one bounded
-//!   MPMC queue) or [`scheduler::WorkStealing`] (bounded injector +
-//!   per-worker deques with Chase–Lev batch stealing). Identical
-//!   backpressure and consistency contracts, test-proven under both.
-//! * **Batch coalescing** — worker threads pick fixed-capacity probe
-//!   batches out of the scheduler and drive each shard's
-//!   `HdHashTable::lookup_batch`, so the slot-deduplicated scan path
-//!   finally sees multi-client traffic instead of one synchronous caller.
-//! * **Async-capable tickets** — [`Ticket`] resolves by blocking
-//!   [`wait`](Ticket::wait), non-blocking
-//!   [`try_response`](Ticket::try_response), or `.await` (it implements
-//!   [`Future`](std::future::Future)); the vendored
-//!   [`executor::block_on`] drives the future surface with no async
-//!   runtime dependency.
+//! * **One request path** — `submit` pushes onto a bounded FIFO queue
+//!   under the same lock idle workers wait on; a worker takes up to
+//!   [`ServeConfig::batch_capacity`] jobs per pickup, and each
+//!   [`Ticket`] resolves through a one-shot completion cell.
+//! * **Batch coalescing** — each batch is grouped by shard and drives
+//!   that shard's `HdHashTable::lookup_batch` once, so the
+//!   slot-deduplicated scan path sees multi-client traffic instead of one
+//!   synchronous caller.
+//! * **Tickets** — [`Ticket`] resolves by blocking
+//!   [`wait`](Ticket::wait), bounded
+//!   [`wait_timeout`](Ticket::wait_timeout), or non-blocking
+//!   [`try_response`](Ticket::try_response).
 //! * **Epoch-based reconfiguration** — each shard keeps a *shadow* table
 //!   that joins and leaves mutate through the incremental
 //!   counter-plane machinery (`MembershipCentroid`), then publishes an
@@ -40,7 +36,8 @@
 //!   reports the epoch it was served at.
 //! * **Backpressure + metrics** — the bounded queue rejects at capacity
 //!   (the caller sees [`ServeError::QueueFull`]), and per-shard counters
-//!   plus a latency reservoir feed
+//!   plus a lock-free [`LogHistogram`](hdhash_obs::LogHistogram) of
+//!   latencies feed
 //!   [`LatencyProfile`](hdhash_emulator::LatencyProfile)-based p50/p99
 //!   snapshots.
 //! * **Replica anti-entropy** — 2+ engines form a replica set:
@@ -103,14 +100,12 @@
 pub mod chaos;
 pub mod config;
 pub mod engine;
-pub mod executor;
 pub mod gossip;
 pub mod load;
 pub mod metrics;
 pub mod replication;
 pub mod request;
 pub mod scenario;
-pub mod scheduler;
 pub mod shard;
 pub mod tcp;
 pub mod telemetry;
@@ -118,9 +113,8 @@ pub mod transport;
 pub mod wire;
 
 pub use chaos::{ChaosEndpoint, ChaosNetwork, ChaosStats, FaultPlan, LinkFaults};
-pub use config::{SchedulerKind, ServeConfig};
+pub use config::ServeConfig;
 pub use engine::ServeEngine;
-pub use executor::{block_on, block_on_timeout};
 pub use gossip::{GossipConfig, GossipMessage, GossipMetrics, GossipNode, PeerHealth};
 pub use load::{drive, drive_trace, LoadReport};
 pub use metrics::{EngineMetrics, ShardMetricsSnapshot};
@@ -129,7 +123,6 @@ pub use request::{ServeResponse, Ticket};
 pub use scenario::{
     ChurnShape, CrashSpec, PhaseMetrics, Scenario, ScenarioConfig, ScenarioReport,
 };
-pub use scheduler::Scheduler;
 pub use shard::{ShardReceipt, ShardSnapshot};
 pub use tcp::{TcpConfig, TcpEndpoint, TcpNetwork, TcpStats};
 pub use transport::{InProcessNetwork, ReplicaId, Transport, TransportError};

@@ -4,7 +4,7 @@
 //! The paper's emulator generates a request stream (joins, leaves,
 //! lookups); this module is the adapter that replays such a stream against
 //! the serving layer — control requests go through the epoch
-//! reconfiguration path, lookups through the MPMC queue — while keeping a
+//! reconfiguration path, lookups through the request queue — while keeping a
 //! bounded number of lookups in flight (a closed loop, the way a fixed
 //! client fleet drives a real service).
 //!
@@ -104,13 +104,10 @@ pub fn drive(engine: &ServeEngine, requests: &[Request], window: usize) -> LoadR
     let mut latencies: Vec<Duration> = Vec::new();
     let started = Instant::now();
 
-    // Reap through the async front end: a `Ticket` is a future, and the
-    // vendored timeout executor drives it — so every load replay (the
-    // bench, the CLI, the examples) exercises the waker path end to end.
     // The deadline bounds the damage of a wedged worker: one counted
     // timeout per ticket instead of a replay that never returns.
     let reap = |ticket: Ticket, report: &mut LoadReport, latencies: &mut Vec<Duration>| {
-        match crate::executor::block_on_timeout(ticket, REAP_TIMEOUT) {
+        match ticket.wait_timeout(REAP_TIMEOUT) {
             Some(response) => {
                 report.completed += 1;
                 if response.result.is_err() {
@@ -186,7 +183,7 @@ mod tests {
     use crate::ServeConfig;
     use hdhash_emulator::{Generator, Workload};
 
-    fn engine_with(scheduler: crate::SchedulerKind) -> ServeEngine {
+    fn engine() -> ServeEngine {
         ServeEngine::new(ServeConfig {
             shards: 2,
             workers: 2,
@@ -195,27 +192,23 @@ mod tests {
             dimension: 2048,
             codebook_size: 64,
             seed: 9,
-            scheduler,
             engine: Default::default(),
             trace: Default::default(),
         })
         .expect("valid config")
     }
 
-    fn engine() -> ServeEngine {
-        engine_with(crate::SchedulerKind::SharedQueue)
-    }
-
     #[test]
     fn replays_generator_stream_end_to_end() {
-        // The replay contract holds under both scheduling substrates.
-        for kind in [crate::SchedulerKind::SharedQueue, crate::SchedulerKind::WorkStealing] {
-            let mut engine = engine_with(kind);
+        // A window of one keeps a single request in flight, so the workers
+        // wait for work between every job.
+        for window in [64, 1] {
+            let mut engine = engine();
             let workload =
                 Workload { initial_servers: 8, lookups: 400, ..Workload::default() };
             let requests = Generator::new(workload).requests();
-            let report = drive(&engine, &requests, 64);
-            assert_eq!(report.controls, 8, "{kind:?}");
+            let report = drive(&engine, &requests, window);
+            assert_eq!(report.controls, 8, "window {window}");
             assert_eq!(report.control_failures, 0);
             assert_eq!(report.submitted + report.rejected, 400);
             assert_eq!(report.completed, report.submitted);
@@ -225,8 +218,7 @@ mod tests {
             assert!(report.throughput().requests_per_sec() > 0.0);
             engine.shutdown();
             let metrics = engine.metrics();
-            assert_eq!(metrics.completed as usize, report.completed);
-            assert_eq!(metrics.scheduler, kind.name());
+            assert_eq!(metrics.completed as usize, report.completed, "window {window}");
         }
     }
 
@@ -257,7 +249,6 @@ mod tests {
             dimension: 2048,
             codebook_size: 64,
             seed: 10,
-            scheduler: crate::SchedulerKind::default(),
             engine: Default::default(),
             trace: Default::default(),
         })

@@ -103,9 +103,6 @@ pub struct ShardMetricsSnapshot {
 /// Point-in-time metrics for the whole engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineMetrics {
-    /// Which scheduling substrate served the traffic
-    /// ([`SchedulerKind::name`](crate::SchedulerKind::name)).
-    pub scheduler: &'static str,
     /// Requests accepted into the queue.
     pub submitted: u64,
     /// Requests refused at capacity (the backpressure counter).
@@ -118,8 +115,7 @@ pub struct EngineMetrics {
     /// batch whose pending tickets were backfilled with an error response
     /// while the worker kept serving. Zero in healthy operation.
     pub panics_contained: u64,
-    /// Requests currently parked in the scheduling substrate (shared
-    /// queue, or injector + local deques under work stealing).
+    /// Requests currently waiting in the request queue.
     pub queue_depth: usize,
     /// Per-shard breakdowns.
     pub shards: Vec<ShardMetricsSnapshot>,

@@ -537,7 +537,6 @@ mod tests {
             dimension: 2048,
             codebook_size: 64,
             seed: 77,
-            scheduler: crate::SchedulerKind::default(),
             engine: Default::default(),
             trace: Default::default(),
         }
@@ -791,7 +790,6 @@ mod tests {
             dimension: 64,
             codebook_size: 8,
             seed: 5,
-            scheduler: crate::SchedulerKind::default(),
             engine: Default::default(),
             trace: Default::default(),
         };

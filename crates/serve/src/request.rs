@@ -1,27 +1,11 @@
 //! Request plumbing: tickets, responses and the completion cell.
 //!
-//! The completion cell is a two-state machine shared between the
-//! submitting client and the worker that eventually serves the request:
-//!
-//! ```text
-//!   Pending { waker? } ──fill(response)──► Ready(response)
-//!        ▲                                     │
-//!        │ poll() parks a Waker;               │ wait() returns, polls
-//!        │ wait() parks the thread             │ resolve, try_response
-//!        └──── clients, either surface ────────┘ reads
-//! ```
-//!
-//! Both front ends drive the same cell: [`Ticket::wait`] blocks on a
-//! condvar (closed-loop clients), and `Ticket` itself implements
-//! [`Future`] — `poll` registers the task's [`Waker`], and the serving
-//! worker wakes it on fill. The vendored
-//! [`executor::block_on`](crate::executor::block_on) drives the future
-//! surface without an async runtime dependency.
+//! The completion cell is a one-shot slot shared between the submitting
+//! client and the worker that eventually serves the request: the worker
+//! fills it once, and the client blocks on [`Ticket::wait`] /
+//! [`Ticket::wait_timeout`] or polls [`Ticket::try_response`].
 
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
@@ -42,140 +26,76 @@ pub struct ServeResponse {
     pub latency: Duration,
 }
 
-/// The two states of a completion cell.
-#[derive(Debug, Default)]
-enum CellState {
-    /// Not served yet; holds the most recent async waiter's waker, if the
-    /// ticket is being polled as a future.
-    #[default]
-    Pending,
-    /// As `Pending`, with a parked async waiter to wake on fill.
-    Polled(Waker),
-    /// Served; terminal.
-    Ready(ServeResponse),
-}
-
-/// One-shot completion cell shared between the submitting client and the
-/// worker that eventually serves the request. Supports both a blocking
-/// (condvar) and an async (waker) consumer on the same state machine.
+/// One-shot completion cell: `None` until a worker fills it, then the
+/// response; the condvar releases blocked waiters on fill.
 #[derive(Debug, Default)]
 pub(crate) struct ResponseCell {
-    state: Mutex<CellState>,
+    response: Mutex<Option<ServeResponse>>,
     ready: Condvar,
 }
 
 impl ResponseCell {
-    /// Transitions `Pending`/`Polled` → `Ready`, releasing both kinds of
-    /// waiter (the condvar for blocked threads, the waker for parked
-    /// tasks). Calling twice is a contract violation.
+    /// Stores the response and releases every blocked waiter. Calling
+    /// twice is a contract violation.
     pub(crate) fn fill(&self, response: ServeResponse) {
-        let waker = {
-            let mut state = self.state.lock();
-            debug_assert!(
-                !matches!(*state, CellState::Ready(_)),
-                "a request is served exactly once"
-            );
-            let waker = match std::mem::replace(&mut *state, CellState::Ready(response)) {
-                CellState::Polled(waker) => Some(waker),
-                CellState::Pending | CellState::Ready(_) => None,
-            };
-            self.ready.notify_all();
-            waker
-        };
-        // Wake outside the lock: the woken task may immediately re-poll.
-        if let Some(waker) = waker {
-            waker.wake();
-        }
+        let filled = self.fill_if_pending(response);
+        debug_assert!(filled, "a request is served exactly once");
     }
 
     /// As [`fill`](Self::fill), but a no-op when the cell is already
-    /// `Ready`. Returns whether this call filled the cell. The
+    /// filled. Returns whether this call filled the cell. The
     /// panic-containment path uses this to backfill every job of a
     /// partially-served batch without knowing which cells the worker
     /// filled before it panicked.
     pub(crate) fn fill_if_pending(&self, response: ServeResponse) -> bool {
-        let waker = {
-            let mut state = self.state.lock();
-            if matches!(*state, CellState::Ready(_)) {
-                return false;
-            }
-            let waker = match std::mem::replace(&mut *state, CellState::Ready(response)) {
-                CellState::Polled(waker) => Some(waker),
-                CellState::Pending | CellState::Ready(_) => None,
-            };
-            self.ready.notify_all();
-            waker
-        };
-        if let Some(waker) = waker {
-            waker.wake();
+        let mut slot = self.response.lock();
+        if slot.is_some() {
+            return false;
         }
+        *slot = Some(response);
+        self.ready.notify_all();
         true
     }
 
     fn wait(&self) -> ServeResponse {
-        let mut state = self.state.lock();
+        let mut slot = self.response.lock();
         loop {
-            if let CellState::Ready(response) = *state {
+            if let Some(response) = *slot {
                 return response;
             }
-            self.ready.wait(&mut state);
+            self.ready.wait(&mut slot);
         }
     }
 
     fn wait_timeout(&self, timeout: Duration) -> Option<ServeResponse> {
         let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock();
+        let mut slot = self.response.lock();
         loop {
-            if let CellState::Ready(response) = *state {
+            if let Some(response) = *slot {
                 return Some(response);
             }
             let remaining = deadline.checked_duration_since(Instant::now())?;
             // Spurious wakeups loop back through the deadline check.
-            let _ = self.ready.wait_for(&mut state, remaining);
+            let _ = self.ready.wait_for(&mut slot, remaining);
         }
     }
 
     fn try_get(&self) -> Option<ServeResponse> {
-        match *self.state.lock() {
-            CellState::Ready(response) => Some(response),
-            CellState::Pending | CellState::Polled(_) => None,
-        }
-    }
-
-    /// The future surface: `Ready` resolves, otherwise the task's waker
-    /// is (re)parked in the cell and the poll returns `Pending`.
-    fn poll(&self, cx: &mut Context<'_>) -> Poll<ServeResponse> {
-        let mut state = self.state.lock();
-        match &mut *state {
-            CellState::Ready(response) => Poll::Ready(*response),
-            CellState::Polled(waker) => {
-                // Re-polled (possibly from a different task): refresh.
-                waker.clone_from(cx.waker());
-                Poll::Pending
-            }
-            CellState::Pending => {
-                *state = CellState::Polled(cx.waker().clone());
-                Poll::Pending
-            }
-        }
+        *self.response.lock()
     }
 }
 
 /// A claim on a submitted request's eventual response.
 ///
 /// Obtained from [`ServeEngine::submit`](crate::ServeEngine::submit).
-/// Three ways to redeem it:
-///
-/// * block on [`wait`](Self::wait) (closed-loop clients);
-/// * poll [`try_response`](Self::try_response) (open-loop clients that
-///   batch their own reaping);
-/// * **await it** — `Ticket` implements [`Future`], resolving to the
-///   [`ServeResponse`] when a worker fills the cell. Any executor works;
-///   the vendored [`executor::block_on`](crate::executor::block_on)
-///   drives it without an async runtime:
+/// Block on [`wait`](Self::wait) (closed-loop clients), bound the block
+/// with [`wait_timeout`](Self::wait_timeout), or poll
+/// [`try_response`](Self::try_response) (open-loop clients that batch
+/// their own reaping).
 ///
 /// ```
-/// use hdhash_serve::{executor, ServeConfig, ServeEngine};
+/// use std::time::Duration;
+/// use hdhash_serve::{ServeConfig, ServeEngine};
 /// use hdhash_table::{RequestKey, ServerId};
 ///
 /// let mut engine = ServeEngine::new(ServeConfig {
@@ -187,8 +107,9 @@ impl ResponseCell {
 /// })?;
 /// engine.join(ServerId::new(1))?;
 /// let ticket = engine.submit(RequestKey::new(7))?;
-/// let response = executor::block_on(async { ticket.await });
+/// let response = ticket.wait_timeout(Duration::from_secs(30)).expect("served");
 /// assert_eq!(response.result, Ok(ServerId::new(1)));
+/// assert_eq!(ticket.try_response(), Some(response));
 /// engine.shutdown();
 /// # Ok::<(), hdhash_serve::ServeError>(())
 /// ```
@@ -226,24 +147,10 @@ impl Ticket {
     }
 }
 
-impl Future for Ticket {
-    type Output = ServeResponse;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<ServeResponse> {
-        self.cell.poll(cx)
-    }
-}
-
 /// A queued lookup: the key, its shard (fixed at submit time so workers
 /// never re-hash), the submit instant, and the client's completion cell.
-///
-/// Public because it is the currency of the [`Scheduler`] trait; its
-/// internals stay crate-private — schedulers move jobs, only the engine
-/// opens them.
-///
-/// [`Scheduler`]: crate::scheduler::Scheduler
 #[derive(Debug)]
-pub struct LookupJob {
+pub(crate) struct LookupJob {
     pub(crate) key: RequestKey,
     pub(crate) shard: usize,
     pub(crate) enqueued: Instant,
@@ -327,46 +234,5 @@ mod tests {
             waiter.join().expect("no panic")
         });
         assert_eq!(got, response());
-    }
-
-    #[test]
-    fn future_resolves_when_filled_across_threads() {
-        let (job, ticket) = LookupJob::new(RequestKey::new(2), 0);
-        let got = std::thread::scope(|s| {
-            let waiter = s.spawn(move || crate::executor::block_on(ticket));
-            std::thread::sleep(Duration::from_millis(10));
-            job.cell.fill(response());
-            waiter.join().expect("no panic")
-        });
-        assert_eq!(got, response());
-    }
-
-    #[test]
-    fn future_already_ready_resolves_without_parking() {
-        let (job, ticket) = LookupJob::new(RequestKey::new(3), 0);
-        job.cell.fill(response());
-        assert_eq!(crate::executor::block_on(ticket), response());
-    }
-
-    #[test]
-    fn polled_then_waited_surfaces_one_response() {
-        // A ticket polled once as a future (parking a waker) can still be
-        // redeemed by the blocking surface: the state machine serves both.
-        let (job, ticket) = LookupJob::new(RequestKey::new(4), 0);
-        let mut ticket = ticket;
-        let waker = noop_waker();
-        let mut cx = Context::from_waker(&waker);
-        assert!(Pin::new(&mut ticket).poll(&mut cx).is_pending());
-        job.cell.fill(response());
-        assert_eq!(Pin::new(&mut ticket).poll(&mut cx), Poll::Ready(response()));
-        assert_eq!(ticket.wait(), response());
-    }
-
-    fn noop_waker() -> Waker {
-        struct Noop;
-        impl std::task::Wake for Noop {
-            fn wake(self: Arc<Self>) {}
-        }
-        Waker::from(Arc::new(Noop))
     }
 }

@@ -722,10 +722,10 @@ pub fn run_with_observer(
             }
         }
 
-        // 5. Reap every outstanding ticket through the async surface
-        //    before the clock may advance — the quiescence rule.
+        // 5. Reap every outstanding ticket before the clock may advance —
+        //    the quiescence rule.
         for (ticket, idx) in tickets.drain(..) {
-            match crate::executor::block_on_timeout(ticket, REAP_TIMEOUT) {
+            match ticket.wait_timeout(REAP_TIMEOUT) {
                 Some(response) => {
                     acc.completed += 1;
                     if response.result.is_err() {

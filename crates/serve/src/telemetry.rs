@@ -29,7 +29,7 @@ use crate::tcp::TcpStats;
 pub fn export_engine(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &EngineMetrics) {
     out.push_counter(
         "hdhash_engine_submitted_total",
-        "Requests accepted into the scheduler queue",
+        "Requests accepted into the request queue",
         labels,
         m.submitted,
     );
@@ -53,7 +53,7 @@ pub fn export_engine(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &E
     );
     out.push_gauge(
         "hdhash_engine_queue_depth",
-        "Requests currently parked in the scheduling substrate",
+        "Requests currently waiting in the request queue",
         labels,
         m.queue_depth as f64,
     );
@@ -307,7 +307,6 @@ mod tests {
     fn unified_snapshot_covers_every_layer_and_validates() {
         let mut out = TelemetrySnapshot::new();
         let engine = EngineMetrics {
-            scheduler: "work_stealing",
             submitted: 100,
             rejected: 2,
             completed: 98,
@@ -357,7 +356,6 @@ mod tests {
         }
         let mut out = TelemetrySnapshot::new();
         let engine = EngineMetrics {
-            scheduler: "shared_queue",
             submitted: 4,
             rejected: 0,
             completed: 4,

@@ -9,36 +9,26 @@
 //! receipts and checks each `(shard, epoch, server)` triple against the
 //! membership live at that exact epoch.
 //!
-//! Every test here is **parameterized over both scheduling substrates**
-//! ([`SchedulerKind::SharedQueue`] and [`SchedulerKind::WorkStealing`]):
-//! the consistency contract must not depend on where a job parked between
-//! submit and pickup — a stolen batch serves against the same epoch
-//! snapshots as a locally drained one.
-//!
 //! CI runs this with `--test-threads=1`; the inner `ROUNDS` loop plus the
 //! driver-side repetition give the "100 consecutive runs" soak the
 //! acceptance criteria ask for.
 
 use std::collections::{HashMap, HashSet};
 
-use hdhash_serve::{SchedulerKind, ServeConfig, ServeEngine, ShardReceipt};
+use hdhash_serve::{ServeConfig, ServeEngine, ShardReceipt};
 use hdhash_table::{RequestKey, ServerId, TableError};
 
-/// Full engine rounds per test execution and substrate (each round builds
-/// a fresh engine, races clients against churn, validates every
-/// response).
-const ROUNDS: usize = 2;
+/// Full engine rounds per test execution (each round builds a fresh
+/// engine, races clients against churn, validates every response).
+const ROUNDS: usize = 4;
 /// Lookup clients racing the churn thread.
 const CLIENTS: usize = 4;
 /// Lookups per client per round.
 const LOOKUPS_PER_CLIENT: usize = 200;
 /// Membership changes the churn thread applies per round.
 const CHURN_OPS: usize = 30;
-/// Both substrates, the parameterization axis.
-const SCHEDULERS: [SchedulerKind; 2] =
-    [SchedulerKind::SharedQueue, SchedulerKind::WorkStealing];
 
-fn config(seed: u64, scheduler: SchedulerKind) -> ServeConfig {
+fn config(seed: u64) -> ServeConfig {
     ServeConfig {
         shards: 2,
         workers: 4,
@@ -47,7 +37,6 @@ fn config(seed: u64, scheduler: SchedulerKind) -> ServeConfig {
         dimension: 2048,
         codebook_size: 64,
         seed,
-        scheduler,
         engine: Default::default(),
         trace: Default::default(),
     }
@@ -69,124 +58,122 @@ fn log_receipts(
 
 #[test]
 fn lookups_race_churn_without_torn_reads() {
-    for scheduler in SCHEDULERS {
-        for round in 0..ROUNDS {
-            let engine =
-                ServeEngine::new(config(round as u64 + 1, scheduler)).expect("valid config");
-            let mut epoch_log: HashMap<(usize, u64), HashSet<ServerId>> = HashMap::new();
-            // Genesis: every shard starts at epoch 0 with no members.
-            for snapshot in engine.snapshots() {
-                epoch_log.insert((snapshot.shard, snapshot.epoch), HashSet::new());
-            }
-            // Base membership before the race, so the pool is never empty.
-            for id in 0..8u64 {
-                log_receipts(&mut epoch_log, &engine.join(ServerId::new(id)).expect("fresh"));
-            }
+    for round in 0..ROUNDS {
+        let engine =
+            ServeEngine::new(config(round as u64 + 1)).expect("valid config");
+        let mut epoch_log: HashMap<(usize, u64), HashSet<ServerId>> = HashMap::new();
+        // Genesis: every shard starts at epoch 0 with no members.
+        for snapshot in engine.snapshots() {
+            epoch_log.insert((snapshot.shard, snapshot.epoch), HashSet::new());
+        }
+        // Base membership before the race, so the pool is never empty.
+        for id in 0..8u64 {
+            log_receipts(&mut epoch_log, &engine.join(ServerId::new(id)).expect("fresh"));
+        }
 
-            let (churn_receipts, responses) = std::thread::scope(|scope| {
-                let engine = &engine;
-                let churner = scope.spawn(move || {
-                    // Alternate leave/join over a rolling window so membership
-                    // stays at 7–8 members throughout.
-                    let mut receipts = Vec::new();
-                    let mut next_leave = 0u64;
-                    let mut next_join = 8u64;
-                    for op in 0..CHURN_OPS {
-                        let result = if op % 2 == 0 {
-                            let r = engine.leave(ServerId::new(next_leave));
-                            next_leave += 1;
-                            r
-                        } else {
-                            let r = engine.join(ServerId::new(next_join));
-                            next_join += 1;
-                            r
-                        };
-                        receipts.extend(result.expect("churn ops target known members"));
-                        std::thread::yield_now();
-                    }
-                    receipts
-                });
-                let clients: Vec<_> = (0..CLIENTS)
-                    .map(|c| {
-                        scope.spawn(move || {
-                            let mut collected = Vec::with_capacity(LOOKUPS_PER_CLIENT);
-                            let mut window = std::collections::VecDeque::new();
-                            for i in 0..LOOKUPS_PER_CLIENT {
-                                let key = RequestKey::new(
-                                    (c * LOOKUPS_PER_CLIENT + i) as u64 * 31 + 7,
-                                );
-                                // Closed loop with a small in-flight window so
-                                // batches actually coalesce.
-                                if window.len() >= 8 {
-                                    let ticket: hdhash_serve::Ticket =
-                                        window.pop_front().expect("non-empty");
-                                    collected.push(ticket.wait());
-                                }
-                                match engine.submit(key) {
-                                    Ok(ticket) => window.push_back(ticket),
-                                    Err(e) => panic!("queue sized for the load: {e}"),
-                                }
-                            }
-                            for ticket in window {
+        let (churn_receipts, responses) = std::thread::scope(|scope| {
+            let engine = &engine;
+            let churner = scope.spawn(move || {
+                // Alternate leave/join over a rolling window so membership
+                // stays at 7–8 members throughout.
+                let mut receipts = Vec::new();
+                let mut next_leave = 0u64;
+                let mut next_join = 8u64;
+                for op in 0..CHURN_OPS {
+                    let result = if op % 2 == 0 {
+                        let r = engine.leave(ServerId::new(next_leave));
+                        next_leave += 1;
+                        r
+                    } else {
+                        let r = engine.join(ServerId::new(next_join));
+                        next_join += 1;
+                        r
+                    };
+                    receipts.extend(result.expect("churn ops target known members"));
+                    std::thread::yield_now();
+                }
+                receipts
+            });
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    scope.spawn(move || {
+                        let mut collected = Vec::with_capacity(LOOKUPS_PER_CLIENT);
+                        let mut window = std::collections::VecDeque::new();
+                        for i in 0..LOOKUPS_PER_CLIENT {
+                            let key = RequestKey::new(
+                                (c * LOOKUPS_PER_CLIENT + i) as u64 * 31 + 7,
+                            );
+                            // Closed loop with a small in-flight window so
+                            // batches actually coalesce.
+                            if window.len() >= 8 {
+                                let ticket: hdhash_serve::Ticket =
+                                    window.pop_front().expect("non-empty");
                                 collected.push(ticket.wait());
                             }
-                            collected
-                        })
+                            match engine.submit(key) {
+                                Ok(ticket) => window.push_back(ticket),
+                                Err(e) => panic!("queue sized for the load: {e}"),
+                            }
+                        }
+                        for ticket in window {
+                            collected.push(ticket.wait());
+                        }
+                        collected
                     })
-                    .collect();
-                let receipts = churner.join().expect("churner must not panic");
-                let responses: Vec<_> = clients
-                    .into_iter()
-                    .flat_map(|c| c.join().expect("client must not panic"))
-                    .collect();
-                (receipts, responses)
-            });
-            log_receipts(&mut epoch_log, &churn_receipts);
+                })
+                .collect();
+            let receipts = churner.join().expect("churner must not panic");
+            let responses: Vec<_> = clients
+                .into_iter()
+                .flat_map(|c| c.join().expect("client must not panic"))
+                .collect();
+            (receipts, responses)
+        });
+        log_receipts(&mut epoch_log, &churn_receipts);
 
-            assert_eq!(
-                responses.len(),
-                CLIENTS * LOOKUPS_PER_CLIENT,
-                "{scheduler:?} round {round}"
-            );
-            for response in &responses {
-                let members = epoch_log
-                    .get(&(response.shard, response.epoch))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "{scheduler:?} round {round}: response cites unknown epoch {} \
-                             on shard {}",
-                            response.epoch, response.shard
-                        )
-                    });
-                match response.result {
-                    Ok(server) => assert!(
-                        members.contains(&server),
-                        "{scheduler:?} round {round}: shard {} epoch {} routed to {server}, \
-                         which was not live in that epoch (live: {members:?})",
-                        response.shard,
-                        response.epoch,
-                    ),
-                    Err(TableError::EmptyPool) => assert!(
-                        members.is_empty(),
-                        "{scheduler:?} round {round}: empty-pool verdict in a populated epoch"
-                    ),
-                    Err(other) => {
-                        panic!("{scheduler:?} round {round}: unexpected verdict {other:?}")
-                    }
+        assert_eq!(
+            responses.len(),
+            CLIENTS * LOOKUPS_PER_CLIENT,
+            "round {round}"
+        );
+        for response in &responses {
+            let members = epoch_log
+                .get(&(response.shard, response.epoch))
+                .unwrap_or_else(|| {
+                    panic!(
+                        "round {round}: response cites unknown epoch {} \
+                         on shard {}",
+                        response.epoch, response.shard
+                    )
+                });
+            match response.result {
+                Ok(server) => assert!(
+                    members.contains(&server),
+                    "round {round}: shard {} epoch {} routed to {server}, \
+                     which was not live in that epoch (live: {members:?})",
+                    response.shard,
+                    response.epoch,
+                ),
+                Err(TableError::EmptyPool) => assert!(
+                    members.is_empty(),
+                    "round {round}: empty-pool verdict in a populated epoch"
+                ),
+                Err(other) => {
+                    panic!("round {round}: unexpected verdict {other:?}")
                 }
             }
+        }
 
-            // Post-race invariants: the anti-entropy check reads zero delta
-            // and the shards all reached the same epoch count.
-            assert!(engine
-                .shard_divergence(0)
-                .iter()
-                .all(|delta| delta.distance == 0 && !delta.diverged));
-            let final_epoch = 8 + CHURN_OPS as u64;
-            for snapshot in engine.snapshots() {
-                assert_eq!(snapshot.epoch, final_epoch, "{scheduler:?} round {round}");
-                assert_eq!(snapshot.members.len(), 8, "{scheduler:?} round {round}");
-            }
+        // Post-race invariants: the anti-entropy check reads zero delta
+        // and the shards all reached the same epoch count.
+        assert!(engine
+            .shard_divergence(0)
+            .iter()
+            .all(|delta| delta.distance == 0 && !delta.diverged));
+        let final_epoch = 8 + CHURN_OPS as u64;
+        for snapshot in engine.snapshots() {
+            assert_eq!(snapshot.epoch, final_epoch, "round {round}");
+            assert_eq!(snapshot.members.len(), 8, "round {round}");
         }
     }
 }
@@ -195,40 +182,36 @@ fn lookups_race_churn_without_torn_reads() {
 fn reconfiguration_never_blocks_readers_for_long() {
     // A coarse liveness check: while a churn thread hammers
     // reconfigurations, single lookups keep completing (the publish path
-    // is a pointer swap, not a rebuild-under-lock) — under both
-    // substrates.
-    for scheduler in SCHEDULERS {
-        let engine = ServeEngine::new(config(99, scheduler)).expect("valid config");
-        for id in 0..8u64 {
-            engine.join(ServerId::new(id)).expect("fresh");
-        }
-        let stop = std::sync::atomic::AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let engine = &engine;
-            let stop = &stop;
-            let churner = scope.spawn(move || {
-                let mut id = 100u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    engine.join(ServerId::new(id)).expect("fresh");
-                    engine.leave(ServerId::new(id)).expect("present");
-                    id += 1;
-                }
-            });
-            for k in 0..500u64 {
-                let response =
-                    engine.submit(RequestKey::new(k)).expect("accepted").wait();
-                assert!(response.result.is_ok(), "{scheduler:?}");
-            }
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
-            churner.join().expect("churner must not panic");
-        });
+    // is a pointer swap, not a rebuild-under-lock).
+    let engine = ServeEngine::new(config(99)).expect("valid config");
+    for id in 0..8u64 {
+        engine.join(ServerId::new(id)).expect("fresh");
     }
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let engine = &engine;
+        let stop = &stop;
+        let churner = scope.spawn(move || {
+            let mut id = 100u64;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                engine.join(ServerId::new(id)).expect("fresh");
+                engine.leave(ServerId::new(id)).expect("present");
+                id += 1;
+            }
+        });
+        for k in 0..500u64 {
+            let response = engine.submit(RequestKey::new(k)).expect("accepted").wait();
+            assert!(response.result.is_ok());
+        }
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        churner.join().expect("churner must not panic");
+    });
 }
 
 #[test]
-fn work_stealing_backpressure_surfaces_queue_full() {
-    // A 1-worker engine with a tiny injector and a slow open-loop client
-    // burst: once the injector is at capacity, submits must reject with
+fn backpressure_surfaces_queue_full() {
+    // A 1-worker engine with a tiny queue and a slow open-loop client
+    // burst: once the queue is at capacity, submits must reject with
     // QueueFull — and every *accepted* ticket must still resolve.
     let mut engine = ServeEngine::new(ServeConfig {
         shards: 1,
@@ -238,7 +221,6 @@ fn work_stealing_backpressure_surfaces_queue_full() {
         dimension: 2048,
         codebook_size: 64,
         seed: 7,
-        scheduler: SchedulerKind::WorkStealing,
         engine: Default::default(),
         trace: Default::default(),
     })
@@ -269,11 +251,10 @@ fn work_stealing_backpressure_surfaces_queue_full() {
 }
 
 #[test]
-fn stragglers_in_stolen_batches_complete_at_shutdown() {
-    // Force jobs into work-stealing local deques (pickup chunks are 2 ×
-    // batch_capacity, so a burst parks surplus locally), then shut down
-    // mid-flight: every accepted ticket must resolve — the shutdown drain
-    // reaps local deques, not just the injector.
+fn stragglers_complete_at_shutdown() {
+    // Submit a burst and shut down mid-flight: every accepted ticket must
+    // resolve — jobs the workers never picked up are served by the
+    // shutdown drain.
     for round in 0..20u64 {
         let mut engine = ServeEngine::new(ServeConfig {
             shards: 2,
@@ -283,7 +264,6 @@ fn stragglers_in_stolen_batches_complete_at_shutdown() {
             dimension: 2048,
             codebook_size: 64,
             seed: 1000 + round,
-            scheduler: SchedulerKind::WorkStealing,
             engine: Default::default(),
             trace: Default::default(),
         })
@@ -293,8 +273,8 @@ fn stragglers_in_stolen_batches_complete_at_shutdown() {
         let tickets: Vec<_> = (0..600u64)
             .filter_map(|k| engine.submit(RequestKey::new(k)).ok())
             .collect();
-        // No sleep: shutdown races the workers while their local deques
-        // still hold stolen/surplus jobs.
+        // No sleep: shutdown races the workers while the queue still holds
+        // most of the burst.
         engine.shutdown();
         for (i, ticket) in tickets.into_iter().enumerate() {
             let response = ticket.wait();
@@ -302,6 +282,6 @@ fn stragglers_in_stolen_batches_complete_at_shutdown() {
         }
         let metrics = engine.metrics();
         assert_eq!(metrics.completed, metrics.submitted, "round {round}");
-        assert_eq!(metrics.queue_depth, 0, "round {round}: nothing left parked");
+        assert_eq!(metrics.queue_depth, 0, "round {round}: nothing left queued");
     }
 }

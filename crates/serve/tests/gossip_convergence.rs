@@ -30,7 +30,6 @@ fn serve_config(shards: usize, seed: u64) -> ServeConfig {
         dimension: 2048,
         codebook_size: 64,
         seed,
-        scheduler: hdhash_serve::SchedulerKind::default(),
         engine: Default::default(),
         trace: Default::default(),
     }

@@ -25,7 +25,6 @@ fn serve_config(seed: u64) -> ServeConfig {
         dimension: 1024,
         codebook_size: 32,
         seed,
-        scheduler: hdhash_serve::SchedulerKind::default(),
         engine: Default::default(),
         trace: Default::default(),
     }
@@ -42,7 +41,6 @@ fn gossip_config() -> GossipConfig {
         probe_period: 4,
         sync_retry_rounds: 2,
         sync_retry_cap: 2,
-        ..GossipConfig::default()
     }
 }
 

@@ -48,7 +48,6 @@ fn serve_config() -> ServeConfig {
         dimension: 1024,
         codebook_size: 32,
         seed: 404,
-        scheduler: hdhash_serve::SchedulerKind::default(),
         engine: Default::default(),
         trace: Default::default(),
     }

@@ -27,7 +27,6 @@ fn serve_config(seed: u64) -> ServeConfig {
         dimension: 1024,
         codebook_size: 32,
         seed,
-        scheduler: hdhash_serve::SchedulerKind::default(),
         engine: Default::default(),
         trace: Default::default(),
     }

@@ -30,7 +30,6 @@ fn serve_config(seed: u64) -> ServeConfig {
         dimension: 1024,
         codebook_size: 32,
         seed,
-        scheduler: hdhash_serve::SchedulerKind::default(),
         // Sample every request: this suite asserts on event presence.
         engine: Default::default(),
         trace: TraceConfig::sampled(1),

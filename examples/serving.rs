@@ -3,28 +3,24 @@
 //!
 //! ```text
 //! cargo run --release --example serving
-//! cargo run --release --example serving -- work-stealing
-//! cargo run --release --example serving -- shared-queue trace.jsonl metrics.prom
+//! cargo run --release --example serving -- trace.jsonl metrics.prom
 //! ```
 //!
-//! The optional second and third arguments turn the unified telemetry
-//! layer on: the drained trace ring is written as JSONL to the second
-//! argument and a Prometheus exposition covering every layer (engine,
-//! gossip, TCP, tracer) is written to the third. CI's observability job
+//! The optional arguments turn the unified telemetry layer on: the
+//! drained trace ring is written as JSONL to the first argument and a
+//! Prometheus exposition covering every layer (engine, gossip, TCP,
+//! tracer) is written to the second. CI's observability job
 //! runs the example this way and validates both files offline (see
 //! `docs/OBSERVABILITY.md`).
 //!
 //! Architecture exercised (see README "Serving layer"):
 //!
 //! ```text
-//! generator ──► scheduler core ──► coalescing workers ──► shards ──► metrics
-//!               (shared queue or
-//!                work-stealing deques)
+//! generator ──► request queue ──► coalescing workers ──► shards ──► metrics
 //! ```
 //!
-//! The churn phase drives lookups through the **async front end**: each
-//! `Ticket` is awaited as a future on the vendored block-on executor, a
-//! window of them in flight at a time.
+//! The churn phase keeps a window of tickets in flight and redeems them
+//! oldest first while a churn thread reconfigures the shards.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,16 +32,11 @@ use hdhash::serve::replication::ReplicatedEngine;
 use hdhash::serve::tcp::{TcpConfig, TcpNetwork};
 use hdhash::serve::telemetry::{export_engine, export_gossip, export_tcp, export_tracer};
 use hdhash::serve::transport::ReplicaId;
-use hdhash::serve::{drive, executor, SchedulerKind, ServeConfig, ServeEngine};
+use hdhash::serve::{drive, ServeConfig, ServeEngine};
 use hdhash::table::{RequestKey, ServerId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
-    let scheduler = match args.next().as_deref() {
-        Some(name) => SchedulerKind::parse(name)
-            .ok_or_else(|| format!("unknown scheduler `{name}`"))?,
-        None => SchedulerKind::SharedQueue,
-    };
     let trace_out = args.next();
     let metrics_out = args.next();
     let telemetry_on = trace_out.is_some() || metrics_out.is_some();
@@ -59,18 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dimension: 4096,
         codebook_size: 256,
         seed: 2022,
-        scheduler,
         engine: Default::default(),
         trace,
     };
     println!(
-        "engine: {} shards × {} workers, batch capacity {}, queue capacity {}, \
-         scheduler {}",
-        config.shards,
-        config.workers,
-        config.batch_capacity,
-        config.queue_capacity,
-        config.scheduler.name()
+        "engine: {} shards × {} workers, batch capacity {}, queue capacity {}",
+        config.shards, config.workers, config.batch_capacity, config.queue_capacity,
     );
     let mut engine = ServeEngine::new(config)?;
 
@@ -108,8 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 2: churn — requests race membership changes through the epoch
     // path. Readers never block on the reconfigurations; responses carry
-    // the epoch they were served at. The client side is **async**: a
-    // window of tickets is awaited as futures on the block-on executor.
+    // the epoch they were served at. A window of 64 tickets stays in
+    // flight.
     let verdicts = std::thread::scope(|scope| {
         let engine = &engine;
         let churner = scope.spawn(move || {
@@ -118,39 +103,32 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 engine.join(ServerId::new(100 + id)).expect("fresh");
             }
         });
-        let (served, epochs) = executor::block_on(async {
-            let mut epochs_seen = std::collections::BTreeSet::new();
-            let mut served = 0usize;
-            let mut window = std::collections::VecDeque::new();
-            for k in 0..10_000u64 {
-                if window.len() >= 64 {
-                    let ticket: hdhash::serve::Ticket =
-                        window.pop_front().expect("non-empty window");
-                    let response = ticket.await;
-                    assert!(response.result.is_ok(), "pool never empties during churn");
-                    epochs_seen.insert((response.shard, response.epoch));
-                    served += 1;
-                }
-                window.push_back(
-                    engine
-                        .submit(RequestKey::new(k.wrapping_mul(0x9E37_79B9)))
-                        .expect("queue sized for the load"),
-                );
+        let mut epochs_seen = std::collections::BTreeSet::new();
+        let mut served = 0usize;
+        let mut redeem = |ticket: hdhash::serve::Ticket| {
+            let response = ticket.wait();
+            assert!(response.result.is_ok(), "pool never empties during churn");
+            epochs_seen.insert((response.shard, response.epoch));
+            served += 1;
+        };
+        let mut window = std::collections::VecDeque::new();
+        for k in 0..10_000u64 {
+            if window.len() >= 64 {
+                redeem(window.pop_front().expect("non-empty window"));
             }
-            for ticket in window {
-                let response = ticket.await;
-                assert!(response.result.is_ok(), "pool never empties during churn");
-                epochs_seen.insert((response.shard, response.epoch));
-                served += 1;
-            }
-            (served, epochs_seen.len())
-        });
+            window.push_back(
+                engine
+                    .submit(RequestKey::new(k.wrapping_mul(0x9E37_79B9)))
+                    .expect("queue sized for the load"),
+            );
+        }
+        window.into_iter().for_each(&mut redeem);
         churner.join().expect("churner");
-        (served, epochs)
+        (served, epochs_seen.len())
     });
     println!(
-        "\nphase 2 — churn race (async front end): {} lookups awaited across {} \
-         distinct (shard, epoch) snapshots, zero failures",
+        "\nphase 2 — churn race: {} lookups served across {} distinct (shard, epoch) \
+         snapshots, zero failures",
         verdicts.0, verdicts.1
     );
 
@@ -274,6 +252,15 @@ fn replicated_phase(
         }
         if Instant::now() >= deadline {
             return Err("replicas did not converge over TCP".into());
+        }
+    }
+    // Convergence can land before the last sync responses are handled;
+    // pump until both mailboxes stay idle so the trace records the
+    // completed exchanges, not only their starts.
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        if nodes.iter().map(GossipNode::pump).sum::<usize>() == 0 {
+            break;
         }
     }
     // A short lookup burst per replica so the per-replica engine metrics

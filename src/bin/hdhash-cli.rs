@@ -211,14 +211,12 @@ impl Shell {
         ))
     }
 
-    /// `serve [shards] [workers] [requests] [scheduler] [--metrics
-    /// <path>]`: runs a closed-loop burst through the sharded serving
-    /// engine (tickets are reaped through the async front end) and
-    /// prints throughput plus per-shard batch-coalescing and latency
-    /// metrics. `scheduler` is `shared-queue` (default) or
-    /// `work-stealing`. With `--metrics`, tracing is sampled at 1/64 and
-    /// the unified Prometheus exposition is rewritten to `path` every
-    /// 200ms during the burst plus once at the end.
+    /// `serve [shards] [workers] [requests] [--metrics <path>]`: runs a
+    /// closed-loop burst through the sharded serving engine and prints
+    /// throughput plus per-shard batch-coalescing and latency metrics.
+    /// With `--metrics`, tracing is sampled at 1/64 and the unified
+    /// Prometheus exposition is rewritten to `path` every 200ms during the
+    /// burst plus once at the end.
     fn cmd_serve(args: &[&str]) -> Result<String, String> {
         let (args, metrics_path) = split_metrics_flag(args)?;
         let parse = |i: usize, default: usize| -> Result<usize, String> {
@@ -230,12 +228,9 @@ impl Shell {
         let shards = parse(0, 4)?.max(1);
         let workers = parse(1, 2)?.max(1);
         let requests = parse(2, 20_000)?;
-        let scheduler = match args.get(3) {
-            Some(name) => SchedulerKind::parse(name).ok_or_else(|| {
-                format!("unknown scheduler `{name}`; shared-queue or work-stealing")
-            })?,
-            None => SchedulerKind::SharedQueue,
-        };
+        if let Some(extra) = args.get(3) {
+            return Err(format!("unexpected argument `{extra}`"));
+        }
         let trace = if metrics_path.is_some() {
             hdhash::obs::TraceConfig::sampled(64)
         } else {
@@ -246,7 +241,6 @@ impl Shell {
             workers,
             dimension: 4096,
             codebook_size: 256,
-            scheduler,
             trace,
             ..hdhash::serve::ServeConfig::default()
         };
@@ -291,12 +285,11 @@ impl Shell {
         }
         let metrics = engine.metrics();
         let mut out = format!(
-            "served {} lookups over {} shard(s) × {} worker(s) [{}]: {:.0} req/s, \
+            "served {} lookups over {} shard(s) × {} worker(s): {:.0} req/s, \
              {} rejected\n",
             report.completed,
             shards,
             workers,
-            metrics.scheduler,
             report.throughput().requests_per_sec(),
             report.rejected,
         );
@@ -407,28 +400,18 @@ impl Shell {
             metrics.syncs_sent,
             metrics.records_adopted,
         ));
-        // Operational payoff, checked through the async front end: the
-        // converged replicas route a probe burst identically.
-        let agreeing = hdhash::serve::executor::block_on(async {
-            let mut agreeing = 0usize;
-            for k in 0..64u64 {
-                let a = replicas[0]
-                    .submit(RequestKey::new(k))
-                    .map_err(|e| e.to_string())?
-                    .await;
-                let b = replicas[1]
-                    .submit(RequestKey::new(k))
-                    .map_err(|e| e.to_string())?
-                    .await;
-                if a.result == b.result {
-                    agreeing += 1;
-                }
+        // Operational payoff: the converged replicas route a probe burst
+        // identically.
+        let mut agreeing = 0usize;
+        for k in 0..64u64 {
+            let a = replicas[0].submit(RequestKey::new(k)).map_err(|e| e.to_string())?.wait();
+            let b = replicas[1].submit(RequestKey::new(k)).map_err(|e| e.to_string())?.wait();
+            if a.result == b.result {
+                agreeing += 1;
             }
-            Ok::<usize, String>(agreeing)
-        })?;
+        }
         out.push_str(&format!(
-            "post-convergence probe: {agreeing}/64 lookups route identically \
-             (awaited on the block-on executor)"
+            "post-convergence probe: {agreeing}/64 lookups route identically"
         ));
         Ok(out)
     }
@@ -751,8 +734,7 @@ commands:
   burst <bits> [seed]          inject one adjacent-bit burst (MCU)
   clear                        repair all injected noise
   stats                        table summary
-  serve [shards] [workers] [n] [sched]  closed-loop burst through the serving engine
-                               (sched: shared-queue | work-stealing); add
+  serve [shards] [workers] [n]  closed-loop burst through the serving engine; add
                                --metrics <path> to sample tracing at 1/64 and
                                periodically dump the Prometheus exposition
   replicate [shards] [ops]     anti-entropy demo: diverge two replicas, gossip to convergence
@@ -953,7 +935,6 @@ mod cluster {
             dimension,
             codebook_size: codebook,
             seed,
-            scheduler: hdhash::serve::SchedulerKind::default(),
             engine: Default::default(),
             trace: if metrics_out.is_some() {
                 hdhash::obs::TraceConfig::sampled(64)
@@ -1483,18 +1464,9 @@ mod tests {
         let mut shell = Shell::new();
         let out = shell.execute("serve 2 2 500").expect("ok");
         assert!(out.contains("served 500 lookups over 2 shard(s)"), "{out}");
-        assert!(out.contains("[shared-queue]"), "{out}");
         assert!(out.contains("shard 0:") && out.contains("shard 1:"), "{out}");
         assert!(out.contains("latency p50"), "{out}");
         assert!(shell.execute("serve x").is_err());
-    }
-
-    #[test]
-    fn serve_selects_the_work_stealing_scheduler() {
-        let mut shell = Shell::new();
-        let out = shell.execute("serve 2 2 500 work-stealing").expect("ok");
-        assert!(out.contains("[work-stealing]"), "{out}");
-        assert!(out.contains("served 500 lookups"), "{out}");
         assert!(shell.execute("serve 2 2 100 bogus").is_err());
     }
 

@@ -40,12 +40,11 @@
 //!   the paper's `O(1)` claim cites (Schmuck et al. \[18\]): CA90
 //!   rematerialization, combinational associative memory, binarized
 //!   bundling, and the Figure 4 hardware projection;
-//! * [`serve`] — the sharded, batch-coalescing serving layer: a
-//!   pluggable scheduler core (shared queue or work-stealing deques),
-//!   coalescing workers driving the slot-deduplicated batched lookups,
-//!   epoch-published shard snapshots so membership reconfiguration never
-//!   blocks readers, and an async-capable ticket front end (`Ticket` is
-//!   a `Future`; a vendored block-on executor drives it runtime-free).
+//! * [`serve`] — the sharded, batch-coalescing serving layer: one
+//!   bounded request queue, coalescing workers driving the
+//!   slot-deduplicated batched lookups, epoch-published shard snapshots
+//!   so membership reconfiguration never blocks readers, and tickets
+//!   redeemed by blocking, bounded or non-blocking waits.
 //!
 //! ## Quick start
 //!
@@ -100,7 +99,7 @@ pub mod prelude {
     pub use hdhash_maglev::MaglevTable;
     pub use hdhash_rendezvous::RendezvousTable;
     pub use hdhash_ring::ConsistentTable;
-    pub use hdhash_serve::{SchedulerKind, ServeConfig, ServeEngine, Ticket};
+    pub use hdhash_serve::{ServeConfig, ServeEngine, Ticket};
     pub use hdhash_table::{
         remap_fraction, Assignment, DynamicHashTable, ModularTable, NoisyTable, RequestKey,
         ServerId, TableError,
