@@ -105,16 +105,6 @@ impl BoundedHdTable {
         self.inner.server_count()
     }
 
-    /// The pool's **membership signature** (see
-    /// [`HdHashTable::membership_signature`]): maintained incrementally
-    /// by the inner table across joins and leaves, so bounded-load
-    /// deployments get the same cheap replica-sync fingerprint without
-    /// re-bundling on churn.
-    #[must_use]
-    pub fn membership_signature(&self) -> hdhash_hdc::Hypervector {
-        self.inner.membership_signature()
-    }
-
     /// The cap that would apply if one more item were assigned now.
     #[must_use]
     pub fn capacity_per_server(&self) -> usize {

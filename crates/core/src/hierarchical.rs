@@ -9,7 +9,6 @@
 //! arg-maxes over `≈ √k` entries each, and groups can be scaled
 //! independently (e.g. one group per rack or availability zone).
 
-use hdhash_hdc::{Hypervector, MembershipCentroid};
 use hdhash_table::{DynamicHashTable, RequestKey, ServerId, TableError};
 
 use crate::config::HdConfig;
@@ -44,10 +43,6 @@ pub struct HierarchicalHdTable {
     router: HdHashTable,
     /// Second level: one HD table per group, created lazily.
     groups: Vec<Option<HdHashTable>>,
-    /// Incremental majority centroid over every member's (group-local)
-    /// encoding, across all groups: the hierarchy-wide membership
-    /// fingerprint, updated in `O(words · log n)` per join/leave.
-    signature: MembershipCentroid,
 }
 
 impl HierarchicalHdTable {
@@ -74,18 +69,7 @@ impl HierarchicalHdTable {
             group_count,
             router,
             groups: (0..group_count).map(|_| None).collect(),
-            signature: MembershipCentroid::new(config.dimension()),
         }
-    }
-
-    /// The hierarchy-wide **membership signature**: the majority centroid
-    /// of every member's group-local encoding, maintained incrementally
-    /// across joins and leaves. A pure function of the membership
-    /// multiset — see [`HdHashTable::membership_signature`] for the
-    /// replica-sync use case.
-    #[must_use]
-    pub fn membership_signature(&self) -> Hypervector {
-        self.signature.read()
     }
 
     /// Number of groups at the first level.
@@ -132,27 +116,13 @@ impl HierarchicalHdTable {
 impl DynamicHashTable for HierarchicalHdTable {
     fn join(&mut self, server: ServerId) -> Result<(), TableError> {
         let group = self.group_of_server(server);
-        let table = self.group_table(group);
-        table.join(server)?;
-        let slot = table.slot_of_server(server).expect("server joined just above");
-        let encoding = table.codebook().hypervector(slot).clone();
-        self.signature.add(&encoding).expect("group dimension matches signature");
-        Ok(())
+        self.group_table(group).join(server)
     }
 
     fn leave(&mut self, server: ServerId) -> Result<(), TableError> {
         let group = self.group_of_server(server);
         match &mut self.groups[group as usize] {
-            Some(table) => {
-                let slot =
-                    table.slot_of_server(server).ok_or(TableError::ServerNotFound(server))?;
-                let encoding = table.codebook().hypervector(slot).clone();
-                table.leave(server)?;
-                self.signature
-                    .remove(&encoding)
-                    .expect("member encodings were added at join");
-                Ok(())
-            }
+            Some(table) => table.leave(server),
             None => Err(TableError::ServerNotFound(server)),
         }
     }

@@ -624,9 +624,10 @@ mod tests {
 
     #[test]
     fn clone_is_an_independent_snapshot() {
-        // The serving layer publishes epoch snapshots by cloning the
-        // shadow table: the clone must answer identically at the moment of
-        // the clone and stay frozen while the original keeps churning.
+        // The serving layer applies each change to a clone of the
+        // published table: clone and original must answer identically at
+        // the moment of the clone, and each must stay frozen while the
+        // other churns.
         let mut t = small_table(16);
         let snapshot = t.clone();
         let frozen: Vec<ServerId> =

@@ -18,7 +18,7 @@
 //! quantum grid, and the quantized arg-max tolerates any corruption below
 //! half a quantum per replica, exactly as in [`crate::HdHashTable`].
 
-use hdhash_hdc::{noise, AssociativeMemory, Hypervector, MembershipCentroid, Rng};
+use hdhash_hdc::{noise, AssociativeMemory, Rng};
 use hdhash_table::{DynamicHashTable, NoisyTable, RequestKey, ServerId, TableError};
 
 use crate::codebook::Codebook;
@@ -63,11 +63,6 @@ pub struct WeightedHdTable {
     replicas: Vec<Replica>,
     /// Per-server weights, in join order.
     weights: Vec<(ServerId, u32)>,
-    /// Incremental majority centroid over the clean replica encodings:
-    /// the weighted pool's membership fingerprint, updated in
-    /// `O(words · log n)` per replica on join/leave instead of
-    /// re-bundling the full replica set.
-    signature: MembershipCentroid,
 }
 
 impl WeightedHdTable {
@@ -91,15 +86,7 @@ impl WeightedHdTable {
         let memory = AssociativeMemory::new(config.dimension)
             .with_metric(config.metric)
             .with_strategy(config.search);
-        let signature = MembershipCentroid::new(config.dimension);
-        Self {
-            config,
-            codebook,
-            memory,
-            replicas: Vec::new(),
-            weights: Vec::new(),
-            signature,
-        }
+        Self { config, codebook, memory, replicas: Vec::new(), weights: Vec::new() }
     }
 
     /// Creates a table with the default configuration.
@@ -152,23 +139,12 @@ impl WeightedHdTable {
             let (slot, hv) = self.codebook.encode(&bytes);
             let hv = hv.clone();
             self.replicas.push(Replica { server, index, slot });
-            self.signature.add(&hv).expect("codebook dimension matches signature");
             self.memory
                 .insert((server, index), hv)
                 .expect("codebook dimension matches memory");
         }
         self.weights.push((server, weight));
         Ok(())
-    }
-
-    /// The weighted pool's **membership signature**: the majority
-    /// centroid of the clean replica encodings, maintained incrementally
-    /// across joins and leaves. A pure function of the replica multiset —
-    /// see [`crate::HdHashTable::membership_signature`] for the replica-
-    /// sync use case.
-    #[must_use]
-    pub fn membership_signature(&self) -> Hypervector {
-        self.signature.read()
     }
 
     /// The codebook slots a server's replicas occupy, if joined.
@@ -204,12 +180,8 @@ impl WeightedHdTable {
                 // (server, replica) — see HdHashTable::resolve.
                 let c = self.config.quantum();
                 self.memory
-                    .iter()
-                    .map(|(&(server, index), hv)| {
-                        ((probe.hamming_distance(hv) + c / 2) / c, server, index)
-                    })
-                    .min_by_key(|&(q, server, index)| (q, server.get(), index))
-                    .map(|(_, server, _)| server)
+                    .nearest_quantized_by(probe, c, |&(server, index)| (server.get(), index))
+                    .map(|(server, _)| server)
                     .ok_or(TableError::EmptyPool)
             }
             hdhash_hdc::basis::FlipStrategy::Independent { .. } => {
@@ -252,11 +224,6 @@ impl DynamicHashTable for WeightedHdTable {
             .position(|&(s, _)| s == server)
             .ok_or(TableError::ServerNotFound(server))?;
         self.weights.remove(idx);
-        for replica in self.replicas.iter().filter(|r| r.server == server) {
-            self.signature
-                .remove(self.codebook.hypervector(replica.slot))
-                .expect("replica encodings were added at join");
-        }
         self.replicas.retain(|r| r.server != server);
         self.memory.remove_where(|&(s, _)| s == server);
         Ok(())

@@ -1,9 +1,9 @@
 //! Membership-churn equivalence for the HD tables: after any interleaving
-//! of joins and leaves, the incrementally maintained membership signature
-//! must be **byte-identical** to the one a freshly built table computes
-//! for the same final membership (the fresh build *is* from-scratch
-//! re-bundling, one add at a time from empty), and lookups must agree
-//! with the fresh table's.
+//! of joins and leaves, lookups must agree with a freshly built table's
+//! for the same final membership, and the plain table's incrementally
+//! maintained membership signature must be **byte-identical** to the one
+//! the fresh build computes (the fresh build *is* from-scratch
+//! re-bundling, one add at a time from empty).
 
 use hdhash_core::{HdConfig, HdHashTable, HierarchicalHdTable, WeightedHdTable};
 use hdhash_table::{DynamicHashTable, RequestKey, ServerId};
@@ -64,8 +64,9 @@ proptest! {
         }
     }
 
-    /// Weighted table: replica-weighted churn, same equivalence. Weights
-    /// derive deterministically from the id so fresh and churned agree.
+    /// Weighted table: replica-weighted churn, same replica count and
+    /// lookups. Weights derive deterministically from the id so fresh and
+    /// churned agree.
     #[test]
     fn weighted_table_churn_equals_fresh_build(script in scripts()) {
         let weight_of = |s: ServerId| (s.get() % 3 + 1) as u32;
@@ -86,10 +87,6 @@ proptest! {
             fresh.join_weighted(s, weight_of(s)).expect("fresh join");
         }
         prop_assert_eq!(churned.replica_count(), fresh.replica_count());
-        prop_assert_eq!(
-            churned.membership_signature().to_bytes(),
-            fresh.membership_signature().to_bytes()
-        );
         for k in 0..50u64 {
             prop_assert_eq!(
                 churned.lookup(RequestKey::new(k)),
@@ -98,7 +95,8 @@ proptest! {
         }
     }
 
-    /// Hierarchical table: churn across groups, same equivalence.
+    /// Hierarchical table: churn across groups, same server count and
+    /// lookups.
     #[test]
     fn hierarchical_table_churn_equals_fresh_build(script in scripts()) {
         let mut churned = HierarchicalHdTable::new(config(), 4);
@@ -108,10 +106,6 @@ proptest! {
             fresh.join(s).expect("fresh join");
         }
         prop_assert_eq!(churned.server_count(), fresh.server_count());
-        prop_assert_eq!(
-            churned.membership_signature().to_bytes(),
-            fresh.membership_signature().to_bytes()
-        );
         for k in 0..50u64 {
             prop_assert_eq!(
                 churned.lookup(RequestKey::new(k)),

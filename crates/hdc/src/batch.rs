@@ -1,12 +1,12 @@
 //! The nearest-neighbour engine: one contiguous row-major word matrix
 //! under every associative-memory scan.
 //!
-//! [`AssociativeMemory`](crate::memory::AssociativeMemory) stores its
-//! entries as `Vec<(K, Hypervector)>` — fine as an API surface, hostile as
-//! a scan layout: every candidate costs a pointer chase into a separately
-//! allocated word buffer. [`BatchLookup`] keeps a synchronized flat word
-//! matrix (one `Vec<u64>`, row `r` at `r * row_words`), so a scan is a
-//! linear walk the prefetcher can see coming.
+//! [`BatchLookup`] keeps member hypervectors in one flat word matrix (one
+//! `Vec<u64>`, row `r` at `r * row_words`), so a scan is a linear walk the
+//! prefetcher can see coming instead of a pointer chase per candidate. It
+//! is the only copy of the stored rows:
+//! [`AssociativeMemory`](crate::memory::AssociativeMemory) keeps just the
+//! keys beside it.
 //!
 //! Every query is one **early-abandon sweep** over a row range: rows are
 //! scanned in order, each distance is counted through the dispatched
@@ -27,9 +27,7 @@
 //!   per probe of a batch.
 //!
 //! None of them allocates; the batch call refills a caller-owned output
-//! buffer. [`distances_into`](BatchLookup::distances_into) scores every
-//! row without abandonment through the fused multi-row kernel
-//! ([`hdhash_simdkernels::xor_popcount_rows`]).
+//! buffer.
 
 use crate::hypervector::{hamming_words_within, DimensionMismatchError, Hypervector};
 
@@ -37,9 +35,8 @@ use crate::hypervector::{hamming_words_within, DimensionMismatchError, Hypervect
 /// scanned by Hamming distance.
 ///
 /// Row indices are stable under [`push`](Self::push) (append) and shift
-/// down under [`rebuild`](Self::rebuild) and
-/// [`retain_rows`](Self::retain_rows); callers that key rows (the
-/// associative memory) own the index↔key correspondence.
+/// down under [`retain_rows`](Self::retain_rows); callers that key rows
+/// (the associative memory) own the index↔key correspondence.
 #[derive(Debug, Clone)]
 pub struct BatchLookup {
     dimension: usize,
@@ -99,21 +96,10 @@ impl BatchLookup {
         Ok(())
     }
 
-    /// Replaces the whole matrix from an entry iterator (used when the
-    /// owning memory's entries are the only source of truth, e.g. after
-    /// noise is cleared).
-    pub fn rebuild<'a, I: Iterator<Item = &'a Hypervector>>(&mut self, rows: I) {
-        self.matrix.clear();
-        for hv in rows {
-            assert_eq!(hv.dimension(), self.dimension, "row dimension mismatch");
-            self.push(hv).expect("dimension checked above");
-        }
-    }
-
     /// Drops every row whose index fails `keep`, compacting the matrix in
-    /// place with one forward `copy_within` pass. Surviving rows keep their
-    /// relative order, so the earliest-row tie-break still matches the
-    /// owner's entry order.
+    /// place with one forward `copy_within` pass. `keep` is called once
+    /// per row, in row order. Surviving rows keep their relative order, so
+    /// the earliest-row tie-break still matches the owner's entry order.
     pub fn retain_rows<F: FnMut(usize) -> bool>(&mut self, mut keep: F) {
         let w = self.row_words;
         let mut kept = 0usize;
@@ -139,24 +125,13 @@ impl BatchLookup {
         &self.matrix[i * self.row_words..(i + 1) * self.row_words]
     }
 
-    /// Exact Hamming distances from `probe` to every row, into `out`
-    /// (cleared and refilled; reuse the buffer to stay allocation-free).
-    /// One fused-kernel call scores the whole matrix.
+    /// Flips one bit of row `i` (noise injection into the stored rows).
     ///
     /// # Panics
     ///
-    /// Panics if `probe` has the wrong dimension.
-    pub fn distances_into(&self, probe: &Hypervector, out: &mut Vec<u32>) {
-        assert_eq!(probe.dimension(), self.dimension, "probe dimension mismatch");
-        out.clear();
-        out.resize(self.len(), 0);
-        hdhash_simdkernels::xor_popcount_rows(probe.as_words(), &self.matrix, self.row_words, out);
-    }
-
-    /// Flips one bit of row `i` (noise injection keeps the engine in sync
-    /// with the owning memory's entries).
+    /// Panics if `row` or `bit` is out of range.
     pub(crate) fn flip_bit(&mut self, row: usize, bit: usize) {
-        debug_assert!(bit < self.dimension);
+        assert!(row < self.len() && bit < self.dimension, "row or bit out of range");
         self.matrix[row * self.row_words + bit / 64] ^= 1u64 << (bit % 64);
     }
 
@@ -434,15 +409,12 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_and_rows_roundtrip() {
-        let (mut engine, rows) = engine_with(9, 130, 11);
+    fn rows_roundtrip() {
+        let (engine, rows) = engine_with(9, 130, 11);
         assert_eq!(engine.len(), 9);
         for (i, hv) in rows.iter().enumerate() {
             assert_eq!(engine.row(i), hv.as_words());
         }
-        engine.rebuild(rows.iter().skip(4));
-        assert_eq!(engine.len(), 5);
-        assert_eq!(engine.row(0), rows[4].as_words());
     }
 
     #[test]
@@ -487,21 +459,6 @@ mod tests {
         engine.retain_rows(|_| false);
         assert!(engine.is_empty());
         assert_eq!(engine.matrix.len(), 0);
-    }
-
-    #[test]
-    fn distances_into_matches_per_row_distances() {
-        for d in [64usize, 130, 1000, 10_240] {
-            let (engine, rows) = engine_with(21, d, d as u64 + 5);
-            let mut rng = Rng::new(42);
-            let probe = Hypervector::random(d, &mut rng);
-            let mut out = vec![7u32; 3]; // stale contents must be replaced
-            engine.distances_into(&probe, &mut out);
-            assert_eq!(out.len(), 21);
-            for (i, hv) in rows.iter().enumerate() {
-                assert_eq!(out[i] as usize, probe.hamming_distance(hv), "d={d} row {i}");
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Associative memory: HDC *inference* (Eq. 2 of the paper).
 //!
-//! An associative memory stores `(key, hypervector)` entries and answers
+//! An associative memory stores keyed hypervectors and answers
 //! nearest-neighbour queries: given a probe hypervector, return the stored
 //! key whose hypervector maximizes the similarity metric. This is the
 //! operation Schmuck et al. show can be executed in a single clock cycle on
@@ -13,11 +13,12 @@
 //!
 //! Both paths run on the [`BatchLookup`] engine: member hypervectors live
 //! in one contiguous row-major word matrix (no per-entry pointer chase),
-//! every query is one early-abandon sweep over integer Hamming distances
-//! (a row is dropped once it exceeds the best so far), and the float
-//! similarity is computed once, for the winner. The parallel path reuses a
-//! precomputed shard plan — rebuilt when membership changes, not re-derived
-//! per query. Both metrics are monotone decreasing in Hamming distance, so
+//! which is the only copy of each stored row — the memory keeps the keys
+//! beside it, key `i` owning row `i`. Every query is one early-abandon
+//! sweep over integer Hamming distances (a row is dropped once it exceeds
+//! the best so far), and the float similarity is computed once, for the
+//! winner. The parallel path reuses a precomputed shard plan — rebuilt
+//! when membership changes, not re-derived per query. Both metrics are monotone decreasing in Hamming distance, so
 //! the distance argmin *is* the similarity argmax, ties (earliest insert)
 //! included.
 
@@ -50,6 +51,21 @@ pub enum SearchStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct EngineOptions;
 
+/// One stored row, borrowed from the memory's word matrix (the only copy
+/// of an entry's hypervector), as [`AssociativeMemory::iter`] yields it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row<'a> {
+    words: &'a [u64],
+}
+
+impl<'a> Row<'a> {
+    /// The row's packed words, laid out as [`Hypervector::as_words`].
+    #[must_use]
+    pub fn as_words(&self) -> &'a [u64] {
+        self.words
+    }
+}
+
 /// A single stored match returned by a query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Match<K> {
@@ -81,12 +97,9 @@ pub struct AssociativeMemory<K> {
     dimension: usize,
     metric: SimilarityMetric,
     strategy: SearchStrategy,
-    /// Keyed entries in insertion order — the API surface (iteration,
-    /// noise injection, clone-out of stored vectors).
-    entries: Vec<(K, Hypervector)>,
-    /// The scan structure: the same hypervectors, flattened into one
-    /// row-major word matrix (row `i` ↔ `entries[i]`), kept in sync by
-    /// every mutation.
+    /// Keys in insertion order; key `i` owns row `i` of `engine`.
+    keys: Vec<K>,
+    /// The stored hypervectors, one row per key: the only copy.
     engine: BatchLookup,
     /// Precomputed `[start, end)` row ranges for the parallel path,
     /// rebuilt on membership or strategy change.
@@ -107,7 +120,7 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
             dimension: d,
             metric: SimilarityMetric::default(),
             strategy: SearchStrategy::default(),
-            entries: Vec::new(),
+            keys: Vec::new(),
             engine: BatchLookup::new(d),
             shard_plan: Vec::new(),
         }
@@ -154,16 +167,17 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     /// Number of stored entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len()
     }
 
     /// Whether the memory is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.keys.is_empty()
     }
 
-    /// Stores an entry.
+    /// Stores an entry: the hypervector's words are copied into the row
+    /// matrix.
     ///
     /// # Errors
     ///
@@ -171,7 +185,7 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     /// not match the memory.
     pub fn insert(&mut self, key: K, hv: Hypervector) -> Result<(), DimensionMismatchError> {
         self.engine.push(&hv)?;
-        self.entries.push((key, hv));
+        self.keys.push(key);
         self.rebuild_shard_plan();
         Ok(())
     }
@@ -179,40 +193,46 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     /// Removes all entries whose key satisfies the predicate; returns how
     /// many were removed.
     ///
-    /// The scan matrix is compacted in place without reallocating
-    /// ([`BatchLookup::retain_rows`]: one forward copy pass) — removing one
-    /// server from a large memory never re-reads every stored hypervector.
+    /// One forward pass compacts the keys and the row matrix together, in
+    /// place and without reallocating ([`BatchLookup::retain_rows`]) —
+    /// removing one server from a large memory never re-reads every stored
+    /// hypervector.
     pub fn remove_where<F: FnMut(&K) -> bool>(&mut self, mut predicate: F) -> usize {
-        // Evaluate the predicate once per entry, in row order, so the
-        // entry list and the matrix stay row-for-row in sync.
-        let keep: Vec<bool> = self.entries.iter().map(|(k, _)| !predicate(k)).collect();
-        let removed = keep.iter().filter(|&&k| !k).count();
-        if removed > 0 {
-            let mut index = 0;
-            self.entries.retain(|_| {
-                let kept = keep[index];
-                index += 1;
-                kept
-            });
-            self.engine.retain_rows(|row| keep[row]);
+        let before = self.keys.len();
+        let keys = &mut self.keys;
+        let mut kept = 0;
+        // `retain_rows` asks once per row, in row order, so each surviving
+        // key moves down to the row its words move to.
+        self.engine.retain_rows(|row| {
+            let keep = !predicate(&keys[row]);
+            if keep {
+                keys.swap(kept, row);
+                kept += 1;
+            }
+            keep
+        });
+        keys.truncate(kept);
+        if kept < before {
             self.rebuild_shard_plan();
         }
-        removed
+        before - kept
     }
 
-    /// Iterates over the stored entries.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &Hypervector)> {
-        self.entries.iter().map(|(k, hv)| (k, hv))
+    /// Iterates over the stored entries in insertion order, each key with
+    /// a view of its row.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, Row<'_>)> {
+        self.keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| (key, Row { words: self.engine.row(i) }))
     }
 
-    /// Flips one bit of entry `index` (fault injection), keeping the scan
-    /// matrix in sync with the stored hypervector.
+    /// Flips one bit of entry `index` (fault injection) in its stored row.
     ///
     /// # Panics
     ///
     /// Panics if `index` or `bit` is out of range.
     pub(crate) fn flip_entry_bit(&mut self, index: usize, bit: usize) {
-        self.entries[index].1.flip_bit(bit);
         self.engine.flip_bit(index, bit);
     }
 
@@ -274,43 +294,6 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
         hits.into_iter().map(|h| h.map(|hit| self.hit_to_match(hit))).collect()
     }
 
-    /// Returns the `k` most similar entries, best first.
-    ///
-    /// Uses partial selection (`select_nth_unstable`) rather than sorting
-    /// the full scored vector, preserving the deterministic earliest-insert
-    /// tie-break.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probe` has the wrong dimension.
-    #[must_use]
-    pub fn nearest_k(&self, probe: &Hypervector, k: usize) -> Vec<Match<K>> {
-        assert_eq!(probe.dimension(), self.dimension, "probe dimension mismatch");
-        if k == 0 || self.entries.is_empty() {
-            return Vec::new();
-        }
-        // Integer distances; (distance, insert index) orders exactly like
-        // (−similarity, insert index) because both metrics are strictly
-        // decreasing in distance. One fused-kernel pass scores every row.
-        let mut dists = Vec::new();
-        self.engine.distances_into(probe, &mut dists);
-        let mut scored: Vec<(usize, usize)> =
-            dists.iter().enumerate().map(|(i, &d)| (d as usize, i)).collect();
-        let k = k.min(scored.len());
-        if k < scored.len() {
-            scored.select_nth_unstable(k - 1);
-            scored.truncate(k);
-        }
-        scored.sort_unstable();
-        scored
-            .into_iter()
-            .map(|(dist, i)| Match {
-                key: self.entries[i].0.clone(),
-                similarity: self.metric.score_from_distance(dist, self.dimension),
-            })
-            .collect()
-    }
-
     /// The quantized arg-max of `hdhash-core`'s partitioned codebook:
     /// distances are rounded to the grid `quantum` (`q = ⌊(dist + c/2)/c⌋`)
     /// and the minimum is taken over `(q, order(key))` — a deterministic,
@@ -336,13 +319,13 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     {
         assert_eq!(probe.dimension(), self.dimension, "probe dimension mismatch");
         assert!(quantum > 0, "quantum must be positive");
-        if self.entries.is_empty() {
+        if self.keys.is_empty() {
             return None;
         }
         match self.strategy {
             SearchStrategy::Serial => self
-                .quantized_in_range(probe, quantum, &order, 0, self.entries.len())
-                .map(|(_, _, row)| self.entries[row].0.clone()),
+                .quantized_in_range(probe, quantum, &order, 0, self.keys.len())
+                .map(|(_, _, row)| self.keys[row].clone()),
             SearchStrategy::Parallel { .. } => {
                 let mut results: Vec<Option<(usize, O, usize)>> =
                     (0..self.shard_plan.len()).map(|_| None).collect();
@@ -362,7 +345,7 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
                     .into_iter()
                     .flatten()
                     .min_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)))
-                    .map(|(_, _, row)| self.entries[row].0.clone())
+                    .map(|(_, _, row)| self.keys[row].clone())
             }
         }
     }
@@ -393,12 +376,12 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
             assert_eq!(probe.dimension(), self.dimension, "probe dimension mismatch");
         }
         assert!(quantum > 0, "quantum must be positive");
-        if self.entries.is_empty() {
+        if self.keys.is_empty() {
             return probes.iter().map(|_| None).collect();
         }
         let resolve = |probe: &Hypervector| {
-            self.quantized_in_range(probe, quantum, &order, 0, self.entries.len())
-                .map(|(_, _, row)| self.entries[row].0.clone())
+            self.quantized_in_range(probe, quantum, &order, 0, self.keys.len())
+                .map(|(_, _, row)| self.keys[row].clone())
         };
         match self.strategy {
             SearchStrategy::Serial => probes.iter().map(|p| resolve(p)).collect(),
@@ -435,14 +418,12 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
         start: usize,
         end: usize,
     ) -> Option<(usize, O, usize)> {
-        self.engine.nearest_quantized_by(probe, quantum, start, end, |row| {
-            order(&self.entries[row].0)
-        })
+        self.engine.nearest_quantized_by(probe, quantum, start, end, |row| order(&self.keys[row]))
     }
 
     fn hit_to_match(&self, hit: Hit) -> Match<K> {
         Match {
-            key: self.entries[hit.row].0.clone(),
+            key: self.keys[hit.row].clone(),
             similarity: self.metric.score_from_distance(hit.distance, self.dimension),
         }
     }
@@ -452,7 +433,7 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     /// `(distance, row)` minimum of the shard winners — identical to the
     /// serial result, tie-break included.
     fn nearest_parallel(&self, probe: &Hypervector) -> Option<Hit> {
-        if self.entries.is_empty() {
+        if self.keys.is_empty() {
             return None;
         }
         if self.shard_plan.len() == 1 {
@@ -479,7 +460,7 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
             SearchStrategy::Serial => 1,
             SearchStrategy::Parallel { threads } => threads.max(1),
         };
-        let n = self.entries.len();
+        let n = self.keys.len();
         if n == 0 {
             return;
         }
@@ -508,6 +489,10 @@ mod tests {
             hvs.push(hv);
         }
         (mem, hvs)
+    }
+
+    fn stored(row: Row<'_>, d: usize) -> Hypervector {
+        Hypervector::from_words(d, row.as_words().to_vec())
     }
 
     #[test]
@@ -588,49 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn nearest_k_orders_by_similarity() {
-        let mut rng = Rng::new(93);
-        let mut mem = AssociativeMemory::new(10_000);
-        let base = Hypervector::random(10_000, &mut rng);
-        for flips in [100usize, 400, 800, 1600] {
-            let mut hv = base.clone();
-            hv.flip_bits(rng.distinct_indices(flips, 10_000));
-            mem.insert(flips, hv).expect("dims");
-        }
-        let top = mem.nearest_k(&base, 3);
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0].key, 100);
-        assert_eq!(top[1].key, 400);
-        assert_eq!(top[2].key, 800);
-        assert!(top[0].similarity > top[1].similarity);
-    }
-
-    #[test]
-    fn nearest_k_handles_edge_sizes_and_ties() {
-        let (mem, hvs) = filled_memory(10, 512, 97);
-        assert!(mem.nearest_k(&hvs[0], 0).is_empty());
-        // k beyond the population returns everything, best first.
-        let all = mem.nearest_k(&hvs[3], 100);
-        assert_eq!(all.len(), 10);
-        assert_eq!(all[0].key, 3);
-        for pair in all.windows(2) {
-            assert!(pair[0].similarity >= pair[1].similarity);
-        }
-        // Exact duplicates tie-break toward the earliest insert.
-        let mut mem = AssociativeMemory::new(64);
-        let hv = Hypervector::ones(64);
-        for i in 0..5usize {
-            mem.insert(i, hv.clone()).expect("dims");
-        }
-        let top = mem.nearest_k(&hv, 3);
-        assert_eq!(
-            top.iter().map(|m| m.key).collect::<Vec<_>>(),
-            vec![0, 1, 2],
-            "duplicate scores must order by insertion"
-        );
-    }
-
-    #[test]
     fn quantized_argmax_matches_exhaustive() {
         let (mem, _) = filled_memory(40, 4096, 98);
         let mut rng = Rng::new(41);
@@ -648,8 +590,9 @@ mod tests {
                         .expect("non-empty");
                     let want = m
                         .iter()
-                        .map(|(&k, hv)| {
-                            ((probe.hamming_distance(hv) + quantum / 2) / quantum, k)
+                        .map(|(&k, row)| {
+                            let d = probe.hamming_distance(&stored(row, 4096));
+                            ((d + quantum / 2) / quantum, k)
                         })
                         .min()
                         .map(|(_, k)| k)
@@ -701,7 +644,8 @@ mod tests {
         assert_eq!(removed, 5);
         assert_eq!(mem.len(), 5);
         assert!(mem.iter().all(|(k, _)| k % 2 == 1));
-        // The scan matrix compacted in step with the entries.
+        // The row matrix compacted in step with the keys.
+        assert!(mem.iter().all(|(&k, row)| row.as_words() == hvs[k].as_words()));
         assert_eq!(mem.nearest(&hvs[3]).expect("non-empty").key, 3);
         assert_eq!(mem.nearest(&hvs[9]).expect("non-empty").key, 9);
     }
@@ -731,12 +675,12 @@ mod tests {
             let probe = Hypervector::random(1000, &mut rng);
             for m in [&mem, &cos] {
                 let hit = m.nearest(&probe).expect("non-empty");
-                let stored = m
+                let winner = m
                     .iter()
                     .find(|(&k, _)| k == hit.key)
-                    .map(|(_, hv)| hv)
+                    .map(|(_, row)| stored(row, 1000))
                     .expect("winner stored");
-                assert_eq!(hit.similarity, m.metric().evaluate(&probe, stored));
+                assert_eq!(hit.similarity, m.metric().evaluate(&probe, &winner));
             }
         }
     }

@@ -91,7 +91,9 @@ mod tests {
     fn total_distance(a: &AssociativeMemory<usize>, b: &AssociativeMemory<usize>) -> usize {
         a.iter()
             .zip(b.iter())
-            .map(|((_, x), (_, y))| x.hamming_distance(y))
+            .map(|((_, x), (_, y))| {
+                hdhash_simdkernels::hamming_distance_words(x.as_words(), y.as_words())
+            })
             .sum()
     }
 
@@ -125,8 +127,11 @@ mod tests {
         assert_eq!(touched.len(), 1);
         // And the flipped bits are contiguous.
         let idx = touched[0];
-        let before = clean.iter().nth(idx).expect("entry").1.clone();
-        let after = noisy.iter().nth(idx).expect("entry").1.clone();
+        let row = |m: &AssociativeMemory<usize>| {
+            let (_, words) = m.iter().nth(idx).expect("entry");
+            Hypervector::from_words(4096, words.as_words().to_vec())
+        };
+        let (before, after) = (row(&clean), row(&noisy));
         let mut positions: Vec<usize> =
             (0..4096).filter(|&b| before.bit(b) != after.bit(b)).collect();
         positions.sort_unstable();

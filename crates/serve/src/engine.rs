@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use hdhash_core::HdHashTable;
-use hdhash_hdc::{Hypervector, SignatureDelta};
+use hdhash_hdc::Hypervector;
 use hdhash_obs::{SpanKind, Tracer};
 use hdhash_table::{DynamicHashTable, RequestKey, ServerId, TableError};
 
@@ -420,16 +420,17 @@ impl ServeEngine {
         self.core.shards.iter().map(|s| s.load().signature.clone()).collect()
     }
 
-    /// Drives `shard`'s membership to exactly `target` through the shadow
-    /// → epoch-publish path — the anti-entropy application hook. Readers
-    /// never block; a target the shard already matches publishes nothing
-    /// (`Ok(None)`), so repeated reconciliation is idempotent and burns no
-    /// epochs.
+    /// Drives `shard`'s membership to exactly `target` through the
+    /// clone → epoch-publish path — the anti-entropy application hook.
+    /// Readers never block; a target the shard already matches publishes
+    /// nothing (`Ok(None)`), so repeated reconciliation is idempotent and
+    /// burns no epochs.
     ///
     /// # Errors
     ///
     /// [`ServeError::Table`] when the moves fail (only capacity
-    /// exhaustion is reachable).
+    /// exhaustion is reachable). A failed reconcile publishes nothing:
+    /// the shard keeps its epoch and members.
     ///
     /// # Panics
     ///
@@ -440,15 +441,6 @@ impl ServeEngine {
         target: &[ServerId],
     ) -> Result<Option<ShardReceipt>, ServeError> {
         Ok(self.core.shards[shard].reconcile(target)?)
-    }
-
-    /// Anti-entropy self-check: per shard, the signature delta between the
-    /// shadow table and the published snapshot. All-zero between
-    /// reconfigurations; a diverged entry means a change was applied but
-    /// its publication was lost.
-    #[must_use]
-    pub fn shard_divergence(&self, threshold: usize) -> Vec<SignatureDelta> {
-        self.core.shards.iter().map(|s| s.pending_divergence(threshold)).collect()
     }
 
     /// Point-in-time engine and per-shard metrics.
@@ -530,6 +522,8 @@ impl Drop for ServeEngine {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     fn test_config() -> ServeConfig {
@@ -660,17 +654,95 @@ mod tests {
     }
 
     #[test]
-    fn receipts_track_epochs_and_divergence_stays_zero() {
+    fn receipts_track_epochs_and_final_members() {
         let engine = ServeEngine::new(test_config()).expect("valid config");
         let r1 = engine.join(ServerId::new(1)).expect("fresh server");
         assert_eq!(r1.len(), 3);
         assert!(r1.iter().all(|r| r.epoch == 1 && r.members == vec![ServerId::new(1)]));
         let r2 = engine.join(ServerId::new(2)).expect("fresh server");
         assert!(r2.iter().all(|r| r.epoch == 2 && r.members.len() == 2));
-        assert!(engine
-            .shard_divergence(0)
-            .iter()
-            .all(|delta| delta.distance == 0 && !delta.diverged));
+        let members = vec![ServerId::new(1), ServerId::new(2)];
+        for snapshot in engine.snapshots() {
+            assert_eq!((snapshot.epoch, &snapshot.members), (2, &members));
+            assert_eq!(snapshot.member_ids(), members);
+        }
+    }
+
+    /// One shard that fills at seven members (codebook 8, `n > k`).
+    fn tiny_config() -> ServeConfig {
+        ServeConfig { shards: 1, codebook_size: 8, ..test_config() }
+    }
+
+    fn ids(range: std::ops::Range<u64>) -> Vec<ServerId> {
+        range.map(ServerId::new).collect()
+    }
+
+    #[test]
+    fn failed_reconcile_publishes_nothing() {
+        let engine = ServeEngine::new(tiny_config()).expect("valid config");
+        for id in 0..6 {
+            engine.join(ServerId::new(id)).expect("fits");
+        }
+        // Eight members cannot fit: the reconcile fails after some moves,
+        // and none of them may reach an epoch.
+        let target: Vec<ServerId> = [ServerId::new(0)].into_iter().chain(ids(10..17)).collect();
+        assert_eq!(
+            engine.reconcile_shard(0, &target),
+            Err(ServeError::Table(TableError::CapacityExhausted { servers: 7, capacity: 7 }))
+        );
+        let snapshot = &engine.snapshots()[0];
+        assert_eq!((snapshot.epoch, snapshot.member_ids()), (6, ids(0..6)));
+        assert_eq!(
+            engine.leave(ServerId::new(0)).expect("present"),
+            vec![ShardReceipt { shard: 0, epoch: 7, members: ids(1..6) }]
+        );
+    }
+
+    #[test]
+    fn receipts_follow_only_successful_changes() {
+        // A seeded mix of joins, leaves and reconciles on a shard that
+        // fills at seven members, so duplicate joins, leaves of absent
+        // members and over-capacity reconciles fail along the way. The
+        // model membership changes only when an operation returns `Ok`.
+        let engine = ServeEngine::new(tiny_config()).expect("valid config");
+        let mut model: BTreeSet<ServerId> = BTreeSet::new();
+        let (mut epoch, mut failed, mut failed_reconciles) = (0, 0, 0);
+        let mut rng = hdhash_hdc::Rng::new(15);
+        for _ in 0..400 {
+            let id = ServerId::new(rng.next_below(12));
+            let mut next = model.clone();
+            let result = match rng.next_below(3) {
+                0 => {
+                    next.insert(id);
+                    engine.join(id).map(|receipts| receipts.into_iter().next())
+                }
+                1 => {
+                    next.remove(&id);
+                    engine.leave(id).map(|receipts| receipts.into_iter().next())
+                }
+                _ => {
+                    next = (0..12).filter(|_| rng.next_below(2) == 0).map(ServerId::new).collect();
+                    let target: Vec<ServerId> = next.iter().copied().collect();
+                    let result = engine.reconcile_shard(0, &target);
+                    failed_reconciles += usize::from(result.is_err());
+                    result
+                }
+            };
+            match result {
+                Ok(Some(receipt)) => {
+                    model = next;
+                    epoch += 1;
+                    assert_eq!(receipt.epoch, epoch);
+                    assert_eq!(receipt.members.iter().copied().collect::<BTreeSet<_>>(), model);
+                }
+                Ok(None) => assert_eq!(next, model, "only a no-op publishes nothing"),
+                Err(_) => failed += 1,
+            }
+            let snapshot = &engine.snapshots()[0];
+            assert_eq!(snapshot.epoch, epoch);
+            assert_eq!(snapshot.member_ids(), model.iter().copied().collect::<Vec<_>>());
+        }
+        assert!(failed > failed_reconciles && failed_reconciles > 0, "{failed} failed");
     }
 
     #[test]

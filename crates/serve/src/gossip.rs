@@ -8,7 +8,7 @@
 //! shard diverges does the expensive payload move: a push–pull record
 //! exchange ([`MemberRecord`]s, last-writer-wins semantics) that both
 //! sides fold in through [`ReplicatedEngine::merge`], reconciling every
-//! shard via the shadow-table → epoch-publish path. Readers never block on
+//! shard via the clone → epoch-publish path. Readers never block on
 //! a reconciliation.
 //!
 //! ```text

@@ -28,12 +28,14 @@
 //!   [`wait`](Ticket::wait), bounded
 //!   [`wait_timeout`](Ticket::wait_timeout), or non-blocking
 //!   [`try_response`](Ticket::try_response).
-//! * **Epoch-based reconfiguration** — each shard keeps a *shadow* table
-//!   that joins and leaves mutate through the incremental
-//!   counter-plane machinery (`MembershipCentroid`), then publishes an
-//!   immutable snapshot behind an `Arc` pointer-swap. Readers clone the
-//!   `Arc` and never wait on the reconfiguration work; every response
-//!   reports the epoch it was served at.
+//! * **Epoch-based reconfiguration** — each shard holds one table, inside
+//!   its published snapshot. A join or leave clones that table, applies
+//!   itself to the clone through the incremental counter-plane machinery
+//!   (`MembershipCentroid`), and publishes the clone as an immutable
+//!   snapshot behind an `Arc` pointer-swap; a failed change publishes
+//!   nothing. Readers clone the `Arc` and never wait on the
+//!   reconfiguration work; every response reports the epoch it was served
+//!   at.
 //! * **Backpressure + metrics** — the bounded queue rejects at capacity
 //!   (the caller sees [`ServeError::QueueFull`]), and per-shard counters
 //!   plus a lock-free [`LogHistogram`](hdhash_obs::LogHistogram) of
@@ -46,7 +48,7 @@
 //!   [`signature_diff`](hdhash_hdc::maintenance::signature_diff) (exact:
 //!   identical memberships read distance 0), and reconcile only diverged
 //!   state through a last-writer-wins record exchange ([`replication`])
-//!   applied via the same shadow-table → epoch-publish path — replicas
+//!   applied via the same clone → epoch-publish path — replicas
 //!   converge while readers keep streaming. Rounds advert to
 //!   `min(fanout, peers)` deterministically selected peers, and a
 //!   seen-through watermark exchange expires tombstones the whole peer

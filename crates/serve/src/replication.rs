@@ -15,7 +15,7 @@
 //! * [`ReplicatedEngine`] — a [`ServeEngine`] paired with a log. Local
 //!   joins/leaves write the log and the engine together; merging remote
 //!   [`MemberRecord`]s drives every shard to the merged membership through
-//!   the shadow-table → epoch-publish path
+//!   the clone → epoch-publish path
 //!   ([`ServeEngine::reconcile_shard`]), so reconciliation is invisible to
 //!   in-flight lookups.
 //!
@@ -437,7 +437,7 @@ impl ReplicatedEngine {
 
     /// Folds a peer's records into the log and, when the live membership
     /// changed, reconciles every shard to the merged view through the
-    /// shadow-table → epoch-publish path (readers never block).
+    /// clone → epoch-publish path (readers never block).
     ///
     /// # Errors
     ///

@@ -1,16 +1,16 @@
-//! Shards: epoch-published HD-table snapshots with a shadow writer.
+//! Shards: epoch-published HD-table snapshots.
 //!
-//! Each shard owns two views of one HD hash table:
-//!
-//! * the **shadow** — the writer-side table, mutated in place by joins and
-//!   leaves. Membership changes ride the incremental counter-plane
-//!   machinery (`MembershipCentroid` inside `HdHashTable`), so a change is
-//!   `O(words · log n)` plane updates, never a re-bundle;
-//! * the **published snapshot** — an immutable `Arc<ShardSnapshot>` the
-//!   lookup workers load. Publication is a pointer swap under a
-//!   micro-lock: the expensive work (applying the change, cloning the
-//!   shadow — cheap, the codebook basis is `Arc`-shared) happens *before*
-//!   the swap, so readers never wait on a reconfiguration in progress.
+//! Each shard holds one HD hash table, inside its published snapshot: an
+//! immutable `Arc<ShardSnapshot>` the lookup workers load. A membership
+//! change never edits that table. Under the shard's writer lock it clones
+//! the published table (the codebook basis is `Arc`-shared, so the copy is
+//! the member row matrix and the bookkeeping beside it), applies itself to
+//! the clone — joins and leaves ride the incremental counter-plane
+//! signature (`MembershipCentroid` inside `HdHashTable`), never a
+//! re-bundle — and publishes the clone as the next epoch with a pointer
+//! swap under a micro-lock. Readers therefore never wait on a
+//! reconfiguration in progress, and a change that fails, even part-way,
+//! drops its clone: nothing is published and no epoch is burnt.
 //!
 //! Every snapshot carries the epoch that published it; responses echo the
 //! epoch, which is what lets the churn tests prove a response was computed
@@ -21,7 +21,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use hdhash_core::HdHashTable;
-use hdhash_hdc::{maintenance::signature_diff, Hypervector, SignatureDelta};
+use hdhash_hdc::Hypervector;
 use hdhash_table::{DynamicHashTable, RequestKey, ServerId, TableError};
 
 /// An immutable, epoch-stamped view of one shard's table, shared with the
@@ -86,26 +86,27 @@ pub struct ShardReceipt {
     pub members: Vec<ServerId>,
 }
 
-/// One shard: shadow writer + epoch-published snapshot.
+/// One shard: its published snapshot, replaced whole by each change.
 #[derive(Debug)]
 pub(crate) struct Shard {
     index: usize,
-    /// Writer side; the lock serializes reconfigurations.
-    shadow: Mutex<HdHashTable>,
+    /// Orders writers: a change clones, edits and publishes while holding
+    /// it, so each epoch is built from the one before.
+    writer: Mutex<()>,
     /// Reader side; the lock guards only the `Arc` pointer swap/clone.
     published: Mutex<Arc<ShardSnapshot>>,
 }
 
 impl Shard {
     pub(crate) fn new(index: usize, table: HdHashTable) -> Self {
-        let genesis = Arc::new(ShardSnapshot {
+        let genesis = ShardSnapshot {
             shard: index,
             epoch: 0,
             members: table.servers(),
             signature: table.membership_signature(),
-            table: table.clone(),
-        });
-        Self { index, shadow: Mutex::new(table), published: Mutex::new(genesis) }
+            table,
+        };
+        Self { index, writer: Mutex::new(()), published: Mutex::new(Arc::new(genesis)) }
     }
 
     /// The current snapshot (readers: one `Arc` clone under a micro-lock).
@@ -113,68 +114,56 @@ impl Shard {
         Arc::clone(&self.published.lock())
     }
 
-    /// Applies `change` to the shadow table and publishes the result as a
-    /// new epoch. The change runs under the shadow lock (one writer at a
-    /// time); the publish is a pointer swap. A failed change publishes
-    /// nothing and burns no epoch.
+    /// Applies `change` to a clone of the published table and publishes
+    /// the result as a new epoch. A failed change publishes nothing and
+    /// burns no epoch.
     pub(crate) fn reconfigure<F>(&self, change: F) -> Result<ShardReceipt, TableError>
     where
         F: FnOnce(&mut HdHashTable) -> Result<(), TableError>,
     {
-        let shadow = &mut *self.shadow.lock();
-        change(shadow)?;
-        Ok(self.publish_locked(shadow))
+        self.publish_with(|table| change(table).map(|()| true))
+            .map(|receipt| receipt.expect("a successful change publishes"))
     }
 
-    /// Drives the shadow membership to exactly `target` and publishes the
-    /// result as a new epoch — the anti-entropy application path. A target
-    /// the shadow already matches publishes nothing and burns no epoch
-    /// (reconciliation is idempotent), hence the `Option`.
+    /// Drives the membership to exactly `target` and publishes the result
+    /// as a new epoch — the anti-entropy application path. A target the
+    /// shard already matches publishes nothing and burns no epoch
+    /// (reconciliation is idempotent), hence the `Option`. A
+    /// reconciliation that fails part-way publishes none of its moves.
     pub(crate) fn reconcile(
         &self,
         target: &[ServerId],
     ) -> Result<Option<ShardReceipt>, TableError> {
-        let shadow = &mut *self.shadow.lock();
-        let (joined, left) = shadow.reconcile_members(target)?;
-        if joined == 0 && left == 0 {
+        self.publish_with(|table| {
+            let (joined, left) = table.reconcile_members(target)?;
+            Ok(joined + left > 0)
+        })
+    }
+
+    /// Under the writer lock: clones the published table, lets `change`
+    /// edit the clone, and publishes it as the next epoch when `change`
+    /// returns `Ok(true)`. An error or `Ok(false)` drops the clone.
+    fn publish_with<F>(&self, change: F) -> Result<Option<ShardReceipt>, TableError>
+    where
+        F: FnOnce(&mut HdHashTable) -> Result<bool, TableError>,
+    {
+        let _writer = self.writer.lock();
+        let current = self.load();
+        let mut table = current.table.clone();
+        if !change(&mut table)? {
             return Ok(None);
         }
-        Ok(Some(self.publish_locked(shadow)))
-    }
-
-    /// Publishes the shadow as the next epoch. Callers hold the shadow
-    /// lock (`shadow` borrows from it), which is what orders epochs.
-    fn publish_locked(&self, shadow: &HdHashTable) -> ShardReceipt {
-        let epoch = self.load().epoch + 1;
-        let snapshot = Arc::new(ShardSnapshot {
+        let epoch = current.epoch + 1;
+        let members = table.servers();
+        let receipt = ShardReceipt { shard: self.index, epoch, members: members.clone() };
+        *self.published.lock() = Arc::new(ShardSnapshot {
             shard: self.index,
             epoch,
-            members: shadow.servers(),
-            signature: shadow.membership_signature(),
-            table: shadow.clone(),
+            members,
+            signature: table.membership_signature(),
+            table,
         });
-        let receipt = ShardReceipt {
-            shard: self.index,
-            epoch,
-            members: snapshot.members.clone(),
-        };
-        *self.published.lock() = snapshot;
-        receipt
-    }
-
-    /// Anti-entropy check: the Hamming delta between the shadow's live
-    /// membership signature and the published snapshot's. Between
-    /// reconfigurations this is exactly zero; a persistent nonzero delta
-    /// means a change was applied but never published.
-    pub(crate) fn pending_divergence(&self, threshold: usize) -> SignatureDelta {
-        // Hold the shadow lock across the published load so a concurrent
-        // reconfiguration cannot slip its publication between the two
-        // reads and report spurious divergence (lock order shadow →
-        // published matches `reconfigure`).
-        let shadow = self.shadow.lock();
-        let published = self.load();
-        signature_diff(&shadow.membership_signature(), &published.signature, threshold)
-            .expect("shadow and snapshot share one dimension")
+        Ok(Some(receipt))
     }
 }
 
@@ -253,21 +242,5 @@ mod tests {
         // Fixed point: no moves, no epoch, no publication.
         assert!(shard.reconcile(&target).expect("no-op").is_none());
         assert_eq!(shard.load().epoch, 5);
-        assert!(!shard.pending_divergence(0).diverged);
-    }
-
-    #[test]
-    fn divergence_is_zero_between_reconfigurations() {
-        let shard = Shard::new(0, table());
-        for id in 0..4 {
-            shard.reconfigure(|t| t.join(ServerId::new(id))).expect("fresh");
-        }
-        let delta = shard.pending_divergence(0);
-        assert_eq!(delta.distance, 0);
-        assert!(!delta.diverged);
-        // Mutating the shadow without publishing (white-box: reach in
-        // directly) makes the delta visible.
-        shard.shadow.lock().join(ServerId::new(50)).expect("fresh");
-        assert!(shard.pending_divergence(8).diverged);
     }
 }

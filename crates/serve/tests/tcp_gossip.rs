@@ -144,8 +144,12 @@ fn divergent_replicas_converge_over_loopback_tcp() {
         assert_eq!(tcp.partial_frames, 0, "node {i}: self-talk must never stall mid-frame");
     }
     // Every byte sent somewhere arrived somewhere: the cluster-wide
-    // ledgers match once the wire is idle.
+    // ledgers match once the wire is idle. An empty outbox can still have
+    // its last frames in a socket buffer, so let the readers catch up.
     let sent: u64 = networks.iter().map(|n| n.stats().bytes_sent).sum();
-    let received: u64 = networks.iter().map(|n| n.stats().bytes_received).sum();
-    assert_eq!(sent, received, "cluster-wide sent/received ledgers diverged");
+    let received = || networks.iter().map(|n| n.stats().bytes_received).sum::<u64>();
+    while received() < sent && Instant::now() < drain_deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(sent, received(), "cluster-wide sent/received ledgers diverged");
 }

@@ -23,9 +23,7 @@
 //! function pointers; every later call is an indirect call with no
 //! re-detection. Binaries therefore run on any x86-64 — no compile-time
 //! `-C target-cpu` requirement — and still use the widest tier the host
-//! exposes. The multi-row entry point ([`xor_popcount_rows`]) amortizes
-//! that indirect call across a whole row block instead of re-entering the
-//! dispatcher per row.
+//! exposes.
 //!
 //! Steering the ladder (CI portability jobs, A/B benchmarking):
 //!
@@ -65,7 +63,6 @@ struct Kernel {
     distance: fn(&[u64], &[u64]) -> usize,
     within: fn(&[u64], &[u64], usize) -> Option<usize>,
     popcount: fn(&[u64]) -> usize,
-    xor_rows: fn(&[u64], &[u64], usize, &mut [u32]),
 }
 
 static KERNEL: OnceLock<Kernel> = OnceLock::new();
@@ -86,7 +83,6 @@ fn kernel() -> &'static Kernel {
                     distance: avx512::hamming_distance,
                     within: avx512::hamming_within,
                     popcount: avx512::popcount,
-                    xor_rows: avx512::xor_popcount_rows,
                 };
             }
             if std::arch::is_x86_feature_detected!("avx2") {
@@ -95,7 +91,6 @@ fn kernel() -> &'static Kernel {
                     distance: avx2::hamming_distance,
                     within: avx2::hamming_within,
                     popcount: avx2::popcount,
-                    xor_rows: avx2::xor_popcount_rows,
                 };
             }
         }
@@ -108,7 +103,6 @@ const SCALAR: Kernel = Kernel {
     distance: scalar::hamming_distance_words,
     within: scalar::hamming_within_words,
     popcount: scalar::popcount_words,
-    xor_rows: scalar::xor_popcount_rows,
 };
 
 /// Whether the scalar fallback is forced (feature or environment).
@@ -193,29 +187,6 @@ pub fn popcount_words(words: &[u64]) -> usize {
     (kernel().popcount)(words)
 }
 
-/// Fused multi-row distance: `out[r] = popcount(probe ^ rows[r])`, where
-/// row `r` starts at `rows[r * row_stride]` and spans `probe.len()`
-/// words. One dispatcher entry covers the whole block — the per-row
-/// indirect call of [`hamming_distance_words`] is amortized away, and a
-/// prefix scan (`probe.len() < row_stride`) expresses its stride to the
-/// kernel instead of slicing per row. Overwrites `out`.
-///
-/// # Panics
-///
-/// Panics if `probe.len() > row_stride` (for non-empty `out`) or `rows`
-/// is too short for `out.len()` rows.
-pub fn xor_popcount_rows(probe: &[u64], rows: &[u64], row_stride: usize, out: &mut [u32]) {
-    let Some(last) = out.len().checked_sub(1) else {
-        return;
-    };
-    assert!(probe.len() <= row_stride, "probe wider than the row stride");
-    assert!(
-        rows.len() >= last * row_stride + probe.len(),
-        "row matrix shorter than out.len() rows"
-    );
-    (kernel().xor_rows)(probe, rows, row_stride, out);
-}
-
 /// Best-effort software prefetch of `words[index..]` into L1 (a no-op off
 /// x86-64 or out of bounds). Scan loops drop hints a block ahead so the
 /// next row block is in flight while the current one is counted.
@@ -286,15 +257,6 @@ pub mod scalar {
     #[must_use]
     pub fn popcount_words(words: &[u64]) -> usize {
         words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Scalar fused multi-row distance (see
-    /// [`xor_popcount_rows`](super::xor_popcount_rows)).
-    pub fn xor_popcount_rows(probe: &[u64], rows: &[u64], row_stride: usize, out: &mut [u32]) {
-        for (r, slot) in out.iter_mut().enumerate() {
-            let base = r * row_stride;
-            *slot = hamming_distance_words(probe, &rows[base..base + probe.len()]) as u32;
-        }
     }
 }
 
@@ -410,14 +372,6 @@ mod avx2 {
         total
     }
 
-    #[target_feature(enable = "avx2")]
-    fn xor_rows_impl(probe: &[u64], rows: &[u64], row_stride: usize, out: &mut [u32]) {
-        for (r, slot) in out.iter_mut().enumerate() {
-            let base = r * row_stride;
-            *slot = distance_impl(probe, &rows[base..base + probe.len()]) as u32;
-        }
-    }
-
     /// Safe entry point: sound only when installed after AVX2 detection,
     /// which the dispatcher guarantees.
     pub fn hamming_distance(a: &[u64], b: &[u64]) -> usize {
@@ -440,13 +394,6 @@ mod avx2 {
         debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
         // SAFETY: as for `hamming_distance`.
         unsafe { popcount_impl(words) }
-    }
-
-    /// Safe entry point: sound only when installed after AVX2 detection.
-    pub fn xor_popcount_rows(probe: &[u64], rows: &[u64], row_stride: usize, out: &mut [u32]) {
-        debug_assert!(std::arch::is_x86_feature_detected!("avx2"));
-        // SAFETY: as for `hamming_distance`.
-        unsafe { xor_rows_impl(probe, rows, row_stride, out) }
     }
 }
 
@@ -543,14 +490,6 @@ mod avx512 {
         total
     }
 
-    #[target_feature(enable = "avx512f,avx512vpopcntdq")]
-    fn xor_rows_impl(probe: &[u64], rows: &[u64], row_stride: usize, out: &mut [u32]) {
-        for (r, slot) in out.iter_mut().enumerate() {
-            let base = r * row_stride;
-            *slot = distance_impl(probe, &rows[base..base + probe.len()]) as u32;
-        }
-    }
-
     /// Safe entry point: sound only when installed after AVX-512
     /// detection, which the dispatcher guarantees.
     pub fn hamming_distance(a: &[u64], b: &[u64]) -> usize {
@@ -572,13 +511,6 @@ mod avx512 {
         debug_assert!(detected());
         // SAFETY: as for `hamming_distance`.
         unsafe { popcount_impl(words) }
-    }
-
-    /// Safe entry point: sound only when installed after AVX-512 detection.
-    pub fn xor_popcount_rows(probe: &[u64], rows: &[u64], row_stride: usize, out: &mut [u32]) {
-        debug_assert!(detected());
-        // SAFETY: as for `hamming_distance`.
-        unsafe { xor_rows_impl(probe, rows, row_stride, out) }
     }
 }
 
@@ -646,28 +578,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_rows_match_per_row_distances() {
-        // Full-width rows (stride == probe width) and prefix scans
-        // (stride > probe width) both match per-row dispatch.
-        for (rows, stride, probe_words) in
-            [(7usize, 160usize, 160usize), (5, 160, 16), (12, 21, 13), (1, 4, 4), (3, 8, 0)]
-        {
-            let matrix = pattern(rows * stride, 6);
-            let probe = pattern(probe_words, 7);
-            let mut out = vec![0u32; rows];
-            xor_popcount_rows(&probe, &matrix, stride, &mut out);
-            for (r, &got) in out.iter().enumerate() {
-                let base = r * stride;
-                let want =
-                    scalar::hamming_distance_words(&probe, &matrix[base..base + probe_words]);
-                assert_eq!(got as usize, want, "row {r} stride {stride}");
-            }
-        }
-        // Empty out is a no-op regardless of the other arguments.
-        xor_popcount_rows(&pattern(4, 8), &[], 0, &mut []);
-    }
-
     /// Every tier the host supports must agree with the scalar
     /// specification on every entry point — regardless of which tier the
     /// dispatcher installed for this process.
@@ -679,7 +589,6 @@ mod tests {
             fn(&[u64], &[u64]) -> usize,
             fn(&[u64], &[u64], usize) -> Option<usize>,
             fn(&[u64]) -> usize,
-            fn(&[u64], &[u64], usize, &mut [u32]),
         );
         let mut tiers: Vec<Tier> = Vec::new();
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -688,7 +597,6 @@ mod tests {
                 avx2::hamming_distance,
                 avx2::hamming_within,
                 avx2::popcount,
-                avx2::xor_popcount_rows,
             ));
         }
         if std::arch::is_x86_feature_detected!("avx512f")
@@ -699,10 +607,9 @@ mod tests {
                 avx512::hamming_distance,
                 avx512::hamming_within,
                 avx512::popcount,
-                avx512::xor_popcount_rows,
             ));
         }
-        for (name, distance, within, popcount, xor_rows) in tiers {
+        for (name, distance, within, popcount) in tiers {
             for len in [0usize, 1, 5, 8, 9, 16, 17, 31, 157, 160] {
                 let a = pattern(len, 11);
                 let b = pattern(len, 12);
@@ -717,13 +624,6 @@ mod tests {
                     );
                 }
             }
-            let (n, stride, k) = (9usize, 37usize, 21usize);
-            let matrix = pattern(n * stride, 13);
-            let probe = pattern(k, 14);
-            let (mut got, mut want) = (vec![0u32; n], vec![0u32; n]);
-            xor_rows(&probe, &matrix, stride, &mut got);
-            scalar::xor_popcount_rows(&probe, &matrix, stride, &mut want);
-            assert_eq!(got, want, "{name} xor_popcount_rows");
         }
     }
 
@@ -774,12 +674,5 @@ mod tests {
     #[should_panic(expected = "equal length")]
     fn length_mismatch_panics() {
         let _ = hamming_distance_words(&[0], &[0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "row matrix shorter")]
-    fn short_row_matrix_panics() {
-        let mut out = [0u32; 3];
-        xor_popcount_rows(&[1, 2], &[0u64; 5], 2, &mut out);
     }
 }

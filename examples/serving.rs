@@ -132,13 +132,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         verdicts.0, verdicts.1
     );
 
-    // The anti-entropy self-check: shadow and published signatures agree.
-    let divergence = engine.shard_divergence(0);
-    println!(
-        "anti-entropy: max shadow↔published signature distance = {}",
-        divergence.iter().map(|d| d.distance).max().unwrap_or(0)
-    );
-
     engine.shutdown();
     let metrics = engine.metrics();
     println!("\nper-shard totals:");
