@@ -16,8 +16,8 @@
 //! `FAULT_ROUNDS` rounds; if still diverged, the network heals and the
 //! remaining rounds measure recovery. Reported per point:
 //!
-//! * `rounds_to_converge` — total chaos rounds until every replica's
-//!   per-shard signatures are byte-identical (the paper-level invariant:
+//! * `rounds_to_converge` — total chaos rounds until every replica
+//!   publishes the same per-shard member ids (the paper-level invariant:
 //!   convergence is bounded no matter what the fault plan did);
 //! * `converged_under_faults` — whether retry plus redundant fanout
 //!   converged the set before the heal (common below 50% loss);
@@ -45,7 +45,7 @@ use hdhash_table::ServerId;
 /// Seed for every fault plan in the grid; printed so a point replays.
 const CHAOS_SEED: u64 = 0xC4A0_5EED;
 /// Engine seed shared by all replicas (identical codebook geometry is
-/// what makes converged memberships byte-identical).
+/// what makes converged memberships route alike).
 const ENGINE_SEED: u64 = 0x6055;
 /// Members joined identically on every replica before the divergence.
 const BASE_MEMBERS: u64 = 12;
@@ -156,7 +156,7 @@ fn run_point(
 
     let replica_refs: Vec<&ReplicatedEngine> = engines.iter().map(Arc::as_ref).collect();
 
-    // Drive chaos rounds until the signatures agree. The fault plan runs
+    // Drive chaos rounds until the member sets agree. The fault plan runs
     // for FAULT_ROUNDS; if the set is still diverged at that point the
     // network heals and the remaining rounds measure recovery. Retry and
     // redundant fanout usually converge the set *through* the faults —

@@ -10,18 +10,18 @@
 //! Each grid point builds two replica engines sharing a base membership,
 //! applies `churn_ops` divergent membership operations (split between the
 //! replicas: disjoint joins plus conflicting joins/leaves on a contended
-//! range), then runs explicit gossip rounds until the per-shard membership
-//! signatures are byte-identical. Reported per point:
+//! range), then runs explicit gossip rounds until the per-shard member
+//! sets are identical. Reported per point:
 //!
 //! * `rounds_to_converge` — driver rounds (each: both nodes advert, the
 //!   network drains); anti-entropy converges in O(1) rounds regardless of
 //!   churn volume, which is the headline this series pins;
-//! * `trajectory` — total signature Hamming distance (summed over shards)
-//!   before each round, ending at 0;
+//! * `trajectory` — member ids in which the replicas differ (summed over
+//!   shards, [`member_divergence`]) before each round, ending at 0;
 //! * `bytes_on_wire` — protocol bytes under the documented frame
-//!   accounting: adverts cost `shards · d` bits (plus the piggybacked
-//!   seen-through ack) per adverted peer per round, member records move
-//!   **only** for diverged state;
+//!   accounting: adverts cost a 16-byte digest per shard (plus the
+//!   piggybacked seen-through ack) per adverted peer per round, member
+//!   records move **only** for diverged state;
 //! * `records_adopted`, `divergence_detections`, `wall_ms`.
 //!
 //! A second series (`six_replica_series`) runs a 6-replica set with
@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use hdhash_bench::{telemetry_embed, Params};
 use hdhash_obs::TelemetrySnapshot;
-use hdhash_serve::gossip::{converged, run_round, GossipConfig, GossipNode};
+use hdhash_serve::gossip::{converged, member_divergence, run_round, GossipConfig, GossipNode};
 use hdhash_serve::replication::ReplicatedEngine;
 use hdhash_serve::telemetry::export_gossip;
 use hdhash_serve::transport::{InProcessNetwork, ReplicaId};
@@ -45,14 +45,14 @@ use hdhash_table::ServerId;
 
 /// Base membership shared by both replicas before the churn.
 const BASE_MEMBERS: u64 = 24;
-/// Hypervector dimension per shard (advert bytes scale with it).
+/// Hypervector dimension per shard.
 const DIMENSION: usize = 2048;
 
 struct GridPoint {
     shards: usize,
     churn_ops: usize,
     rounds_to_converge: usize,
-    trajectory: Vec<usize>,
+    trajectory: Vec<u64>,
     advert_bytes_per_round: u64,
     bytes_on_wire: u64,
     records_adopted: u64,
@@ -77,15 +77,6 @@ fn replica(id: u64, shards: usize) -> (Arc<ReplicatedEngine>, ReplicaId) {
         Arc::new(ReplicatedEngine::new(replica_id, config).expect("valid config")),
         replica_id,
     )
-}
-
-/// Total Hamming distance between the replicas' signatures, over shards.
-fn signature_distance(a: &ReplicatedEngine, b: &ReplicatedEngine) -> usize {
-    a.shard_signatures()
-        .iter()
-        .zip(b.shard_signatures().iter())
-        .map(|(x, y)| x.hamming_distance(y))
-        .sum()
 }
 
 fn run_point(
@@ -137,13 +128,13 @@ fn run_point(
 
     let nodes = [node_a, node_b];
     let started = Instant::now();
-    let mut trajectory = vec![signature_distance(&a, &b)];
+    let mut trajectory = vec![member_divergence(&[&a, &b])];
     let mut rounds = 0usize;
     while !converged(&[&a, &b]) {
         rounds += 1;
         assert!(rounds <= 64, "gossip failed to converge in 64 rounds");
         run_round(&nodes);
-        trajectory.push(signature_distance(&a, &b));
+        trajectory.push(member_divergence(&[&a, &b]));
     }
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
@@ -156,8 +147,7 @@ fn run_point(
             [("shards", s.as_str()), ("churn", c.as_str()), ("replica", r.as_str())];
         export_gossip(telemetry, &labels, m);
     }
-    let advert_bytes_per_round =
-        (shards * (4 + DIMENSION / 8) + 13 + 9) as u64 * nodes.len() as u64;
+    let advert_bytes_per_round = (shards * 16 + 13 + 9) as u64 * nodes.len() as u64;
     GridPoint {
         shards,
         churn_ops,
@@ -263,7 +253,7 @@ fn main() {
         for &churn_ops in &churn_rates {
             let point = run_point(shards, churn_ops, &mut telemetry);
             println!(
-                "shards={:<2} churn={:<4} rounds={:<2} start-distance={:<6} \
+                "shards={:<2} churn={:<4} rounds={:<2} start-divergence={:<4} \
                  wire {:>7} B  records {:>4}  {:>7.2} ms",
                 point.shards,
                 point.churn_ops,
@@ -314,7 +304,7 @@ fn main() {
     let _ = writeln!(json, "  \"base_members\": {BASE_MEMBERS},");
     let _ = writeln!(
         json,
-        "  \"protocol\": \"advert per-shard signatures; push-pull LWW member records on divergence\","
+        "  \"protocol\": \"advert per-shard digests; push-pull LWW member records on divergence\","
     );
     let _ = writeln!(json, "  \"max_rounds_to_converge\": {max_rounds},");
     let _ = writeln!(

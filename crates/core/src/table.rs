@@ -70,11 +70,6 @@ pub struct HdHashTable {
     memory: AssociativeMemory<ServerId>,
     /// Clean membership with each server's codebook slot, in join order.
     members: Vec<(ServerId, usize)>,
-    /// Incrementally maintained majority centroid over the clean member
-    /// encodings — the pool's membership fingerprint. Join and leave are
-    /// `O(words · log n)` counter-plane updates, never a re-bundle of the
-    /// remaining membership.
-    signature: MembershipCentroid,
 }
 
 impl HdHashTable {
@@ -98,8 +93,7 @@ impl HdHashTable {
         let memory = AssociativeMemory::new(config.dimension)
             .with_metric(config.metric)
             .with_strategy(config.search);
-        let signature = MembershipCentroid::new(config.dimension);
-        Self { config, codebook, memory, members: Vec::new(), signature }
+        Self { config, codebook, memory, members: Vec::new() }
     }
 
     /// Creates a table with the default configuration (`d = 10_240`,
@@ -134,26 +128,28 @@ impl HdHashTable {
     }
 
     /// The pool's **membership signature**: the majority centroid of the
-    /// clean member encodings, maintained incrementally across joins and
-    /// leaves (`O(words · log n)` counter-plane updates per change).
+    /// clean member encodings, bundled on demand (`O(k · words · log k)`
+    /// for `k` members).
     ///
     /// The signature is a pure function of the member *encoding
     /// multiset* — two tables that reached the same membership through
     /// any interleaving of joins and leaves read identical signatures,
-    /// byte for byte (`crates/core/tests/churn_equivalence.rs`).
-    /// Deployments use it as a cheap first-pass divergence check between
-    /// replicas of a table: compare `d` bits, and exchange member lists
-    /// only on mismatch. It fingerprints *encodings*, not server ids:
-    /// distinct servers whose hashes collide on one codebook slot
-    /// contribute identical vectors, so a signature match means the
-    /// slot-level routing state agrees (identical arg-max geometry), not
-    /// necessarily the id lists — the mismatch direction is what carries
-    /// the signal. Noise injection never perturbs it (it tracks clean
-    /// codebook encodings), so it also serves as the reference point for
-    /// scrub-and-repair.
+    /// byte for byte (`crates/core/tests/churn_equivalence.rs`). It is a
+    /// lossy summary of the routing geometry, not an identity for the
+    /// membership: distinct servers whose hashes collide on one codebook
+    /// slot contribute identical vectors, and the majority can absorb a
+    /// small difference in members, so different memberships can read
+    /// the same signature. Noise injection never perturbs it (it bundles
+    /// clean codebook encodings).
     #[must_use]
     pub fn membership_signature(&self) -> Hypervector {
-        self.signature.read()
+        let mut centroid = MembershipCentroid::new(self.config.dimension);
+        for &(_, slot) in &self.members {
+            centroid
+                .add(self.codebook.hypervector(slot))
+                .expect("codebook dimension matches centroid");
+        }
+        centroid.read()
     }
 
     /// The live member ids, **sorted** — the canonical set representation
@@ -169,9 +165,8 @@ impl HdHashTable {
 
     /// Drives this table's membership to exactly `target`: members absent
     /// from `target` leave, members present only in `target` join. The
-    /// anti-entropy delta-application hook — each move rides the
-    /// incremental counter-plane path, so reconciliation costs
-    /// `O(moves · words · log n)`, never a rebuild.
+    /// anti-entropy delta-application hook — each move is one ordinary
+    /// join or leave, never a rebuild.
     ///
     /// Duplicate ids in `target` are ignored (a membership is a set).
     /// Returns `(joined, left)` move counts; `(0, 0)` means the table
@@ -268,7 +263,6 @@ impl DynamicHashTable for HdHashTable {
         let (slot, hv) = self.codebook.encode(&server.to_bytes());
         let hv = hv.clone();
         self.members.push((server, slot));
-        self.signature.add(&hv).expect("codebook dimension matches signature");
         self.memory.insert(server, hv).expect("codebook dimension matches memory");
         Ok(())
     }
@@ -279,10 +273,7 @@ impl DynamicHashTable for HdHashTable {
             .iter()
             .position(|&(s, _)| s == server)
             .ok_or(TableError::ServerNotFound(server))?;
-        let (_, slot) = self.members.remove(idx);
-        self.signature
-            .remove(self.codebook.hypervector(slot))
-            .expect("member encodings were added at join");
+        self.members.remove(idx);
         self.memory.remove_where(|&s| s == server);
         Ok(())
     }

@@ -29,7 +29,7 @@
 //! * [`maintenance`] — incremental counter-plane membership centroids:
 //!   add/remove one member in `O(words · log n)` bitwise ops, byte-
 //!   identical to from-scratch re-bundling (the substrate behind
-//!   classifier prototypes and the hash tables' pool signatures);
+//!   classifier prototypes);
 //! * [`memory`] — an associative memory implementing HDC *inference*
 //!   (`argmax` similarity, Eq. 2 of the paper) with serial and
 //!   multi-threaded search paths (the paper's GPU substitute);
@@ -73,7 +73,7 @@ pub mod similarity;
 
 pub use batch::BatchLookup;
 pub use classifier::CentroidClassifier;
-pub use maintenance::{signature_diff, MembershipCentroid, SignatureDelta};
+pub use maintenance::MembershipCentroid;
 pub use hypervector::{DimensionMismatchError, Hypervector};
 pub use memory::{AssociativeMemory, EngineOptions, SearchStrategy};
 pub use rng::Rng;

@@ -1,8 +1,7 @@
 //! Incremental membership maintenance: counter-plane centroids.
 //!
 //! Online HDC systems keep a *bundled summary* of a changing membership —
-//! a classifier's per-class prototype, a hash table's pool signature — and
-//! the naive discipline re-bundles the full membership on every change:
+//! a classifier's per-class prototype, for one — and the naive discipline re-bundles the full membership on every change:
 //! `O(n · d)` scalar work to add or remove one member. This module makes
 //! that churn incremental by standing the summary on
 //! [`MajorityBundler`]'s transposed counter
@@ -20,89 +19,6 @@
 
 use crate::hypervector::{DimensionMismatchError, Hypervector};
 use crate::ops::MajorityBundler;
-
-/// The outcome of comparing two membership signatures
-/// ([`signature_diff`]): the raw Hamming distance plus the verdict at the
-/// caller's divergence threshold.
-///
-/// Anti-entropy protocols gossip the `d`-bit signature instead of member
-/// lists; a delta with `diverged == false` means the replicas' slot-level
-/// routing state agrees (for identical memberships the distance is exactly
-/// zero — the centroid is a pure function of the encoding multiset), while
-/// `diverged == true` triggers the expensive member-list exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SignatureDelta {
-    /// Exact Hamming distance between the two signatures.
-    pub distance: usize,
-    /// Dimensionality both signatures share.
-    pub dimension: usize,
-    /// The divergence threshold the verdict was taken at.
-    pub threshold: usize,
-    /// `distance > threshold`: the memberships should reconcile.
-    pub diverged: bool,
-}
-
-impl SignatureDelta {
-    /// The distance as a fraction of the dimension, in `[0, 1]`.
-    #[must_use]
-    pub fn normalized(&self) -> f64 {
-        self.distance as f64 / self.dimension as f64
-    }
-}
-
-/// Compares two membership signatures (as read from
-/// [`MembershipCentroid::read`] or a table's `membership_signature()`),
-/// returning the Hamming distance and a divergence verdict at `threshold`.
-///
-/// Identical membership multisets produce **identical** signatures, so
-/// `distance == 0` and any threshold reports agreement — the protocol has
-/// no false positives by construction. A single-member difference in a
-/// high-dimensional pool perturbs on the order of `d / 2n` bits or more
-/// (each member's votes touch every dimension), so small thresholds (a few
-/// dozen bits at `d = 10_000`) keep false negatives out of reach; the
-/// property suite in this module pins both directions.
-///
-/// # Examples
-///
-/// ```
-/// use hdhash_hdc::{maintenance::signature_diff, Hypervector, MembershipCentroid, Rng};
-///
-/// let mut rng = Rng::new(3);
-/// let members: Vec<Hypervector> =
-///     (0..8).map(|_| Hypervector::random(4096, &mut rng)).collect();
-/// let mut local = MembershipCentroid::new(4096);
-/// let mut remote = MembershipCentroid::new(4096);
-/// for hv in &members {
-///     local.add(hv)?;
-///     remote.add(hv)?;
-/// }
-/// // Identical memberships: distance is exactly zero at any threshold.
-/// assert!(!signature_diff(&local.read(), &remote.read(), 0)?.diverged);
-/// // One extra member on the remote: the delta trips the threshold.
-/// remote.add(&Hypervector::random(4096, &mut rng))?;
-/// assert!(signature_diff(&local.read(), &remote.read(), 32)?.diverged);
-/// # Ok::<(), hdhash_hdc::DimensionMismatchError>(())
-/// ```
-///
-/// # Errors
-///
-/// Returns [`DimensionMismatchError`] when the signatures disagree on `d`.
-pub fn signature_diff(
-    a: &Hypervector,
-    b: &Hypervector,
-    threshold: usize,
-) -> Result<SignatureDelta, DimensionMismatchError> {
-    if a.dimension() != b.dimension() {
-        return Err(DimensionMismatchError { left: a.dimension(), right: b.dimension() });
-    }
-    let distance = a.hamming_distance(b);
-    Ok(SignatureDelta {
-        distance,
-        dimension: a.dimension(),
-        threshold,
-        diverged: distance > threshold,
-    })
-}
 
 /// An incrementally maintained majority centroid over a changing
 /// membership of hypervectors.
@@ -315,74 +231,5 @@ mod tests {
         let mut centroid = MembershipCentroid::new(64);
         assert!(centroid.add(&Hypervector::zeros(65)).is_err());
         assert!(centroid.is_empty());
-    }
-
-    #[test]
-    fn signature_diff_no_false_positives_at_d10k() {
-        // Two replicas that reached the same 32-member pool through
-        // different interleavings read byte-identical signatures: distance
-        // is exactly 0 and no threshold — including 0 — reports divergence.
-        let d = 10_000;
-        let mut rng = Rng::new(17);
-        let members: Vec<Hypervector> =
-            (0..32).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let mut a = MembershipCentroid::new(d);
-        for hv in &members {
-            a.add(hv).expect("dims");
-        }
-        // Replica b: add in reverse, churn one member in and out.
-        let mut b = MembershipCentroid::new(d);
-        for hv in members.iter().rev() {
-            b.add(hv).expect("dims");
-        }
-        b.remove(&members[5]).expect("present");
-        b.add(&members[5]).expect("dims");
-        for threshold in [0usize, 10, 500] {
-            let delta = signature_diff(&a.read(), &b.read(), threshold).expect("dims");
-            assert_eq!(delta.distance, 0);
-            assert!(!delta.diverged, "identical memberships must never diverge");
-            assert_eq!(delta.normalized(), 0.0);
-        }
-    }
-
-    #[test]
-    fn signature_diff_no_false_negatives_at_d10k() {
-        // Replicas differing by one member of 32 at d = 10k: the distance
-        // lands far above any sane threshold, so the mismatch is caught.
-        let d = 10_000;
-        let mut rng = Rng::new(18);
-        let members: Vec<Hypervector> =
-            (0..32).map(|_| Hypervector::random(d, &mut rng)).collect();
-        let straggler = Hypervector::random(d, &mut rng);
-        let mut a = MembershipCentroid::new(d);
-        let mut b = MembershipCentroid::new(d);
-        for hv in &members {
-            a.add(hv).expect("dims");
-            b.add(hv).expect("dims");
-        }
-        b.add(&straggler).expect("dims");
-        let delta = signature_diff(&a.read(), &b.read(), 64).expect("dims");
-        assert!(
-            delta.distance > 64,
-            "one of 33 members must perturb ≫ 64 bits, got {}",
-            delta.distance
-        );
-        assert!(delta.diverged);
-        assert_eq!(delta.dimension, d);
-        assert_eq!(delta.threshold, 64);
-    }
-
-    #[test]
-    fn signature_diff_threshold_boundary_and_errors() {
-        let d = 256;
-        let a = Hypervector::zeros(d);
-        let mut b = Hypervector::zeros(d);
-        b.flip_bits([0, 1, 2]);
-        // distance == threshold is still agreement; one past it diverges.
-        let at = signature_diff(&a, &b, 3).expect("dims");
-        assert_eq!((at.distance, at.diverged), (3, false));
-        let past = signature_diff(&a, &b, 2).expect("dims");
-        assert_eq!((past.distance, past.diverged), (3, true));
-        assert!(signature_diff(&a, &Hypervector::zeros(255), 0).is_err());
     }
 }

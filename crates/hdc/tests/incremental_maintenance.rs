@@ -1,8 +1,8 @@
 //! Exactness of incremental membership maintenance: counter-plane
 //! add/remove must be **byte-identical** to from-scratch re-bundling over
 //! any interleaving of additions and retractions — the property that lets
-//! the classifier and the hash tables update `O(log n)` planes per
-//! membership change instead of re-bundling the full membership.
+//! the classifier update `O(log n)` planes per membership change instead
+//! of re-bundling the full membership.
 
 use hdhash_hdc::accumulator::BundleAccumulator;
 use hdhash_hdc::maintenance::MembershipCentroid;

@@ -36,8 +36,10 @@ pub struct ServeConfig {
     pub dimension: usize,
     /// Codebook cardinality `n` of every shard's table.
     pub codebook_size: usize,
-    /// Base seed; shard `i` derives its codebook from `seed + i`, so the
-    /// shards' geometries are independent.
+    /// Base seed; shard `i` derives its codebook basis from `seed + i`.
+    /// Slot assignment does not depend on it (every table hashes keys and
+    /// servers with one fixed hash), so all shards place a given id on
+    /// the same codebook slot.
     pub seed: u64,
     /// Lookup-engine options for every shard's table. The engine has a
     /// single layout and scan, so [`EngineOptions`] has no fields and this

@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use hdhash_core::HdHashTable;
-use hdhash_hdc::Hypervector;
 use hdhash_obs::{SpanKind, Tracer};
 use hdhash_table::{DynamicHashTable, RequestKey, ServerId, TableError};
 
@@ -396,8 +395,8 @@ impl ServeEngine {
         Ok(receipts)
     }
 
-    /// The currently published snapshot of every shard (epoch, members,
-    /// signature) — cheap `Arc` clones.
+    /// The currently published snapshot of every shard (epoch, members)
+    /// — cheap `Arc` clones.
     #[must_use]
     pub fn snapshots(&self) -> Vec<Arc<ShardSnapshot>> {
         self.core.shards.iter().map(Shard::load).collect()
@@ -409,15 +408,13 @@ impl ServeEngine {
         self.core.shards.len()
     }
 
-    /// Every shard's published membership signature — the payload a
-    /// gossip round adverts to peer replicas. Shards are seeded
-    /// independently, so each signature fingerprints the membership
-    /// through a different codebook geometry; comparing all of them (any
-    /// disagreeing shard ⇒ diverged) defeats the per-codebook slot
-    /// collisions that could mask a divergence in a single signature.
+    /// Every shard's published membership digest
+    /// ([`ShardSnapshot::digest`]) — the payload a gossip round adverts
+    /// to peer replicas: 16 bytes per shard, equal iff the member id sets
+    /// are equal (up to a 128-bit hash collision).
     #[must_use]
-    pub fn shard_signatures(&self) -> Vec<Hypervector> {
-        self.core.shards.iter().map(|s| s.load().signature.clone()).collect()
+    pub fn shard_digests(&self) -> Vec<u128> {
+        self.core.shards.iter().map(|s| s.load().digest()).collect()
     }
 
     /// Drives `shard`'s membership to exactly `target` through the
@@ -746,35 +743,36 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_shard_and_signatures_expose_the_gossip_surface() {
+    fn reconcile_shard_and_digests_expose_the_gossip_surface() {
         let engine = ServeEngine::new(test_config()).expect("valid config");
         assert_eq!(engine.shard_count(), 3);
         engine.join(ServerId::new(1)).expect("fresh");
         engine.join(ServerId::new(2)).expect("fresh");
-        let before = engine.shard_signatures();
+        let before = engine.shard_digests();
         assert_eq!(before.len(), 3);
-        // Reconcile shard 0 to a different membership: only its signature
+        // Every shard holds the same member set, so reads the same digest.
+        assert!(before.iter().all(|&d| d == before[0]));
+        // Reconcile shard 0 to a different membership: only its digest
         // moves, and its snapshot serves the new member set.
         let target: Vec<ServerId> = [1u64, 5].into_iter().map(ServerId::new).collect();
         let receipt =
             engine.reconcile_shard(0, &target).expect("fits").expect("moved");
         assert_eq!(receipt.shard, 0);
-        let after = engine.shard_signatures();
+        let after = engine.shard_digests();
         assert_ne!(after[0], before[0]);
         assert_eq!(after[1..], before[1..]);
         assert_eq!(engine.snapshots()[0].member_ids(), target);
         // Idempotent: same target again publishes nothing.
         assert!(engine.reconcile_shard(0, &target).expect("no-op").is_none());
-        // Converging every shard to one membership equalizes nothing
-        // *across* shards (independent geometries) but matches a directly
-        // built engine byte for byte.
+        // Converging every shard to one membership matches a directly
+        // built engine.
         for shard in 0..engine.shard_count() {
             engine.reconcile_shard(shard, &target).expect("fits");
         }
         let direct = ServeEngine::new(test_config()).expect("valid config");
         direct.join(ServerId::new(1)).expect("fresh");
         direct.join(ServerId::new(5)).expect("fresh");
-        assert_eq!(engine.shard_signatures(), direct.shard_signatures());
+        assert_eq!(engine.shard_digests(), direct.shard_digests());
     }
 
     #[test]

@@ -1,20 +1,23 @@
-//! Signature-driven anti-entropy gossip between replica engines.
+//! Digest-driven anti-entropy gossip between replica engines.
 //!
-//! Replicas periodically advert their per-shard membership **signatures**
-//! (`d` bits per shard, from the incremental majority centroid) instead of
-//! member lists. A receiver compares the advert against its own signatures
-//! with [`signature_diff`] — exact-zero distance for identical
-//! memberships, so the check has **no false positives** — and only when a
-//! shard diverges does the expensive payload move: a push–pull record
-//! exchange ([`MemberRecord`]s, last-writer-wins semantics) that both
-//! sides fold in through [`ReplicatedEngine::merge`], reconciling every
-//! shard via the clone → epoch-publish path. Readers never block on
-//! a reconciliation.
+//! Replicas periodically advert one exact membership **digest** per shard
+//! ([`ShardSnapshot::digest`], 16 bytes) instead of member lists: the
+//! checksum-before-exchange step of anti-entropy (Demers et al.,
+//! "Epidemic Algorithms for Replicated Database Maintenance", PODC 1987).
+//! A receiver compares the advert against its own digests. Equal member
+//! sets read equal digests and different ones read different digests (up
+//! to a 128-bit hash collision), so the check has neither false positives
+//! nor, in practice, false negatives. Only when a shard diverges does the
+//! expensive payload move: a push–pull record exchange
+//! ([`MemberRecord`]s, last-writer-wins semantics) that both sides fold
+//! in through [`ReplicatedEngine::merge`], reconciling every shard via
+//! the clone → epoch-publish path. Readers never block on a
+//! reconciliation.
 //!
 //! ```text
 //!   A                                   B
-//!   │ tick: Advert {sigs[shard]}        │
-//!   ├──────────────────────────────────►│  compare via signature_diff
+//!   │ tick: Advert {digests[shard]}     │
+//!   ├──────────────────────────────────►│  compare digests
 //!   │                                   │  (agree → done, 1 message)
 //!   │      SyncRequest {records of B}   │
 //!   │◄──────────────────────────────────┤  diverged → push B's records
@@ -28,16 +31,15 @@
 //! round re-adverts current state, so the protocol is memoryless across
 //! rounds and self-heals lost or reordered messages.
 //!
-//! [`signature_diff`]: hdhash_hdc::maintenance::signature_diff
+//! [`ShardSnapshot::digest`]: crate::shard::ShardSnapshot::digest
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hdhash_hdc::maintenance::signature_diff;
-use hdhash_hdc::Hypervector;
 use hdhash_obs::{SpanKind, Tracer};
+use hdhash_table::ServerId;
 use parking_lot::Mutex;
 
 use crate::replication::{MemberRecord, ReplicatedEngine};
@@ -51,13 +53,13 @@ use crate::transport::{Envelope, ReplicaId, Transport};
 /// and the measured TCP byte counters describe the same protocol cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GossipMessage {
-    /// Round opener: the sender's per-shard membership signatures.
+    /// Round opener: the sender's per-shard membership digests.
     Advert {
         /// The sender's round counter (diagnostic only — anti-entropy is
         /// memoryless across rounds).
         round: u64,
-        /// One signature per shard, in shard order.
-        signatures: Vec<Hypervector>,
+        /// One digest per shard, in shard order.
+        digests: Vec<u128>,
         /// Piggybacked seen-through confirmation: the highest capture
         /// LSN of the **destination's** log whose full record set the
         /// sender has merged — the tombstone-GC watermark input. `None`
@@ -76,7 +78,7 @@ pub enum GossipMessage {
         stamp: u64,
         /// The requesting replica's full record set (with tombstones).
         records: Vec<MemberRecord>,
-        /// Which shards' signatures diverged (diagnostic + accounting;
+        /// Which shards' digests diverged (diagnostic + accounting;
         /// membership is engine-global, so one record set covers all).
         diverged: Vec<usize>,
     },
@@ -94,8 +96,8 @@ pub enum GossipMessage {
 
 /// Message-frame header: 1 tag byte + 8 round bytes + 4 length bytes.
 const FRAME_HEADER: usize = 13;
-/// Per-signature header: 4 dimension bytes.
-const SIGNATURE_HEADER: usize = 4;
+/// One membership digest: 16 bytes.
+const DIGEST_FIELD: usize = 16;
 /// Optional ack on adverts: 1 presence byte + 8 value bytes.
 const ACK_FIELD: usize = 9;
 /// Capture-LSN stamp on sync payloads: 8 bytes.
@@ -106,13 +108,8 @@ impl GossipMessage {
     #[must_use]
     pub fn wire_size(&self) -> usize {
         match self {
-            GossipMessage::Advert { signatures, .. } => {
-                FRAME_HEADER
-                    + ACK_FIELD
-                    + signatures
-                        .iter()
-                        .map(|s| SIGNATURE_HEADER + s.word_len() * 8)
-                        .sum::<usize>()
+            GossipMessage::Advert { digests, .. } => {
+                FRAME_HEADER + ACK_FIELD + digests.len() * DIGEST_FIELD
             }
             GossipMessage::SyncRequest { records, diverged, .. } => {
                 FRAME_HEADER
@@ -224,8 +221,10 @@ pub struct GossipMetrics {
     pub bytes_received: u64,
     /// Sends refused by the transport (unknown/disconnected peer).
     pub send_failures: u64,
-    /// Messages dropped as malformed (shard-count or dimension mismatch)
-    /// plus merges the engine refused (capacity).
+    /// Adverts dropped as malformed (shard-count mismatch) plus merges
+    /// the engine refused (capacity). A peer with another dimension,
+    /// codebook size or seed but the same shard count is not detected:
+    /// the digests cover member ids only.
     pub protocol_errors: u64,
     /// Tombstones expired by the seen-through watermark GC.
     pub tombstones_expired: u64,
@@ -363,13 +362,13 @@ impl<T: Transport> GossipNode<T> {
         &self.replica
     }
 
-    /// Opens one round: adverts the current per-shard signatures to
+    /// Opens one round: adverts the current per-shard digests to
     /// `min(fanout, peers)` deterministically selected peers (every peer
     /// on small sets — see [`GossipConfig::fanout`]). Cost per adverted
-    /// peer is `shards · d` bits — member lists never move unless a
-    /// signature disagrees. Each advert piggybacks the seen-through ack
-    /// for its destination, and acknowledged tombstones are collected
-    /// before the signatures are read.
+    /// peer is 16 bytes per shard — member lists never move unless a
+    /// digest disagrees. Each advert piggybacks the seen-through ack for
+    /// its destination, and acknowledged tombstones are collected before
+    /// the digests are read.
     pub fn tick(&self) {
         let round = self.round.fetch_add(1, Ordering::Relaxed) + 1;
         Counters::add(&self.counters.rounds, 1);
@@ -384,18 +383,11 @@ impl<T: Transport> GossipNode<T> {
         Counters::add(&self.counters.tombstones_expired, expired as u64);
         self.retry_expired_syncs(round);
         let targets = self.round_targets(round);
-        let mut signatures = Some(self.replica.shard_signatures());
-        for (i, &peer) in targets.iter().enumerate() {
-            // The last peer takes ownership; earlier peers get clones, so
-            // the common 2-replica set adverts without copying.
-            let payload = if i + 1 == targets.len() {
-                signatures.take().unwrap_or_default()
-            } else {
-                signatures.clone().unwrap_or_default()
-            };
+        let digests = self.replica.shard_digests();
+        for &peer in &targets {
             let message = GossipMessage::Advert {
                 round,
-                signatures: payload,
+                digests: digests.clone(),
                 ack: self.replica.ack_for(peer),
             };
             if self.send(peer, message) {
@@ -656,23 +648,15 @@ impl<T: Transport> GossipNode<T> {
         }
     }
 
-    /// Shard indices whose signatures diverge from `remote`'s, or `None`
-    /// when the advert is malformed (shard count / dimension mismatch —
-    /// the peer runs an incompatible geometry).
-    fn diverged_shards(&self, remote: &[Hypervector]) -> Option<Vec<usize>> {
-        let local = self.replica.shard_signatures();
+    /// Shard indices whose digests differ from `remote`'s, or `None` when
+    /// the advert is malformed (shard-count mismatch — the peer runs an
+    /// incompatible geometry).
+    fn diverged_shards(&self, remote: &[u128]) -> Option<Vec<usize>> {
+        let local = self.replica.shard_digests();
         if local.len() != remote.len() {
             return None;
         }
-        let mut diverged = Vec::new();
-        for (shard, (ours, theirs)) in local.iter().zip(remote).enumerate() {
-            // Identical memberships read distance exactly 0, so any
-            // nonzero distance is a divergence.
-            if signature_diff(ours, theirs, 0).ok()?.diverged {
-                diverged.push(shard);
-            }
-        }
-        Some(diverged)
+        Some((0..local.len()).filter(|&shard| local[shard] != remote[shard]).collect())
     }
 
     /// Merges a full record set sent by `from`, captured at `from`'s log
@@ -695,20 +679,20 @@ impl<T: Transport> GossipNode<T> {
         // Any message is a heartbeat: the detector only measures silence.
         self.note_heard(from);
         match message {
-            GossipMessage::Advert { round, signatures, ack } => {
+            GossipMessage::Advert { round, digests, ack } => {
                 Counters::add(&self.counters.adverts_received, 1);
                 if let Some(seen_through) = ack {
                     // The peer confirms it merged our records through our
                     // clock `seen_through` — watermark input for GC.
                     self.replica.record_ack(from, seen_through);
                 }
-                let Some(diverged) = self.diverged_shards(&signatures) else {
+                let Some(diverged) = self.diverged_shards(&digests) else {
                     Counters::add(&self.counters.protocol_errors, 1);
                     return;
                 };
                 if diverged.is_empty() {
-                    // Replicas agree — 1 message, d·shards bits. An
-                    // in-flight sync to this peer became moot.
+                    // Replicas agree — 1 message, 16 bytes per shard.
+                    // An in-flight sync to this peer became moot.
                     self.outstanding.lock().remove(&from);
                     return;
                 }
@@ -818,23 +802,53 @@ impl<T: Transport> GossipHandle<T> {
     }
 }
 
-/// Whether every replica pair reads byte-identical per-shard signatures
-/// (and, by the centroid's purity, identical memberships at the slot
-/// level).
+/// Each shard's published member ids, sorted.
+fn shard_members(replica: &ReplicatedEngine) -> Vec<Vec<ServerId>> {
+    replica.engine().snapshots().iter().map(|s| s.member_ids()).collect()
+}
+
+/// Whether every replica publishes the same sorted member ids on every
+/// shard. This is the exact check; adverts compare the digests of the
+/// same sets.
 #[must_use]
 pub fn converged(replicas: &[&ReplicatedEngine]) -> bool {
     let Some((first, rest)) = replicas.split_first() else {
         return true;
     };
-    let reference = first.shard_signatures();
-    rest.iter().all(|r| r.shard_signatures() == reference)
+    let reference = shard_members(first);
+    rest.iter().all(|r| shard_members(r) == reference)
+}
+
+/// How far a replica set is from [`converged`], in members: per shard,
+/// the most member ids any replica's published set differs by from
+/// replica 0's (the size of the symmetric difference), summed over
+/// shards. 0 iff converged.
+#[must_use]
+pub fn member_divergence(replicas: &[&ReplicatedEngine]) -> u64 {
+    let Some((first, rest)) = replicas.split_first() else {
+        return 0;
+    };
+    let others: Vec<Vec<Vec<ServerId>>> = rest.iter().map(|r| shard_members(r)).collect();
+    let shards = shard_members(first);
+    let worst_per_shard = shards.iter().enumerate().map(|(shard, ours)| {
+        let ours: BTreeSet<&ServerId> = ours.iter().collect();
+        others
+            .iter()
+            .map(|theirs| {
+                let theirs: BTreeSet<&ServerId> = theirs.get(shard).into_iter().flatten().collect();
+                ours.symmetric_difference(&theirs).count() as u64
+            })
+            .max()
+            .unwrap_or(0)
+    });
+    worst_per_shard.sum()
 }
 
 /// Drives one explicit round across a node set: every node adverts
 /// ([`tick`](GossipNode::tick)), then the set pumps until no message is
 /// in flight. The single round primitive behind [`run_until_converged`],
 /// the CLI `replicate` demo and `bench_gossip` — callers that want to
-/// observe per-round state (signature distance, metrics) call this in
+/// observe per-round state (member divergence, metrics) call this in
 /// their own loop.
 pub fn run_round<T: Transport>(nodes: &[GossipNode<T>]) {
     for node in nodes {
@@ -874,7 +888,6 @@ mod tests {
     use super::*;
     use crate::transport::InProcessNetwork;
     use crate::ServeConfig;
-    use hdhash_table::ServerId;
 
     fn config(shards: usize) -> ServeConfig {
         ServeConfig {
@@ -911,13 +924,8 @@ mod tests {
 
     #[test]
     fn wire_size_accounts_for_payloads() {
-        let sig = Hypervector::zeros(2048); // 32 words
-        let advert = GossipMessage::Advert {
-            round: 1,
-            signatures: vec![sig.clone(), sig],
-            ack: Some(4),
-        };
-        assert_eq!(advert.wire_size(), 13 + 9 + 2 * (4 + 32 * 8));
+        let advert = GossipMessage::Advert { round: 1, digests: vec![7, 9], ack: Some(4) };
+        assert_eq!(advert.wire_size(), 13 + 9 + 2 * 16);
         let record = MemberRecord { server: ServerId::new(1), version: 2, alive: true };
         let request = GossipMessage::SyncRequest {
             round: 1,
@@ -947,8 +955,8 @@ mod tests {
         assert_eq!(m1.divergence_detections, 0);
         assert_eq!(m1.syncs_sent, 0);
         assert_eq!(m0.records_adopted + m1.records_adopted, 0);
-        // Advert cost only: shards · (4 + d/8) + header + ack field.
-        assert_eq!(m0.bytes_sent, 13 + 9 + 2 * (4 + 2048 / 8));
+        // Advert cost only: header + ack field + 16 bytes per shard.
+        assert_eq!(m0.bytes_sent, 13 + 9 + 2 * 16);
     }
 
     #[test]

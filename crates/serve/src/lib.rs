@@ -5,8 +5,8 @@
 //! single-caller, synchronous library code. `hdhash-serve` is the front
 //! end that puts the workspace's three performance layers — the
 //! slot-deduplicated batched lookup engine, the runtime-dispatched SIMD
-//! distance kernels, and the incremental membership maintenance — under
-//! real concurrent traffic:
+//! distance kernels, and the epoch-published shard tables — under real
+//! concurrent traffic:
 //!
 //! ```text
 //!  generator ──► request queue ──► coalescing workers ─► shard 0 ─┐
@@ -30,8 +30,7 @@
 //!   [`try_response`](Ticket::try_response).
 //! * **Epoch-based reconfiguration** — each shard holds one table, inside
 //!   its published snapshot. A join or leave clones that table, applies
-//!   itself to the clone through the incremental counter-plane machinery
-//!   (`MembershipCentroid`), and publishes the clone as an immutable
+//!   itself to the clone, and publishes the clone as an immutable
 //!   snapshot behind an `Arc` pointer-swap; a failed change publishes
 //!   nothing. Readers clone the `Arc` and never wait on the
 //!   reconfiguration work; every response reports the epoch it was served
@@ -44,10 +43,10 @@
 //!   snapshots.
 //! * **Replica anti-entropy** — 2+ engines form a replica set:
 //!   [`gossip`] nodes periodically advert per-shard membership
-//!   *signatures* over a pluggable [`transport`], detect divergence with
-//!   [`signature_diff`](hdhash_hdc::maintenance::signature_diff) (exact:
-//!   identical memberships read distance 0), and reconcile only diverged
-//!   state through a last-writer-wins record exchange ([`replication`])
+//!   *digests* (16 bytes each, an exact additive multiset hash of the
+//!   member ids) over a pluggable [`transport`], detect divergence by
+//!   comparing them, and reconcile only diverged state through a
+//!   last-writer-wins record exchange ([`replication`])
 //!   applied via the same clone → epoch-publish path — replicas
 //!   converge while readers keep streaming. Rounds advert to
 //!   `min(fanout, peers)` deterministically selected peers, and a
@@ -69,7 +68,7 @@
 //!   partial/garbage-frame connection drops, and bounded drop-oldest
 //!   outboxes for slow peers. The `hdhash-cli cluster` mode and
 //!   `tests/cluster.rs` run ≥3 replica *processes* that reconverge to
-//!   byte-identical signatures after a real SIGKILL + restart.
+//!   identical per-shard digests after a real SIGKILL + restart.
 //!
 //! ## Quick example
 //!

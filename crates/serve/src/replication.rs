@@ -19,17 +19,16 @@
 //!   ([`ServeEngine::reconcile_shard`]), so reconciliation is invisible to
 //!   in-flight lookups.
 //!
-//! The log converges member *ids*; per-shard membership **signatures** are
-//! a pure function of the membership (see
-//! [`membership_signature`](hdhash_core::HdHashTable::membership_signature)),
-//! so converged logs imply byte-identical signatures — which is exactly
-//! what the gossip layer's cheap divergence check compares.
+//! The log converges member *ids*. Each shard's membership **digest**
+//! ([`ShardSnapshot::digest`](crate::shard::ShardSnapshot::digest)) is an
+//! exact function of its member id set, so converged logs imply equal
+//! digests, and unequal member sets read unequal digests — which is what
+//! the gossip layer's cheap divergence check compares.
 
 use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
-use hdhash_hdc::Hypervector;
 use hdhash_table::{RequestKey, ServerId, TableError};
 
 use crate::config::ServeConfig;
@@ -70,8 +69,8 @@ pub struct MergeOutcome {
 }
 
 impl MergeOutcome {
-    /// Whether the merge changed the live membership (signatures move iff
-    /// this is true).
+    /// Whether the merge changed the live membership (the engine
+    /// reconciles its shards, and their digests move, iff this is true).
     #[must_use]
     pub fn changed_membership(&self) -> bool {
         !self.joined.is_empty() || !self.left.is_empty()
@@ -301,8 +300,8 @@ struct LogState {
 /// b.merge(&a.records())?;
 /// a.merge(&b.records())?;
 /// assert_eq!(a.member_ids(), b.member_ids());
-/// // …and therefore the per-shard signatures, byte for byte.
-/// assert_eq!(a.shard_signatures(), b.shard_signatures());
+/// // …and therefore the per-shard digests.
+/// assert_eq!(a.shard_digests(), b.shard_digests());
 /// # Ok::<(), hdhash_serve::ServeError>(())
 /// ```
 #[derive(Debug)]
@@ -316,8 +315,9 @@ impl ReplicatedEngine {
     /// Builds a fresh engine for this replica.
     ///
     /// Replicas of one set must share the engine geometry (`shards`,
-    /// `dimension`, `codebook_size`, `seed`): signatures are only
-    /// comparable between identically seeded shard codebooks.
+    /// `dimension`, `codebook_size`, `seed`): equal member sets only
+    /// route alike on identically seeded shard codebooks. Adverts check
+    /// the shard count; the rest is not on the wire.
     ///
     /// # Errors
     ///
@@ -416,10 +416,10 @@ impl ReplicatedEngine {
         self.state.lock().log.records()
     }
 
-    /// Every shard's published membership signature — the advert payload.
+    /// Every shard's published membership digest — the advert payload.
     #[must_use]
-    pub fn shard_signatures(&self) -> Vec<Hypervector> {
-        self.engine.shard_signatures()
+    pub fn shard_digests(&self) -> Vec<u128> {
+        self.engine.shard_digests()
     }
 
     /// Whether the engine trails the log: a previous [`merge`](Self::merge)
@@ -518,7 +518,7 @@ impl ReplicatedEngine {
     /// Expires tombstones every peer in `peers` has acknowledged
     /// ([`MembershipLog::expire_tombstones`]); returns how many were
     /// dropped. Pure log hygiene: the live membership, and therefore the
-    /// engine and its signatures, never move.
+    /// engine and its digests, never move.
     pub fn collect_tombstones(&self, peers: &[ReplicaId]) -> usize {
         self.state.lock().log.expire_tombstones(peers)
     }
@@ -775,7 +775,7 @@ mod tests {
         // The other direction converges the pair.
         a.merge(&b.records()).expect("capacity fits");
         assert_eq!(a.member_ids(), b.member_ids());
-        assert_eq!(a.shard_signatures(), b.shard_signatures());
+        assert_eq!(a.shard_digests(), b.shard_digests());
     }
 
     #[test]

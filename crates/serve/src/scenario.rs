@@ -29,7 +29,7 @@
 //!    unreachable) and sheds the remainder itself: the shed count per tick
 //!    is `max(0, arrivals − window)` by construction, not a race outcome.
 //! 3. **Fingerprint discipline** — [`ScenarioReport::fingerprint`] folds
-//!    only deterministic fields (counts, epochs, membership, signature
+//!    only deterministic fields (counts, epochs, membership, digest
 //!    hashes); wall-clock latency is reported alongside but never
 //!    fingerprinted.
 //!
@@ -58,14 +58,13 @@ use std::time::{Duration, Instant};
 use hdhash_emulator::shaping::{ArrivalProcess, ArrivalShape, BurstProcess, BurstShape};
 use hdhash_emulator::{KeyDistribution, KeySampler, Request, Trace};
 use hdhash_hashfn::{mix64, SplitMix64};
-use hdhash_hdc::Hypervector;
 use hdhash_obs::HistogramSnapshot;
 use hdhash_table::{RequestKey, ServerId};
 
 use crate::chaos::{ChaosEndpoint, ChaosNetwork, FaultPlan, LinkFaults};
 use crate::config::ServeConfig;
 use crate::engine::ServeEngine;
-use crate::gossip::{converged, GossipConfig, GossipNode};
+use crate::gossip::{converged, member_divergence, GossipConfig, GossipNode};
 use crate::load::REAP_TIMEOUT;
 use crate::replication::ReplicatedEngine;
 use crate::request::Ticket;
@@ -431,13 +430,13 @@ pub struct PhaseMetrics {
     /// worst per-shard spread (max − min) of published epochs. Always 0
     /// for single-engine scenarios.
     pub epoch_lag: u64,
-    /// Anti-entropy distance at phase end: summed over shards, the worst
-    /// Hamming distance between replica 0's signature and any peer's.
-    /// Always 0 for single-engine scenarios; 0 at the end of a converged
-    /// replicated run.
+    /// Anti-entropy distance at phase end, in members: summed over
+    /// shards, the most member ids any peer's set differs by from replica
+    /// 0's ([`member_divergence`]). Always 0 for single-engine scenarios;
+    /// 0 at the end of a converged replicated run.
     pub divergence: u64,
-    /// Hash of replica 0's per-shard membership signatures at phase end.
-    pub signature_hash: u64,
+    /// Hash of replica 0's per-shard membership digests at phase end.
+    pub digest_hash: u64,
     /// Engine-side submit-to-response latency distribution of this phase
     /// (nanoseconds; aggregated over every shard of every replica, then
     /// delta'd against the previous phase). Wall-clock — excluded from
@@ -464,7 +463,7 @@ impl PhaseMetrics {
             self.epoch_max,
             self.epoch_lag,
             self.divergence,
-            self.signature_hash,
+            self.digest_hash,
         ]
         .into_iter()
         .fold(acc, |a, v| mix64(a ^ v))
@@ -497,16 +496,16 @@ pub struct ScenarioReport {
     /// Tickets abandoned at the reap timeout across the whole run. Zero
     /// against healthy engines.
     pub hung_tickets: u64,
-    /// Whether the replica set ended byte-identical (trivially `true`
-    /// for single-engine scenarios).
+    /// Whether the replica set ended with equal per-shard member sets
+    /// (trivially `true` for single-engine scenarios).
     pub converged: bool,
     /// Quiescent anti-entropy rounds needed after the last tick before
     /// the set converged (0 when it was already converged, or for
     /// single-engine scenarios).
     pub recovery_rounds: u64,
-    /// Per-replica hash of the final per-shard signatures; all equal iff
+    /// Per-replica hash of the final per-shard digests; all equal iff
     /// `converged`.
-    pub replica_signatures: Vec<u64>,
+    pub replica_digests: Vec<u64>,
     /// Wall time of the whole run. Excluded from the fingerprint.
     pub wall: Duration,
 }
@@ -514,7 +513,7 @@ pub struct ScenarioReport {
 impl ScenarioReport {
     /// A 64-bit digest of every deterministic field of the run. Two runs
     /// of the same scenario, config and seed produce equal fingerprints;
-    /// any divergence in counts, epochs, membership or signatures changes
+    /// any divergence in counts, epochs, membership or digests changes
     /// it.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
@@ -528,8 +527,8 @@ impl ScenarioReport {
         for phase in &self.phases {
             acc = phase.fold(acc);
         }
-        for &sig in &self.replica_signatures {
-            acc = mix64(acc ^ sig);
+        for &digest in &self.replica_digests {
+            acc = mix64(acc ^ digest);
         }
         for v in [
             self.epoch_mismatches,
@@ -603,6 +602,7 @@ pub fn run_with_observer(
     let replicas: Vec<Arc<ReplicatedEngine>> = (0..scenario.replicas)
         .map(|i| ReplicatedEngine::new(ReplicaId::new(i as u64), engine_config).map(Arc::new))
         .collect::<Result<_, _>>()?;
+    let replica_refs: Vec<&ReplicatedEngine> = replicas.iter().map(Arc::as_ref).collect();
 
     // Replicated scenarios gossip over the chaos transport so crash and
     // loss overlays replay from the seed; time is the shared virtual
@@ -764,8 +764,8 @@ pub fn run_with_observer(
                     .max()
                     .unwrap_or(0),
                 epoch_lag: epoch_lag(&replicas),
-                divergence: divergence_bits(&replicas),
-                signature_hash: signature_hash(&replicas[0].shard_signatures()),
+                divergence: member_divergence(&replica_refs),
+                digest_hash: digest_hash(&replicas[0].shard_digests()),
                 latency: agg.delta_since(&prev_hist),
                 wall: phase_started.elapsed(),
             };
@@ -778,12 +778,11 @@ pub fn run_with_observer(
     }
 
     // 7. Post-run drain: quiescent anti-entropy rounds until the set is
-    //    byte-identical (bounded; lingering faults healed part-way).
+    //    converged (bounded; lingering faults healed part-way).
     let mut recovery_rounds = 0u64;
     let mut is_converged = true;
     if let Some(net) = &net {
-        let refs: Vec<&ReplicatedEngine> = replicas.iter().map(Arc::as_ref).collect();
-        is_converged = converged(&refs);
+        is_converged = converged(&replica_refs);
         for round in 0..RECOVERY_CAP {
             if is_converged {
                 break;
@@ -793,13 +792,13 @@ pub fn run_with_observer(
             }
             exchange(net);
             recovery_rounds += 1;
-            is_converged = converged(&refs);
+            is_converged = converged(&replica_refs);
         }
         debug_assert!(net.stats().reconciles(), "chaos conservation identity violated");
     }
 
-    let replica_signatures: Vec<u64> =
-        replicas.iter().map(|r| signature_hash(&r.shard_signatures())).collect();
+    let replica_digests: Vec<u64> =
+        replicas.iter().map(|r| digest_hash(&r.shard_digests())).collect();
 
     Ok(ScenarioReport {
         scenario: scenario.name,
@@ -809,7 +808,7 @@ pub fn run_with_observer(
         hung_tickets,
         converged: is_converged,
         recovery_rounds,
-        replica_signatures,
+        replica_digests,
         wall: started.elapsed(),
     })
 }
@@ -845,36 +844,13 @@ fn epoch_lag(replicas: &[Arc<ReplicatedEngine>]) -> u64 {
         .unwrap_or(0)
 }
 
-/// Summed worst-case Hamming distance between replica 0's per-shard
-/// signatures and any peer's.
-fn divergence_bits(replicas: &[Arc<ReplicatedEngine>]) -> u64 {
-    if replicas.len() < 2 {
-        return 0;
-    }
-    let reference = replicas[0].shard_signatures();
-    let mut total = 0u64;
-    for (shard, sig) in reference.iter().enumerate() {
-        let worst = replicas[1..]
-            .iter()
-            .map(|r| {
-                let theirs = r.shard_signatures();
-                theirs
-                    .get(shard)
-                    .map_or(sig.dimension(), |other| sig.hamming_distance(other))
-            })
-            .max()
-            .unwrap_or(0);
-        total += worst as u64;
-    }
-    total
-}
-
-/// Order-sensitive hash of a signature vector's raw words.
-fn signature_hash(signatures: &[Hypervector]) -> u64 {
+/// Order-sensitive hash of a digest vector.
+fn digest_hash(digests: &[u128]) -> u64 {
     let mut acc = 0x51_6E41_u64;
-    for signature in signatures {
-        for &word in signature.as_words() {
-            acc = mix64(acc ^ word);
+    for &digest in digests {
+        #[allow(clippy::cast_possible_truncation)]
+        for half in [(digest >> 64) as u64, digest as u64] {
+            acc = mix64(acc ^ half);
         }
     }
     acc

@@ -5,9 +5,7 @@
 //! change never edits that table. Under the shard's writer lock it clones
 //! the published table (the codebook basis is `Arc`-shared, so the copy is
 //! the member row matrix and the bookkeeping beside it), applies itself to
-//! the clone — joins and leaves ride the incremental counter-plane
-//! signature (`MembershipCentroid` inside `HdHashTable`), never a
-//! re-bundle — and publishes the clone as the next epoch with a pointer
+//! the clone and publishes the clone as the next epoch with a pointer
 //! swap under a micro-lock. Readers therefore never wait on a
 //! reconfiguration in progress, and a change that fails, even part-way,
 //! drops its clone: nothing is published and no epoch is burnt.
@@ -15,13 +13,16 @@
 //! Every snapshot carries the epoch that published it; responses echo the
 //! epoch, which is what lets the churn tests prove a response was computed
 //! against a consistent membership (no torn reads).
+//!
+//! A snapshot's [`digest`](ShardSnapshot::digest) is the exact membership
+//! identity replicas compare before they exchange member records.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use hdhash_core::HdHashTable;
-use hdhash_hdc::Hypervector;
+use hdhash_hashfn::mix64;
 use hdhash_table::{DynamicHashTable, RequestKey, ServerId, TableError};
 
 /// An immutable, epoch-stamped view of one shard's table, shared with the
@@ -35,9 +36,6 @@ pub struct ShardSnapshot {
     pub epoch: u64,
     /// The membership live in this epoch, in join order.
     pub members: Vec<ServerId>,
-    /// The pool's membership signature at publication (the incremental
-    /// majority centroid) — the anti-entropy comparison point.
-    pub signature: Hypervector,
     table: HdHashTable,
 }
 
@@ -71,6 +69,23 @@ impl ShardSnapshot {
     pub fn member_ids(&self) -> Vec<ServerId> {
         self.table.member_ids()
     }
+
+    /// An exact 128-bit digest of this epoch's member ids: the wrapping
+    /// sum of a 128-bit mix of each id, an additive multiset hash (Clarke
+    /// et al., ASIACRYPT 2003). Join order does not matter. Two different
+    /// member sets read the same digest only through a 128-bit hash
+    /// collision, so replicas that compare digests see every divergence.
+    #[must_use]
+    pub fn digest(&self) -> u128 {
+        self.members.iter().fold(0u128, |sum, &server| sum.wrapping_add(mix128(server.get())))
+    }
+}
+
+/// Two independently seeded 64-bit mixes of `id`, as one 128-bit value.
+fn mix128(id: u64) -> u128 {
+    let high = mix64(id ^ 0x9E37_79B9_7F4A_7C15);
+    let low = mix64(id ^ 0xD1B5_4A32_D192_ED03);
+    (u128::from(high) << 64) | u128::from(low)
 }
 
 /// Receipt of one published reconfiguration: the new epoch and the full
@@ -103,7 +118,6 @@ impl Shard {
             shard: index,
             epoch: 0,
             members: table.servers(),
-            signature: table.membership_signature(),
             table,
         };
         Self { index, writer: Mutex::new(()), published: Mutex::new(Arc::new(genesis)) }
@@ -160,7 +174,6 @@ impl Shard {
             shard: self.index,
             epoch,
             members,
-            signature: table.membership_signature(),
             table,
         });
         Ok(Some(receipt))
@@ -242,5 +255,24 @@ mod tests {
         // Fixed point: no moves, no epoch, no publication.
         assert!(shard.reconcile(&target).expect("no-op").is_none());
         assert_eq!(shard.load().epoch, 5);
+    }
+
+    #[test]
+    fn digest_is_the_member_set_and_ignores_join_order() {
+        let (a, b) = (Shard::new(0, table()), Shard::new(0, table()));
+        assert_eq!(a.load().digest(), 0, "the empty set sums to zero");
+        for id in [3u64, 50, 9] {
+            a.reconfigure(|t| t.join(ServerId::new(id))).expect("fresh");
+        }
+        for id in [9u64, 3, 106] {
+            b.reconfigure(|t| t.join(ServerId::new(id))).expect("fresh");
+        }
+        // 50 and 106 share a codebook slot, so only the ids tell them apart.
+        let slot = |shard: &Shard, id| shard.load().table.slot_of_server(ServerId::new(id));
+        assert_eq!(slot(&a, 50), slot(&b, 106));
+        assert_ne!(a.load().digest(), b.load().digest());
+        b.reconfigure(|t| t.leave(ServerId::new(106))).expect("present");
+        b.reconfigure(|t| t.join(ServerId::new(50))).expect("fresh");
+        assert_eq!(a.load().digest(), b.load().digest());
     }
 }

@@ -447,7 +447,7 @@ fn writer_loop(shared: &Shared, peer: &PeerState) {
 /// a.add_peer(ReplicaId::new(1), b.local_addr());
 /// b.add_peer(ReplicaId::new(0), a.local_addr());
 /// let (ea, eb) = (a.endpoint(), b.endpoint());
-/// ea.send(ReplicaId::new(1), GossipMessage::Advert { round: 1, signatures: vec![], ack: None })?;
+/// ea.send(ReplicaId::new(1), GossipMessage::Advert { round: 1, digests: vec![], ack: None })?;
 /// let envelope = eb.recv_timeout(Duration::from_secs(5)).expect("delivered over TCP");
 /// assert_eq!(envelope.from, ReplicaId::new(0));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
@@ -735,7 +735,7 @@ mod tests {
     }
 
     fn advert(round: u64) -> GossipMessage {
-        GossipMessage::Advert { round, signatures: Vec::new(), ack: None }
+        GossipMessage::Advert { round, digests: Vec::new(), ack: None }
     }
 
     #[test]

@@ -112,8 +112,8 @@ pub fn export_engine(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &E
 pub fn export_gossip(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &GossipMetrics) {
     let counters: [(&str, &str, u64); 19] = [
         ("hdhash_gossip_rounds_total", "Gossip rounds opened", m.rounds),
-        ("hdhash_gossip_adverts_sent_total", "Signature adverts sent", m.adverts_sent),
-        ("hdhash_gossip_adverts_received_total", "Signature adverts received", m.adverts_received),
+        ("hdhash_gossip_adverts_sent_total", "Digest adverts sent", m.adverts_sent),
+        ("hdhash_gossip_adverts_received_total", "Digest adverts received", m.adverts_received),
         (
             "hdhash_gossip_divergence_detections_total",
             "Adverts that revealed divergence",
@@ -132,7 +132,11 @@ pub fn export_gossip(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &G
         ("hdhash_gossip_bytes_sent_total", "Protocol bytes sent (wire accounting)", m.bytes_sent),
         ("hdhash_gossip_bytes_received_total", "Protocol bytes received", m.bytes_received),
         ("hdhash_gossip_send_failures_total", "Transport sends that failed", m.send_failures),
-        ("hdhash_gossip_protocol_errors_total", "Malformed or incompatible messages", m.protocol_errors),
+        (
+            "hdhash_gossip_protocol_errors_total",
+            "Adverts with another shard count plus refused merges",
+            m.protocol_errors,
+        ),
         (
             "hdhash_gossip_tombstones_expired_total",
             "Tombstones expired by the watermark GC",

@@ -15,13 +15,12 @@
 //! offset size  field
 //! 0      1     tag: 0 Advert · 1 SyncRequest · 2 SyncResponse
 //! 1      8     round (u64 LE)
-//! 9      4     count (u32 LE): signatures (Advert) or records (Sync*)
+//! 9      4     count (u32 LE): digests (Advert) or records (Sync*)
 //! 13     …     body (tag-specific, see below)
 //! ```
 //!
 //! * **Advert** body: `ack_present` (1 B, 0/1) + `ack` (8 B, zero when
-//!   absent), then per signature `dimension` (u32 LE) + the word-aligned
-//!   bit payload (`word_len · 8` bytes, LE words).
+//!   absent), then one 16-byte membership digest (u128 LE) per shard.
 //! * **SyncRequest** body: `stamp` (8 B) + `diverged_count` (u32 LE) +
 //!   one u16 LE per diverged shard + `count` × 17-byte member records.
 //! * **SyncResponse** body: `stamp` (8 B) + `count` × 17-byte records.
@@ -33,20 +32,18 @@
 //! ```text
 //! offset size  field
 //! 0      1     magic 0xC7
-//! 1      1     codec version (1)
+//! 1      1     codec version (2)
 //! 2      8     sender replica id (u64 LE) — every frame self-identifies
 //! 10     4     payload length (u32 LE), capped at MAX_PAYLOAD
 //! 14     4     CRC32 (IEEE) of the payload (u32 LE)
 //! 18     …     payload = one encoded message
 //! ```
 //!
-//! Decoding is strict: non-canonical bytes (a 2 in a boolean slot, junk
-//! in a signature's unused tail bits, a non-zero ack value marked
-//! absent, trailing garbage) are rejected as [`FrameError`]s rather than
-//! silently normalized, so `encode ∘ decode` is the identity on valid
-//! frames and a corrupted connection is detected instead of trusted.
-
-use hdhash_hdc::Hypervector;
+//! Decoding is strict: non-canonical bytes (a 2 in a boolean slot, a
+//! non-zero ack value marked absent, trailing garbage) are rejected as
+//! [`FrameError`]s rather than silently normalized, so `encode ∘ decode`
+//! is the identity on valid frames and a corrupted connection is
+//! detected instead of trusted.
 
 use crate::gossip::GossipMessage;
 use crate::replication::MemberRecord;
@@ -58,8 +55,9 @@ use hdhash_table::ServerId;
 pub const FRAME_MAGIC: u8 = 0xC7;
 /// Codec version stamped into every frame header. Bumps on any layout
 /// change; a mismatch is rejected as [`FrameError::BadVersion`] so mixed
-/// deployments fail loudly instead of mis-parsing.
-pub const WIRE_VERSION: u8 = 1;
+/// deployments fail loudly instead of mis-parsing. Version 2 adverts
+/// carry 16-byte membership digests.
+pub const WIRE_VERSION: u8 = 2;
 /// Bytes the TCP frame envelope adds around one encoded message: magic +
 /// version + sender id + length + checksum. Measured socket bytes exceed
 /// the `wire_size` accounting by exactly this much per frame.
@@ -95,8 +93,8 @@ pub enum FrameError {
     /// Unknown message tag.
     BadTag(u8),
     /// Structurally valid but non-canonical payload (boolean byte not
-    /// 0/1, junk tail bits in a signature, absent ack with a non-zero
-    /// value, trailing bytes).
+    /// 0/1, absent ack with a non-zero value, an element count past
+    /// [`MAX_PAYLOAD`], trailing bytes).
     BadPayload,
 }
 
@@ -118,7 +116,7 @@ impl std::error::Error for FrameError {}
 
 /// CRC32 (IEEE 802.3 polynomial, bitwise): the frame checksum. ~1 ns/B
 /// is plenty for a control-plane protocol whose largest frames are a few
-/// KiB of signatures.
+/// KiB of member records.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
@@ -147,17 +145,14 @@ fn push_u32(out: &mut Vec<u8>, value: usize) {
 pub fn encode_message(message: &GossipMessage) -> Vec<u8> {
     let mut out = Vec::with_capacity(message.wire_size());
     match message {
-        GossipMessage::Advert { round, signatures, ack } => {
+        GossipMessage::Advert { round, digests, ack } => {
             out.push(TAG_ADVERT);
             out.extend_from_slice(&round.to_le_bytes());
-            push_u32(&mut out, signatures.len());
+            push_u32(&mut out, digests.len());
             out.push(u8::from(ack.is_some()));
             out.extend_from_slice(&ack.unwrap_or(0).to_le_bytes());
-            for signature in signatures {
-                push_u32(&mut out, signature.dimension());
-                for word in signature.as_words() {
-                    out.extend_from_slice(&word.to_le_bytes());
-                }
+            for digest in digests {
+                out.extend_from_slice(&digest.to_le_bytes());
             }
         }
         GossipMessage::SyncRequest { round, stamp, records, diverged } => {
@@ -235,6 +230,13 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(word))
     }
 
+    fn u128(&mut self) -> Result<u128, FrameError> {
+        let b = self.take(16)?;
+        let mut word = [0u8; 16];
+        word.copy_from_slice(b);
+        Ok(u128::from_le_bytes(word))
+    }
+
     fn boolean(&mut self) -> Result<bool, FrameError> {
         match self.u8()? {
             0 => Ok(false),
@@ -259,22 +261,6 @@ fn decode_record(r: &mut Reader<'_>) -> Result<MemberRecord, FrameError> {
     Ok(MemberRecord { server, version, alive })
 }
 
-fn decode_signature(r: &mut Reader<'_>) -> Result<Hypervector, FrameError> {
-    let dimension = r.u32()? as usize;
-    if dimension == 0 || dimension > MAX_PAYLOAD * 8 {
-        return Err(FrameError::BadPayload);
-    }
-    let word_len = dimension.div_ceil(64);
-    let words = r.take(word_len * 8)?;
-    let byte_len = dimension.div_ceil(8);
-    // `from_bytes` takes the tight ceil(d/8) byte form and rejects junk
-    // tail *bits*; the word-aligned padding bytes past it must be zero.
-    if words[byte_len..].iter().any(|&b| b != 0) {
-        return Err(FrameError::BadPayload);
-    }
-    Hypervector::from_bytes(dimension, &words[..byte_len]).map_err(|_| FrameError::BadPayload)
-}
-
 /// Parses one message payload produced by [`encode_message`].
 ///
 /// # Errors
@@ -297,11 +283,11 @@ pub fn decode_message(bytes: &[u8]) -> Result<GossipMessage, FrameError> {
                 return Err(FrameError::BadPayload);
             }
             let ack = present.then_some(ack_value);
-            let mut signatures = Vec::with_capacity(count.min(1024));
+            let mut digests = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                signatures.push(decode_signature(&mut r)?);
+                digests.push(r.u128()?);
             }
-            GossipMessage::Advert { round, signatures, ack }
+            GossipMessage::Advert { round, digests, ack }
         }
         TAG_SYNC_REQUEST => {
             let stamp = r.u64()?;
@@ -408,14 +394,6 @@ pub fn decode_frame_payload(
 mod tests {
     use super::*;
 
-    fn sig(d: usize, flips: &[usize]) -> Hypervector {
-        let mut hv = Hypervector::zeros(d);
-        for &bit in flips {
-            hv.flip_bit(bit);
-        }
-        hv
-    }
-
     fn record(id: u64, version: u64, alive: bool) -> MemberRecord {
         MemberRecord { server: ServerId::new(id), version, alive }
     }
@@ -423,12 +401,8 @@ mod tests {
     #[test]
     fn message_round_trips_and_matches_wire_size() {
         let messages = vec![
-            GossipMessage::Advert { round: 0, signatures: vec![], ack: None },
-            GossipMessage::Advert {
-                round: 7,
-                signatures: vec![sig(2048, &[0, 7, 2047]), sig(100, &[99])],
-                ack: Some(42),
-            },
+            GossipMessage::Advert { round: 0, digests: vec![], ack: None },
+            GossipMessage::Advert { round: 7, digests: vec![0, u128::MAX, 1 << 64], ack: Some(42) },
             GossipMessage::SyncRequest {
                 round: 3,
                 stamp: 11,
@@ -450,11 +424,7 @@ mod tests {
 
     #[test]
     fn frame_round_trips_with_exact_overhead() {
-        let message = GossipMessage::Advert {
-            round: 5,
-            signatures: vec![sig(512, &[1, 500])],
-            ack: Some(3),
-        };
+        let message = GossipMessage::Advert { round: 5, digests: vec![0xC0FFEE], ack: Some(3) };
         let from = ReplicaId::new(77);
         let frame = encode_frame(from, &message);
         assert_eq!(frame.len(), message.wire_size() + FRAME_OVERHEAD);
@@ -512,17 +482,9 @@ mod tests {
         *bytes.last_mut().expect("alive byte") = 2;
         assert_eq!(decode_message(&bytes), Err(FrameError::BadPayload));
         // Absent ack with a non-zero value.
-        let advert = GossipMessage::Advert { round: 1, signatures: vec![], ack: None };
+        let advert = GossipMessage::Advert { round: 1, digests: vec![5], ack: None };
         let mut bytes = encode_message(&advert);
         bytes[MESSAGE_HEADER + 1] = 0xFF;
-        assert_eq!(decode_message(&bytes), Err(FrameError::BadPayload));
-        // Junk in a signature's unused tail bits (d=100 leaves 28 tail
-        // bits in word 2).
-        let advert =
-            GossipMessage::Advert { round: 1, signatures: vec![sig(100, &[0])], ack: None };
-        let mut bytes = encode_message(&advert);
-        let last = bytes.len() - 1;
-        bytes[last] = 0x80;
         assert_eq!(decode_message(&bytes), Err(FrameError::BadPayload));
         // Trailing garbage.
         let mut bytes = encode_message(&advert);

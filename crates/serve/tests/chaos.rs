@@ -11,8 +11,8 @@
 //! * **Convergence after heal** — whatever the fault plan did (drops up
 //!   to 50%, bounded delay, duplication, reordering, asymmetric
 //!   partitions, crash/restart), once the network heals the replica set
-//!   reaches byte-identical per-shard membership signatures within a
-//!   bounded number of rounds.
+//!   reaches identical per-shard member sets and digests within a bounded
+//!   number of rounds.
 //! * **No resurrection** — tombstone GC is gated on the *full* peer set
 //!   (dead or partitioned peers included), so a removed member never
 //!   reappears when a stale replica rejoins, no matter how long its acks
@@ -55,7 +55,7 @@ fn chaos_set(n: u64, shards: usize, engine_seed: u64, plan: FaultPlan) -> (Arc<C
         .map(|i| {
             let id = ReplicaId::new(i);
             // Every replica shares the engine seed: identical codebook
-            // geometry is what makes converged memberships byte-identical.
+            // geometry is what makes converged memberships route alike.
             let replica = Arc::new(
                 ReplicatedEngine::new(id, serve_config(shards, engine_seed))
                     .expect("valid config"),
@@ -108,20 +108,21 @@ fn rounds_to_converge(
     None
 }
 
-fn assert_byte_identical_signatures(replicas: &[&ReplicatedEngine]) {
-    let reference = replicas[0].shard_signatures();
-    let members = replicas[0].member_ids();
+/// The merged logs, every shard's published member ids and every shard's
+/// digest agree across the set, and each shard serves its log's members.
+fn assert_identical_shard_members(replicas: &[&ReplicatedEngine]) {
+    let view = |replica: &ReplicatedEngine| {
+        let shards: Vec<Vec<ServerId>> =
+            replica.engine().snapshots().iter().map(|s| s.member_ids()).collect();
+        (replica.member_ids(), shards, replica.shard_digests())
+    };
+    let (members, shards, digests) = view(replicas[0]);
+    assert!(shards.iter().all(|ids| *ids == members), "a shard trails the merged log");
     for replica in &replicas[1..] {
-        assert_eq!(replica.member_ids(), members, "memberships diverged");
-        let signatures = replica.shard_signatures();
-        assert_eq!(signatures.len(), reference.len());
-        for (shard, (ours, theirs)) in reference.iter().zip(&signatures).enumerate() {
-            assert_eq!(
-                ours.as_words(),
-                theirs.as_words(),
-                "shard {shard} signatures differ at the word level"
-            );
-        }
+        let (their_members, their_shards, their_digests) = view(replica);
+        assert_eq!(their_members, members, "memberships diverged");
+        assert_eq!(their_shards, shards, "per-shard member ids differ");
+        assert_eq!(their_digests, digests, "per-shard digests differ");
     }
 }
 
@@ -181,7 +182,7 @@ fn convergence_after_heal_across_drop_rate_grid() {
             );
             let replicas: Vec<&ReplicatedEngine> =
                 nodes.iter().map(GossipNode::replica).collect();
-            assert_byte_identical_signatures(&replicas);
+            assert_identical_shard_members(&replicas);
             assert_eq!(replicas[0].member_ids(), diverged_want(n), "drop={drop}‰ n={n}");
             let stats = net.stats();
             assert!(stats.reconciles(), "drop={drop}‰ n={n}: {stats:?}");
@@ -219,7 +220,7 @@ fn asymmetric_partition_under_heavy_loss_converges_after_heal() {
         .unwrap_or_else(|| panic!("failed to converge after heal (seed {seed:#x})"));
     println!("asymmetric partition healed in {rounds} rounds");
     let replicas: Vec<&ReplicatedEngine> = nodes.iter().map(GossipNode::replica).collect();
-    assert_byte_identical_signatures(&replicas);
+    assert_identical_shard_members(&replicas);
     assert_eq!(replicas[0].member_ids(), diverged_want(3));
     assert!(net.stats().reconciles());
     // The sync retry machinery actually ran under this much loss.
@@ -285,7 +286,7 @@ fn removed_member_stays_dead_across_a_partition() {
     let rounds = rounds_to_converge(&net, &nodes, 48)
         .unwrap_or_else(|| panic!("failed to converge after heal (seed {seed:#x})"));
     println!("partition healed, converged in {rounds} rounds");
-    assert_byte_identical_signatures(&replicas);
+    assert_identical_shard_members(&replicas);
     assert!(
         !replicas.iter().any(|r| r.member_ids().contains(&ServerId::new(3))),
         "resurrection: removed member came back after the partition healed"
@@ -321,7 +322,7 @@ fn crashed_replica_catches_up_after_restart() {
     let rounds = rounds_to_converge(&net, &nodes, 32)
         .unwrap_or_else(|| panic!("restarted replica failed to catch up (seed {seed:#x})"));
     println!("restart caught up in {rounds} rounds");
-    assert_byte_identical_signatures(&replicas);
+    assert_identical_shard_members(&replicas);
     let members = replicas[1].member_ids();
     assert!(members.contains(&ServerId::new(40)), "missed the join during its crash");
     assert!(!members.contains(&ServerId::new(2)), "missed the leave during its crash");
@@ -353,8 +354,8 @@ fn same_seed_replays_the_same_scenario() {
         }
         net.heal();
         let rounds = rounds_to_converge(&net, &nodes, 48).expect("converges after heal");
-        let signatures: Vec<_> =
-            nodes.iter().flat_map(|n| n.replica().shard_signatures()).collect();
+        let digests: Vec<_> =
+            nodes.iter().flat_map(|n| n.replica().shard_digests()).collect();
         let metrics: Vec<(u64, u64, u64)> = nodes
             .iter()
             .map(|n| {
@@ -362,13 +363,13 @@ fn same_seed_replays_the_same_scenario() {
                 (m.adverts_sent, m.syncs_sent, m.sync_retries)
             })
             .collect();
-        (net.stats(), rounds, signatures, metrics)
+        (net.stats(), rounds, digests, metrics)
     };
     let first = run();
     let second = run();
     assert_eq!(first.0, second.0, "fault counters diverged between replays");
     assert_eq!(first.1, second.1, "convergence rounds diverged");
-    assert_eq!(first.2, second.2, "final signatures diverged");
+    assert_eq!(first.2, second.2, "final digests diverged");
     assert_eq!(first.3, second.3, "gossip traffic diverged");
 }
 
@@ -421,7 +422,7 @@ fn randomized_soak_converges_after_heal() {
     });
     println!("soak converged in {rounds} rounds (drop={drop}‰ n={n})");
     let replicas: Vec<&ReplicatedEngine> = nodes.iter().map(GossipNode::replica).collect();
-    assert_byte_identical_signatures(&replicas);
+    assert_identical_shard_members(&replicas);
     assert_eq!(replicas[0].member_ids(), diverged_want(n));
     assert!(net.stats().reconciles(), "soak counters must reconcile: {:?}", net.stats());
 }
@@ -439,7 +440,7 @@ fn reliable_plan_full_stack_is_transparent() {
     let rounds = rounds_to_converge(&net, &nodes, 8).expect("reliable chaos converges");
     assert!(rounds <= 2, "quiescent pair took {rounds} rounds through the chaos stack");
     let replicas: Vec<&ReplicatedEngine> = nodes.iter().map(GossipNode::replica).collect();
-    assert_byte_identical_signatures(&replicas);
+    assert_identical_shard_members(&replicas);
     assert_eq!(replicas[0].member_ids(), diverged_want(2));
     let stats = net.stats();
     assert_eq!(stats.dropped_total(), 0);

@@ -83,7 +83,7 @@ fn run_script(
         let to = ReplicaId::new((step.from + 1 + step.to_offset) % REPLICAS);
         let message = GossipMessage::Advert {
             round: ordinal as u64,
-            signatures: Vec::new(),
+            digests: Vec::new(),
             ack: None,
         };
         endpoints[step.from as usize].send(to, message).expect("registered peer");

@@ -1,7 +1,7 @@
 //! Replica convergence under gossip: quiescent sets converge in a bounded
 //! number of rounds, and sets under **concurrent churn** (joins/leaves
-//! racing the gossip scheduler threads) converge to byte-identical
-//! per-shard membership signatures once the churn stops.
+//! racing the gossip scheduler threads) converge to identical per-shard
+//! member sets and digests once the churn stops.
 //!
 //! CI runs this suite with `--test-threads=1` and repeats the soak test,
 //! mirroring the concurrent-churn suite's discipline: the churn-vs-gossip
@@ -73,20 +73,21 @@ fn replica_set_with_fanout(
         .collect()
 }
 
-fn assert_byte_identical_signatures(replicas: &[&ReplicatedEngine]) {
-    let reference = replicas[0].shard_signatures();
-    let members = replicas[0].member_ids();
+/// The merged logs, every shard's published member ids and every shard's
+/// digest agree across the set, and each shard serves its log's members.
+fn assert_identical_shard_members(replicas: &[&ReplicatedEngine]) {
+    let view = |replica: &ReplicatedEngine| {
+        let shards: Vec<Vec<ServerId>> =
+            replica.engine().snapshots().iter().map(|s| s.member_ids()).collect();
+        (replica.member_ids(), shards, replica.shard_digests())
+    };
+    let (members, shards, digests) = view(replicas[0]);
+    assert!(shards.iter().all(|ids| *ids == members), "a shard trails the merged log");
     for replica in &replicas[1..] {
-        assert_eq!(replica.member_ids(), members, "memberships diverged");
-        let signatures = replica.shard_signatures();
-        assert_eq!(signatures.len(), reference.len());
-        for (shard, (ours, theirs)) in reference.iter().zip(&signatures).enumerate() {
-            assert_eq!(
-                ours.as_words(),
-                theirs.as_words(),
-                "shard {shard} signatures differ at the word level"
-            );
-        }
+        let (their_members, their_shards, their_digests) = view(replica);
+        assert_eq!(their_members, members, "memberships diverged");
+        assert_eq!(their_shards, shards, "per-shard member ids differ");
+        assert_eq!(their_digests, digests, "per-shard digests differ");
     }
 }
 
@@ -110,7 +111,7 @@ fn two_quiescent_replicas_converge_in_bounded_rounds() {
         assert!(rounds <= 2, "quiescent pair took {rounds} rounds (shards={shards})");
         let replicas: Vec<&ReplicatedEngine> =
             nodes.iter().map(GossipNode::replica).collect();
-        assert_byte_identical_signatures(&replicas);
+        assert_identical_shard_members(&replicas);
         // The union minus the tombstoned member.
         let want: Vec<ServerId> =
             (0..20u64).filter(|&id| id != 3).map(ServerId::new).collect();
@@ -130,7 +131,7 @@ fn three_replica_mesh_converges() {
     let rounds = run_until_converged(&nodes, 8).expect("must converge");
     assert!(rounds <= 2, "3-mesh took {rounds} rounds");
     let replicas: Vec<&ReplicatedEngine> = nodes.iter().map(GossipNode::replica).collect();
-    assert_byte_identical_signatures(&replicas);
+    assert_identical_shard_members(&replicas);
     assert_eq!(replicas[0].member_ids(), vec![ServerId::new(1), ServerId::new(2)]);
 }
 
@@ -157,7 +158,7 @@ fn six_replica_set_converges_under_restricted_fanout() {
         assert!(rounds <= 16, "fanout {fanout} took {rounds} rounds");
         let replicas: Vec<&ReplicatedEngine> =
             nodes.iter().map(GossipNode::replica).collect();
-        assert_byte_identical_signatures(&replicas);
+        assert_identical_shard_members(&replicas);
         // Union of all joins minus the tombstoned member.
         let want: Vec<ServerId> = (0..6u64)
             .flat_map(|i| (0..3u64).map(move |s| 10 * i + s))
@@ -183,7 +184,7 @@ fn lookups_agree_after_convergence() {
         set.into_iter().map(|(_, n)| n).collect();
     run_until_converged(&nodes, 8).expect("must converge");
     // Converged replicas route every key identically — the operational
-    // payoff of signature convergence.
+    // payoff of membership convergence.
     for k in 0..256u64 {
         let a = nodes[0].replica().submit(RequestKey::new(k)).expect("accepted").wait();
         let b = nodes[1].replica().submit(RequestKey::new(k)).expect("accepted").wait();
@@ -262,7 +263,7 @@ fn concurrent_churn_soak_converges() {
         let node_b = handle_b.stop();
         // Stopping drains in-flight messages; the set must still agree.
         assert!(converged(&[&a, &b]), "soak round {round}: diverged during shutdown");
-        assert_byte_identical_signatures(&[&a, &b]);
+        assert_identical_shard_members(&[&a, &b]);
         // Base members survived every race.
         let members = a.member_ids();
         for id in 0..8u64 {
@@ -271,4 +272,60 @@ fn concurrent_churn_soak_converges() {
         let rounds = node_a.metrics().rounds + node_b.metrics().rounds;
         assert!(rounds >= 2, "schedulers barely ran ({rounds} rounds)");
     }
+}
+
+/// The member set S of the two regressions below: base 0–7 plus parts of
+/// the soak's churn ranges.
+fn reproducer_set() -> Vec<u64> {
+    let mut ids: Vec<u64> = (0..8).collect();
+    ids.extend([100, 101, 102, 103, 109, 200, 202, 204, 206, 207, 208]);
+    ids
+}
+
+/// Two replicas of the soak's geometry (d = 2,048, n = 64, seed
+/// 0xC0FFEE), holding `a` and `b`.
+fn pair_holding(a: &[u64], b: &[u64]) -> Vec<GossipNode<InProcessEndpoint>> {
+    let set = replica_set(2, 2, 0xC0FFEE, Duration::from_millis(50));
+    for (ids, (replica, _)) in [a, b].into_iter().zip(&set) {
+        for &id in ids {
+            replica.join(ServerId::new(id)).expect("fresh");
+        }
+    }
+    set.into_iter().map(|(_, n)| n).collect()
+}
+
+/// One sync round must reconcile the pair to the union of its members.
+fn assert_one_round_to_union(nodes: &[GossipNode<InProcessEndpoint>], union: &[u64]) {
+    let replicas: Vec<&ReplicatedEngine> = nodes.iter().map(GossipNode::replica).collect();
+    assert!(!converged(&replicas), "different member sets reported converged");
+    assert_eq!(run_until_converged(nodes, 4), Some(1));
+    assert_identical_shard_members(&replicas);
+    let mut want: Vec<u64> = union.to_vec();
+    want.sort_unstable();
+    assert_eq!(replicas[0].member_ids(), want.into_iter().map(ServerId::new).collect::<Vec<_>>());
+}
+
+/// S and S ∪ {50, 108} read the same majority-centroid signature on both
+/// shards: the majority absorbs the two extra members. The digests differ.
+#[test]
+fn members_absorbed_by_the_majority_still_sync() {
+    let s = reproducer_set();
+    let mut wider = s.clone();
+    wider.extend([50, 108]);
+    let nodes = pair_holding(&s, &wider);
+    assert_one_round_to_union(&nodes, &wider);
+}
+
+/// Ids 50 and 106 hash to the same codebook slot, so S ∪ {50} and
+/// S ∪ {106} have identical encodings and signatures. The digests differ.
+#[test]
+fn slot_colliding_members_still_sync() {
+    let s = reproducer_set();
+    let (mut a, mut b) = (s.clone(), s.clone());
+    a.push(50);
+    b.push(106);
+    let nodes = pair_holding(&a, &b);
+    let mut union = a;
+    union.push(106);
+    assert_one_round_to_union(&nodes, &union);
 }

@@ -144,7 +144,7 @@ fn silent_peer_walks_the_detector_ladder_and_syncs_drain_to_abandoned() {
 
     // Survivors stayed converged with each other, and nothing of replica
     // 2's unexchanged extra members leaked across (adverts carry
-    // signatures, not records).
+    // digests, not records).
     assert!(converged(&[&replicas[0], &replicas[1]]), "survivors diverged");
     assert!(
         !replicas[0].member_ids().contains(&ServerId::new(20)),

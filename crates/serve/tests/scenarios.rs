@@ -30,7 +30,7 @@ fn deterministic_fields(p: &PhaseMetrics) -> [u64; 14] {
         p.epoch_max,
         p.epoch_lag,
         p.divergence,
-        p.signature_hash,
+        p.digest_hash,
     ]
 }
 
@@ -46,8 +46,8 @@ fn check_invariants(s: &Scenario, seed: u64) -> hdhash_serve::ScenarioReport {
     );
     assert!(report.converged, "{}: replica set must end converged", s.name);
     assert!(
-        report.replica_signatures.windows(2).all(|w| w[0] == w[1]),
-        "{}: converged ⇒ identical signature hashes",
+        report.replica_digests.windows(2).all(|w| w[0] == w[1]),
+        "{}: converged ⇒ identical digest hashes",
         s.name
     );
     for phase in &report.phases {
@@ -95,7 +95,7 @@ fn same_seed_reruns_are_bit_identical() {
                 pa.phase
             );
         }
-        assert_eq!(a.replica_signatures, b.replica_signatures);
+        assert_eq!(a.replica_digests, b.replica_digests);
         // A different seed must actually change the run.
         let c = scenario::run(&s, &ScenarioConfig::small(), CATALOG_SEED ^ 1)
             .expect("other seed");

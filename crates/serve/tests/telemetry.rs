@@ -57,7 +57,7 @@ fn run_chaos_traffic() -> hdhash_serve::ChaosStats {
     for round in 0..40 {
         a.send(
             ReplicaId::new(1),
-            GossipMessage::Advert { round, signatures: Vec::new(), ack: None },
+            GossipMessage::Advert { round, digests: Vec::new(), ack: None },
         )
         .expect("registered");
     }

@@ -314,9 +314,11 @@ impl Shell {
     }
 
     /// Anti-entropy demo: two replica engines diverge under local churn,
-    /// then signature-driven gossip reconciles them round by round.
+    /// then digest-driven gossip reconciles them round by round.
     fn cmd_replicate(args: &[&str]) -> Result<String, String> {
-        use hdhash::serve::gossip::{converged, run_round, GossipConfig, GossipNode};
+        use hdhash::serve::gossip::{
+            converged, member_divergence, run_round, GossipConfig, GossipNode,
+        };
         use hdhash::serve::replication::ReplicatedEngine;
         use hdhash::serve::transport::{InProcessNetwork, ReplicaId};
         use std::sync::Arc;
@@ -366,17 +368,11 @@ impl Shell {
                 replica.join(ServerId::new(100 + op))
             };
         }
-        let distance = |a: &ReplicatedEngine, b: &ReplicatedEngine| -> usize {
-            a.shard_signatures()
-                .iter()
-                .zip(b.shard_signatures())
-                .map(|(x, y)| x.hamming_distance(&y))
-                .sum()
-        };
+        let divergence = || member_divergence(&[&replicas[0], &replicas[1]]);
         let mut out = format!(
             "2 replicas × {shards} shard(s), {churn_ops} divergent ops; \
-             signature distance {} bit(s)\n",
-            distance(&replicas[0], &replicas[1]),
+             {} member id(s) differ over all shards\n",
+            divergence(),
         );
         let mut rounds = 0;
         while !converged(&[&replicas[0], &replicas[1]]) {
@@ -386,13 +382,13 @@ impl Shell {
             }
             run_round(&nodes);
             out.push_str(&format!(
-                "round {rounds}: signature distance {} bit(s)\n",
-                distance(&replicas[0], &replicas[1]),
+                "round {rounds}: {} member id(s) differ over all shards\n",
+                divergence(),
             ));
         }
         let metrics = nodes[0].metrics();
         out.push_str(&format!(
-            "converged in {rounds} round(s): {} member(s), byte-identical signatures; \
+            "converged in {rounds} round(s): {} member(s), identical per-shard digests; \
              replica0 sent {} B ({} advert(s), {} sync(s), {} record(s) adopted)\n",
             replicas[0].member_ids().len(),
             metrics.bytes_sent,
@@ -585,7 +581,7 @@ fn run_stats(args: &[String]) -> Result<String, String> {
     let (ea, eb) = (a.endpoint(), b.endpoint());
     ea.send(
         ReplicaId::new(1),
-        GossipMessage::Advert { round: 1, signatures: Vec::new(), ack: None },
+        GossipMessage::Advert { round: 1, digests: Vec::new(), ack: None },
     )
     .map_err(|e| e.to_string())?;
     if eb.recv_timeout(Duration::from_secs(10)).is_none() {
@@ -600,7 +596,7 @@ fn run_stats(args: &[String]) -> Result<String, String> {
     for round in 0..40 {
         ca.send(
             ReplicaId::new(1),
-            GossipMessage::Advert { round, signatures: Vec::new(), ack: None },
+            GossipMessage::Advert { round, digests: Vec::new(), ack: None },
         )
         .map_err(|e| e.to_string())?;
     }
@@ -711,7 +707,7 @@ fn run_simulate(args: &[String]) -> Result<String, String> {
     if s.replicas > 1 {
         out.push_str(&format!(
             "\nreplica set {} after {} recovery round(s)",
-            if report.converged { "converged (byte-identical signatures)" } else { "DIVERGED" },
+            if report.converged { "converged (identical per-shard members)" } else { "DIVERGED" },
             report.recovery_rounds,
         ));
     }
@@ -811,8 +807,8 @@ fn atty_stdin() -> bool {
 /// running a [`ReplicatedEngine`](hdhash::serve::replication) gossiping
 /// over framed loopback TCP, and a crash-recovery script: churn,
 /// converge, SIGKILL one replica mid-churn, restart it on a fresh port,
-/// and prove the cluster reconverges to byte-identical per-shard
-/// signatures.
+/// and prove the cluster reconverges to identical per-shard membership
+/// digests.
 ///
 /// The driver↔replica protocol is line-oriented over stdin/stdout (one
 /// response line per command), so a supervisor harness — or a human with
@@ -825,7 +821,7 @@ fn atty_stdin() -> bool {
 /// start                      -> ok
 /// join 7                     -> ok
 /// members                    -> members 7
-/// sig                        -> sig <hex per shard>
+/// digest                     -> digest <32 hex digits per shard>
 /// metrics                    -> metrics frames_sent=… bytes_sent=…
 /// quit                       -> bye
 /// ```
@@ -1077,13 +1073,10 @@ mod cluster {
                         network.stats().connections_reconnected,
                     )
                 }
-                "sig" => {
-                    let mut out = String::from("sig");
-                    for signature in replica.shard_signatures() {
-                        out.push(' ');
-                        for byte in signature.to_bytes() {
-                            out.push_str(&format!("{byte:02x}"));
-                        }
+                "digest" => {
+                    let mut out = String::from("digest");
+                    for digest in replica.shard_digests() {
+                        out.push_str(&format!(" {digest:032x}"));
                     }
                     out
                 }
@@ -1210,7 +1203,7 @@ mod cluster {
         }
     }
 
-    /// Polls `sig` on every replica until the lines are byte-identical.
+    /// Polls `digest` on every replica until the lines are identical.
     fn await_convergence(
         replicas: &mut [Replica],
         deadline: Duration,
@@ -1219,12 +1212,12 @@ mod cluster {
         let mut polls = 0;
         loop {
             polls += 1;
-            let mut sigs = Vec::with_capacity(replicas.len());
+            let mut digests = Vec::with_capacity(replicas.len());
             for replica in replicas.iter_mut() {
-                sigs.push(replica.command("sig")?);
+                digests.push(replica.command("digest")?);
             }
-            if sigs.windows(2).all(|w| w[0] == w[1]) && sigs[0].len() > "sig".len() {
-                return Ok((polls, sigs.remove(0)));
+            if digests.windows(2).all(|w| w[0] == w[1]) && digests[0].len() > "digest".len() {
+                return Ok((polls, digests.remove(0)));
             }
             if start.elapsed() > deadline {
                 return Err(format!(
@@ -1289,7 +1282,7 @@ mod cluster {
             replicas[0].expect_ok(&format!("leave {server}"))?;
         }
         let (polls, _) = await_convergence(&mut replicas, Duration::from_secs(60))?;
-        println!("[cluster] phase 1: converged after {polls} sig polls");
+        println!("[cluster] phase 1: converged after {polls} digest polls");
         // SIGKILL the last replica mid-churn: more churn lands on the
         // survivors while the corpse still holds its old port.
         let victim = replicas.len() - 1;
@@ -1303,10 +1296,10 @@ mod cluster {
             }
         }
         let (polls, _) = await_convergence(&mut replicas[..victim], Duration::from_secs(60))?;
-        println!("[cluster] phase 2: survivors reconverged after {polls} sig polls");
+        println!("[cluster] phase 2: survivors reconverged after {polls} digest polls");
         // Restart the victim on a fresh OS-assigned port, re-wire the
-        // survivors to it, and demand full-cluster byte-identical
-        // signatures again.
+        // survivors to it, and demand identical digests across the full
+        // cluster again.
         let restarted = Replica::spawn(victim_id, shards, seed, period_ms)?;
         println!(
             "[cluster] phase 3: replica{victim_id} restarted on {} (was {})",
@@ -1327,11 +1320,11 @@ mod cluster {
             replicas[victim].expect_ok(line)?;
         }
         replicas[victim].expect_ok("start")?;
-        let (polls, sig) = await_convergence(&mut replicas, Duration::from_secs(120))?;
+        let (polls, digests) = await_convergence(&mut replicas, Duration::from_secs(120))?;
         println!(
-            "[cluster] phase 3: full cluster reconverged after {polls} sig polls \
+            "[cluster] phase 3: full cluster reconverged after {polls} digest polls \
              ({} hex chars/shard set)",
-            sig.len() - 4
+            digests.len() - "digest ".len()
         );
         // Serve a lookup burst on every replica so the teardown
         // telemetry has real latency numbers behind it.
@@ -1380,7 +1373,7 @@ mod cluster {
         for replica in &mut replicas {
             replica.quit();
         }
-        println!("[cluster] ok: {n} processes, SIGKILL + restart, byte-identical signatures");
+        println!("[cluster] ok: {n} processes, SIGKILL + restart, identical digests");
         Ok(())
     }
 }

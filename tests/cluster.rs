@@ -6,7 +6,7 @@
 //! by a restart on a fresh OS-assigned port: the survivors are
 //! re-pointed at the new address, the restarted replica (which comes
 //! back *empty*) anti-entropies the full membership over the wire, and
-//! every process must end at byte-identical per-shard signatures.
+//! every process must end at identical per-shard membership digests.
 //!
 //! CI runs this single-threaded; every driver→replica command and its
 //! response is a deterministic line pair, so a failing run replays from
@@ -80,18 +80,18 @@ impl Drop for Replica {
     }
 }
 
-/// Polls `sig` across the set until every response line is
+/// Polls `digest` across the set until every response line is
 /// byte-identical; panics past the deadline. Returns the common line.
-fn await_identical_signatures(replicas: &mut [Replica], deadline: Duration) -> String {
+fn await_identical_digests(replicas: &mut [Replica], deadline: Duration) -> String {
     let start = Instant::now();
     loop {
-        let sigs: Vec<String> = replicas.iter_mut().map(|r| r.command("sig")).collect();
-        if sigs.windows(2).all(|w| w[0] == w[1]) && sigs[0].len() > "sig ".len() {
-            return sigs.into_iter().next().expect("nonempty");
+        let digests: Vec<String> = replicas.iter_mut().map(|r| r.command("digest")).collect();
+        if digests.windows(2).all(|w| w[0] == w[1]) && digests[0].len() > "digest ".len() {
+            return digests.into_iter().next().expect("nonempty");
         }
         assert!(
             start.elapsed() < deadline,
-            "signatures never converged; last poll: {sigs:#?}"
+            "digests never converged; last poll: {digests:#?}"
         );
         std::thread::sleep(Duration::from_millis(40));
     }
@@ -125,7 +125,7 @@ fn three_processes_reconverge_byte_identically_after_sigkill_and_restart() {
     }
     replicas[0].expect_ok("leave 0");
     replicas[1].expect_ok("leave 101");
-    let sig_before = await_identical_signatures(&mut replicas, Duration::from_secs(60));
+    let digest_before = await_identical_digests(&mut replicas, Duration::from_secs(60));
     let members_before = replicas[0].command("members");
     assert_eq!(replicas[1].command("members"), members_before, "memberships diverged");
     assert!(members_before.contains(" 205"), "replica2's range must have replicated");
@@ -140,8 +140,8 @@ fn three_processes_reconverge_byte_identically_after_sigkill_and_restart() {
         }
     }
     replicas[0].expect_ok("leave 102");
-    let sig_survivors = await_identical_signatures(&mut replicas[..2], Duration::from_secs(60));
-    assert_ne!(sig_survivors, sig_before, "post-kill churn must move the signatures");
+    let digest_survivors = await_identical_digests(&mut replicas[..2], Duration::from_secs(60));
+    assert_ne!(digest_survivors, digest_before, "post-kill churn must move the digests");
 
     // Phase 3 — restart on a fresh port. The new process starts EMPTY:
     // everything it ends up knowing must have crossed the wire. The
@@ -161,9 +161,9 @@ fn three_processes_reconverge_byte_identically_after_sigkill_and_restart() {
     }
     replicas[2].expect_ok("start");
 
-    let sig_after = await_identical_signatures(&mut replicas, Duration::from_secs(120));
+    let digest_after = await_identical_digests(&mut replicas, Duration::from_secs(120));
     assert_eq!(
-        sig_after, sig_survivors,
+        digest_after, digest_survivors,
         "the restarted replica must adopt the survivors' state, not perturb it"
     );
     // Membership agreement at the id level, across all three processes.
