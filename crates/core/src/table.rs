@@ -196,14 +196,20 @@ impl HdHashTable {
         Ok((joined, left))
     }
 
-    /// Resolves one request (Eq. 2).
-    fn resolve(&self, request: RequestKey) -> Result<ServerId, TableError> {
-        self.resolve_slot(self.codebook.slot_of(&request.to_bytes()))
-    }
-
-    /// Resolves a codebook slot — the unit every lookup reduces to, since
-    /// `Enc` factors through the slot. Batched lookups dedup on this.
-    fn resolve_slot(&self, slot: usize) -> Result<ServerId, TableError> {
+    /// Resolves a codebook slot (Eq. 2 for every request that encodes to
+    /// it): the unit every lookup reduces to, since `Enc` factors through
+    /// the slot. `lookup(k)` is `lookup_slot(slot_of_request(k))`, so an
+    /// epoch's whole routing function is this method over `n` slots —
+    /// which is what the serving layer's per-epoch route table caches.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TableError::EmptyPool`] when no members are live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not below the codebook size.
+    pub fn lookup_slot(&self, slot: usize) -> Result<ServerId, TableError> {
         let probe = self.codebook.hypervector(slot);
         if self.memory.is_empty() {
             return Err(TableError::EmptyPool);
@@ -279,7 +285,7 @@ impl DynamicHashTable for HdHashTable {
     }
 
     fn lookup(&self, request: RequestKey) -> Result<ServerId, TableError> {
-        self.resolve(request)
+        self.lookup_slot(self.slot_of_request(request))
     }
 
     fn lookup_batch(&self, requests: &[RequestKey]) -> Vec<Result<ServerId, TableError>> {
@@ -574,6 +580,27 @@ mod tests {
         let requests = keys(600);
         for (&r, batch_result) in requests.iter().zip(t.lookup_batch(&requests)) {
             assert_eq!(batch_result, t.lookup(r));
+        }
+    }
+
+    #[test]
+    fn lookup_slot_is_lookup_through_the_slot() {
+        let literal = hdhash_hdc::basis::FlipStrategy::Independent { flips_per_step: 32 };
+        for strategy in [hdhash_hdc::basis::FlipStrategy::Partition, literal] {
+            let mut t = HdHashTable::builder()
+                .dimension(4096)
+                .codebook_size(128)
+                .seed(17)
+                .flip_strategy(strategy)
+                .build()
+                .expect("valid config");
+            assert_eq!(t.lookup_slot(0), Err(TableError::EmptyPool), "{strategy:?}");
+            for i in 0..24 {
+                t.join(ServerId::new(i)).expect("fresh server");
+            }
+            for r in keys(1000) {
+                assert_eq!(t.lookup_slot(t.slot_of_request(r)), t.lookup(r), "{strategy:?} {r}");
+            }
         }
     }
 

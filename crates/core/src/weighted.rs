@@ -177,7 +177,7 @@ impl WeightedHdTable {
         match self.config.flip_strategy {
             hdhash_hdc::basis::FlipStrategy::Partition => {
                 // Quantized arg-max with a deterministic tie-break on
-                // (server, replica) — see HdHashTable::resolve.
+                // (server, replica) — see HdHashTable::lookup_slot.
                 let c = self.config.quantum();
                 self.memory
                     .nearest_quantized_by(probe, c, |&(server, index)| (server.get(), index))

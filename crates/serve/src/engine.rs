@@ -144,7 +144,6 @@ impl EngineCore {
     /// with poison-recovering mutexes.
     fn worker_loop(&self, worker: usize) {
         let mut batch: Vec<LookupJob> = Vec::with_capacity(self.config.batch_capacity);
-        let mut keys = Vec::new();
         let mut latencies = Vec::new();
         while self.take_batch(&mut batch) {
             if self.tracer.is_enabled() {
@@ -159,7 +158,7 @@ impl EngineCore {
                 }
             }
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.serve_batch(worker, &mut batch, &mut keys, &mut latencies);
+                self.serve_batch(worker, &mut batch, &mut latencies);
             }));
             if outcome.is_err() {
                 self.contain_panic(&mut batch);
@@ -168,17 +167,17 @@ impl EngineCore {
     }
 
     /// Serves one coalesced batch: jobs are grouped per shard and each
-    /// group resolved through a single epoch snapshot with one
-    /// `lookup_batch` call. `keys`/`latencies` are caller-owned scratch,
-    /// reused across batches. The lookup itself allocates on every call:
-    /// `HdHashTable::lookup_batch` builds the key → slot vector, a
-    /// slot → verdict `HashMap`, the distinct-slot and probe vectors, the
-    /// memory's per-probe verdict vector and the returned result vector.
+    /// group resolved job by job through a single epoch snapshot's route
+    /// table ([`ShardSnapshot`]). `latencies` is caller-owned scratch,
+    /// reused across batches. A batch allocates nothing else on its own:
+    /// a route hit is a slot hash and an array read, and a miss runs the
+    /// serial HD scan, which allocates nothing. The only allocation is the
+    /// route table itself (one word per codebook slot), made by the
+    /// epoch's first lookup.
     fn serve_batch(
         &self,
         worker: usize,
         batch: &mut Vec<LookupJob>,
-        keys: &mut Vec<RequestKey>,
         latencies: &mut Vec<Duration>,
     ) {
         batch.sort_by_key(|job| job.shard);
@@ -201,12 +200,11 @@ impl EngineCore {
             // One snapshot per shard-group: every response in the group is
             // computed against a single consistent epoch.
             let snapshot = self.shards[shard_idx].load();
-            keys.clear();
-            keys.extend(jobs.iter().map(|job| job.key));
-            let results = snapshot.lookup_batch(keys);
             latencies.clear();
-            let mut failures = 0;
-            for (job, result) in jobs.iter().zip(results) {
+            let (mut failures, mut scans) = (0, 0);
+            for job in jobs {
+                let (result, scanned) = snapshot.route(job.key);
+                scans += usize::from(scanned);
                 if result.is_err() {
                     failures += 1;
                 }
@@ -239,7 +237,7 @@ impl EngineCore {
                     started,
                 );
             }
-            self.metrics[shard_idx].record_batch(jobs.len(), failures, latencies);
+            self.metrics[shard_idx].record_batch(jobs.len(), failures, scans, latencies);
             self.completed.fetch_add(jobs.len() as u64, Ordering::Relaxed);
             start = end;
         }
@@ -498,15 +496,9 @@ impl ServeEngine {
         // Stragglers: accepted before the flag flipped, not yet picked up.
         let mut batch: Vec<LookupJob> = self.core.queue.lock().drain(..).collect();
         if !batch.is_empty() {
-            let (mut keys, mut latencies) = (Vec::new(), Vec::new());
             // The drain runs inline on the caller's thread; report it on
             // the lane one past the last worker.
-            self.core.serve_batch(
-                self.core.config.workers,
-                &mut batch,
-                &mut keys,
-                &mut latencies,
-            );
+            self.core.serve_batch(self.core.config.workers, &mut batch, &mut Vec::new());
         }
     }
 }
@@ -608,7 +600,7 @@ mod tests {
         assert!(core.take_batch(&mut batch));
         assert_eq!(batch.iter().map(|job| job.key.get()).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(core.queue.lock().front().map(|job| job.key.get()), Some(3));
-        core.serve_batch(0, &mut batch, &mut Vec::new(), &mut Vec::new());
+        core.serve_batch(0, &mut batch, &mut Vec::new());
         tickets.push(engine.submit(RequestKey::new(4)).expect("a pickup frees capacity"));
         // Shutdown serves the stragglers inline and leaves nothing queued.
         engine.shutdown();

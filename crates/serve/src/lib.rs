@@ -3,27 +3,32 @@
 //! The paper pitches the HD hash table as a dynamic hash table for
 //! datacenter-scale request routing; everything below this crate is
 //! single-caller, synchronous library code. `hdhash-serve` is the front
-//! end that puts the workspace's three performance layers — the
-//! slot-deduplicated batched lookup engine, the runtime-dispatched SIMD
-//! distance kernels, and the epoch-published shard tables — under real
-//! concurrent traffic:
+//! end that puts the workspace's performance layers — the HD scan over
+//! the runtime-dispatched SIMD distance kernels, the per-epoch route
+//! tables in front of it, and the epoch-published shard tables — under
+//! real concurrent traffic:
 //!
 //! ```text
 //!  generator ──► request queue ──► coalescing workers ─► shard 0 ─┐
 //!  (emulator)    (bounded FIFO;    (pick up to B jobs,  shard 1  ├─► metrics
 //!   clients ──►   rejects at        group by shard,     …        │   (depth,
-//!   submit())     capacity)         one batched lookup  shard N ─┘    fill,
-//!   wait ◄────────────────────────  per shard per batch)            p50/p99)
+//!   submit())     capacity)         one snapshot per    shard N ─┘    fill,
+//!   wait ◄────────────────────────  shard per batch)                p50/p99)
 //! ```
 //!
 //! * **One request path** — `submit` pushes onto a bounded FIFO queue
 //!   under the same lock idle workers wait on; a worker takes up to
 //!   [`ServeConfig::batch_capacity`] jobs per pickup, and each
 //!   [`Ticket`] resolves through a one-shot completion cell.
-//! * **Batch coalescing** — each batch is grouped by shard and drives
-//!   that shard's `HdHashTable::lookup_batch` once, so the
-//!   slot-deduplicated scan path sees multi-client traffic instead of one
-//!   synchronous caller.
+//! * **Batch coalescing** — each batch is grouped by shard, and every
+//!   group is served against one epoch snapshot of that shard.
+//! * **Per-epoch route tables** — `Enc` factors through the codebook
+//!   slot, so a snapshot caches its routing function: one atomic route
+//!   entry per slot, filled by the epoch's first lookup of the slot with
+//!   the verdict of the HD scan (`HdHashTable::lookup_slot`). Later
+//!   lookups of the slot read the entry. Every change starts the next
+//!   epoch's table cold. See [`ShardSnapshot`] and
+//!   [`ShardSnapshot::scrub_routes`].
 //! * **Tickets** — [`Ticket`] resolves by blocking
 //!   [`wait`](Ticket::wait), bounded
 //!   [`wait_timeout`](Ticket::wait_timeout), or non-blocking

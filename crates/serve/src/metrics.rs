@@ -20,18 +20,28 @@ use hdhash_obs::{HistogramSnapshot, LogHistogram};
 pub(crate) struct ShardMetrics {
     served: AtomicU64,
     failed: AtomicU64,
+    route_scans: AtomicU64,
     batches: AtomicU64,
     batch_fill: AtomicU64,
     latency_ns: LogHistogram,
 }
 
 impl ShardMetrics {
-    /// Accounts one coalesced batch served against this shard.
-    pub(crate) fn record_batch(&self, fill: usize, failures: usize, latencies: &[Duration]) {
+    /// Accounts one coalesced batch served against this shard: `fill`
+    /// lookups, of which `failures` returned an error and `scans` missed
+    /// the epoch's route table and ran the HD scan.
+    pub(crate) fn record_batch(
+        &self,
+        fill: usize,
+        failures: usize,
+        scans: usize,
+        latencies: &[Duration],
+    ) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batch_fill.fetch_add(fill as u64, Ordering::Relaxed);
         self.served.fetch_add(fill as u64, Ordering::Relaxed);
         self.failed.fetch_add(failures as u64, Ordering::Relaxed);
+        self.route_scans.fetch_add(scans as u64, Ordering::Relaxed);
         for sample in latencies {
             self.latency_ns.record(sample.as_nanos() as u64);
         }
@@ -48,6 +58,7 @@ impl ShardMetrics {
             members,
             served: self.served.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
+            route_scans: self.route_scans.load(Ordering::Relaxed),
             batches,
             mean_batch_fill: if batches == 0 { 0.0 } else { fill as f64 / batches as f64 },
             latency,
@@ -85,6 +96,12 @@ pub struct ShardMetricsSnapshot {
     pub served: u64,
     /// Lookups whose verdict was an error (e.g. empty pool).
     pub failed: u64,
+    /// Lookups that found their slot's route entry empty and ran the HD
+    /// scan. `route_scans / served` is the route table's miss rate: each
+    /// epoch pays at most one scan per codebook slot it serves (more only
+    /// when threads race to fill one entry, or for a slot won by id
+    /// `u64::MAX`, which has no route encoding).
+    pub route_scans: u64,
     /// Coalesced batches executed.
     pub batches: u64,
     /// Mean lookups per batch — the coalescing win; 1.0 means the queue
@@ -128,14 +145,15 @@ mod tests {
     #[test]
     fn batch_accounting_accumulates() {
         let m = ShardMetrics::default();
-        m.record_batch(3, 1, &[Duration::from_micros(10); 3]);
-        m.record_batch(5, 0, &[Duration::from_micros(20); 5]);
+        m.record_batch(3, 1, 2, &[Duration::from_micros(10); 3]);
+        m.record_batch(5, 0, 1, &[Duration::from_micros(20); 5]);
         let snap = m.snapshot(1, 7, 4);
         assert_eq!(snap.shard, 1);
         assert_eq!(snap.epoch, 7);
         assert_eq!(snap.members, 4);
         assert_eq!(snap.served, 8);
         assert_eq!(snap.failed, 1);
+        assert_eq!(snap.route_scans, 3);
         assert_eq!(snap.batches, 2);
         assert!((snap.mean_batch_fill - 4.0).abs() < 1e-12);
         let latency = snap.latency.expect("samples recorded");
@@ -162,7 +180,7 @@ mod tests {
             let m = Arc::clone(&m);
             std::thread::spawn(move || {
                 for i in 0..20_000u64 {
-                    m.record_batch(1, 0, &[Duration::from_nanos(i + 1)]);
+                    m.record_batch(1, 0, 0, &[Duration::from_nanos(i + 1)]);
                 }
             })
         };

@@ -14,10 +14,28 @@
 //! epoch, which is what lets the churn tests prove a response was computed
 //! against a consistent membership (no torn reads).
 //!
+//! ## Route tables
+//!
+//! `Enc` factors through the codebook slot, so within one epoch a
+//! snapshot's whole routing function has `n` inputs. Each snapshot caches
+//! it: a **route table** of one atomic word per slot, allocated by the
+//! epoch's first lookup and filled by the first lookup of each slot with
+//! the verdict its own table returns ([`HdHashTable::lookup_slot`]). Every
+//! later lookup of that slot is a hash and an array read. The table is
+//! exact by construction: concurrent fills of one entry store the same
+//! deterministic verdict, and no snapshot reads an entry another epoch
+//! filled. Every publish starts the next epoch's table cold.
+//!
+//! A route entry has none of a stored row's noise tolerance: one wrong
+//! entry mis-routes its whole slot.
+//! [`scrub_routes`](ShardSnapshot::scrub_routes) re-derives every filled
+//! entry from the stored rows.
+//!
 //! A snapshot's [`digest`](ShardSnapshot::digest) is the exact membership
 //! identity replicas compare before they exchange member records.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -25,9 +43,26 @@ use hdhash_core::HdHashTable;
 use hdhash_hashfn::mix64;
 use hdhash_table::{DynamicHashTable, RequestKey, ServerId, TableError};
 
+/// One route entry per codebook slot: `0` while the slot is unresolved in
+/// this epoch, else the winner's id plus one. `u64::MAX` has no encoding,
+/// so a slot it wins is resolved by the scan on every lookup.
+type Routes = Box<[AtomicU64]>;
+
+const UNRESOLVED: u64 = 0;
+
+/// The route-entry word for `server`, or `None` for `u64::MAX`.
+fn encode(server: ServerId) -> Option<u64> {
+    server.get().checked_add(1)
+}
+
+/// The server a route-entry word names, or `None` for an empty entry.
+fn decode(word: u64) -> Option<ServerId> {
+    word.checked_sub(1).map(ServerId::new)
+}
+
 /// An immutable, epoch-stamped view of one shard's table, shared with the
 /// lookup workers behind an [`Arc`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ShardSnapshot {
     /// Which shard this snapshot belongs to.
     pub shard: usize,
@@ -37,23 +72,75 @@ pub struct ShardSnapshot {
     /// The membership live in this epoch, in join order.
     pub members: Vec<ServerId>,
     table: HdHashTable,
+    /// This epoch's route table (see the module docs), allocated by the
+    /// first lookup.
+    routes: OnceLock<Routes>,
 }
 
 impl ShardSnapshot {
-    /// Routes a batch of keys through this epoch's table (the
-    /// slot-deduplicated batched scan).
+    /// Routes a batch of keys through this epoch's route table, one
+    /// [`lookup`](Self::lookup) per key.
     #[must_use]
     pub fn lookup_batch(&self, keys: &[RequestKey]) -> Vec<Result<ServerId, TableError>> {
-        self.table.lookup_batch(keys)
+        keys.iter().map(|&key| self.lookup(key)).collect()
     }
 
-    /// Routes a single key through this epoch's table.
+    /// Routes a single key: its slot's route entry, or the HD scan when
+    /// the entry is still empty in this epoch. Always equal to
+    /// `HdHashTable::lookup` on this epoch's table.
     ///
     /// # Errors
     ///
     /// Returns [`TableError::EmptyPool`] when no members are live.
     pub fn lookup(&self, key: RequestKey) -> Result<ServerId, TableError> {
-        self.table.lookup(key)
+        self.route(key).0
+    }
+
+    /// [`lookup`](Self::lookup), also reporting whether the lookup missed
+    /// the route table and ran the HD scan.
+    pub(crate) fn route(&self, key: RequestKey) -> (Result<ServerId, TableError>, bool) {
+        if self.members.is_empty() {
+            return (Err(TableError::EmptyPool), false);
+        }
+        let slot = self.table.slot_of_request(key);
+        let entry = &self.routes()[slot];
+        if let Some(server) = decode(entry.load(Ordering::Relaxed)) {
+            return (Ok(server), false);
+        }
+        let verdict = self.table.lookup_slot(slot);
+        if let Some(word) = verdict.ok().and_then(encode) {
+            entry.store(word, Ordering::Relaxed);
+        }
+        (verdict, true)
+    }
+
+    /// The route table, allocated empty on first use.
+    fn routes(&self) -> &[AtomicU64] {
+        self.routes.get_or_init(|| {
+            (0..self.table.codebook().len()).map(|_| AtomicU64::new(UNRESOLVED)).collect()
+        })
+    }
+
+    /// Re-resolves every filled route entry from the stored rows, rewrites
+    /// each entry that disagrees, and returns how many did. Zero on a
+    /// healthy snapshot; entries still empty are left empty.
+    pub fn scrub_routes(&self) -> usize {
+        let Some(routes) = self.routes.get() else {
+            return 0;
+        };
+        let mut repaired = 0;
+        for (slot, entry) in routes.iter().enumerate() {
+            let word = entry.load(Ordering::Relaxed);
+            if word == UNRESOLVED {
+                continue;
+            }
+            let fresh = self.table.lookup_slot(slot).ok().and_then(encode).unwrap_or(UNRESOLVED);
+            if fresh != word {
+                entry.store(fresh, Ordering::Relaxed);
+                repaired += 1;
+            }
+        }
+        repaired
     }
 
     /// Whether `server` was live in this epoch.
@@ -119,6 +206,7 @@ impl Shard {
             epoch: 0,
             members: table.servers(),
             table,
+            routes: OnceLock::new(),
         };
         Self { index, writer: Mutex::new(()), published: Mutex::new(Arc::new(genesis)) }
     }
@@ -156,7 +244,8 @@ impl Shard {
 
     /// Under the writer lock: clones the published table, lets `change`
     /// edit the clone, and publishes it as the next epoch when `change`
-    /// returns `Ok(true)`. An error or `Ok(false)` drops the clone.
+    /// returns `Ok(true)`. An error or `Ok(false)` drops the clone. The new
+    /// epoch's route table starts cold.
     fn publish_with<F>(&self, change: F) -> Result<Option<ShardReceipt>, TableError>
     where
         F: FnOnce(&mut HdHashTable) -> Result<bool, TableError>,
@@ -175,6 +264,7 @@ impl Shard {
             epoch,
             members,
             table,
+            routes: OnceLock::new(),
         });
         Ok(Some(receipt))
     }
@@ -255,6 +345,87 @@ mod tests {
         // Fixed point: no moves, no epoch, no publication.
         assert!(shard.reconcile(&target).expect("no-op").is_none());
         assert_eq!(shard.load().epoch, 5);
+    }
+
+    /// A shard whose published table holds `ids`, joined in order.
+    fn shard_with(ids: &[u64]) -> Shard {
+        let shard = Shard::new(0, table());
+        for &id in ids {
+            shard.reconfigure(|t| t.join(ServerId::new(id))).expect("fresh");
+        }
+        shard
+    }
+
+    /// Looks up keys until every codebook slot's route entry is filled.
+    fn warm(snap: &ShardSnapshot) {
+        for k in 0..4096 {
+            let _ = snap.lookup(RequestKey::new(k));
+        }
+        assert!(snap.routes().iter().all(|e| e.load(Ordering::Relaxed) != UNRESOLVED));
+    }
+
+    #[test]
+    fn routes_fill_lazily_with_the_table_verdict() {
+        let shard = shard_with(&[0, 1, 2, 3, 4, 5]);
+        let snap = shard.load();
+        assert!(snap.routes.get().is_none(), "publication allocates no route table");
+        let key = RequestKey::new(42);
+        let (verdict, scanned) = snap.route(key);
+        assert!(scanned, "the epoch's first lookup of a slot scans");
+        assert_eq!(verdict, snap.table.lookup(key));
+        assert_eq!(snap.route(key), (verdict, false), "the second reads the route entry");
+        for k in 0..500 {
+            let key = RequestKey::new(k);
+            assert_eq!(snap.lookup(key), snap.table.lookup(key));
+        }
+        assert_eq!(Shard::new(0, table()).load().route(key), (Err(TableError::EmptyPool), false));
+    }
+
+    #[test]
+    fn every_publish_starts_its_route_table_cold() {
+        let shard = shard_with(&[0, 1, 2, 3, 4, 5]);
+        // A leave, a join, and a reconcile that only removes members.
+        for step in 0..3 {
+            warm(&shard.load());
+            let receipt = match step {
+                0 => shard.reconfigure(|t| t.leave(ServerId::new(2))).map(Some),
+                1 => shard.reconfigure(|t| t.join(ServerId::new(40))).map(Some),
+                _ => shard.reconcile(&[ServerId::new(0), ServerId::new(40)]),
+            };
+            assert!(matches!(receipt, Ok(Some(_))), "step {step} publishes");
+            let child = shard.load();
+            assert!(child.routes.get().is_none(), "step {step} inherited routes");
+            for k in 0..500 {
+                let key = RequestKey::new(k);
+                assert_eq!(child.lookup(key), child.table.lookup(key));
+            }
+        }
+    }
+
+    #[test]
+    fn scrub_repairs_and_counts_a_wrong_route() {
+        let shard = shard_with(&[0, 1, 2, 3]);
+        let snap = shard.load();
+        assert_eq!(snap.scrub_routes(), 0, "nothing to scrub before the first lookup");
+        let key = RequestKey::new(9);
+        let truth = snap.lookup(key).expect("populated");
+        assert_eq!(snap.scrub_routes(), 0);
+        let wrong = if truth == ServerId::new(0) { ServerId::new(1) } else { ServerId::new(0) };
+        let slot = snap.table.slot_of_request(key);
+        snap.routes()[slot].store(encode(wrong).expect("small id"), Ordering::Relaxed);
+        assert_eq!(snap.lookup(key), Ok(wrong), "the planted entry is served");
+        assert_eq!(snap.scrub_routes(), 1);
+        assert_eq!(snap.lookup(key), Ok(truth));
+        assert_eq!(snap.scrub_routes(), 0);
+    }
+
+    #[test]
+    fn route_words_round_trip_every_storable_id() {
+        for id in [0, 1, 106, u64::MAX - 1] {
+            assert_eq!(encode(ServerId::new(id)).and_then(decode), Some(ServerId::new(id)));
+        }
+        assert_eq!(decode(UNRESOLVED), None);
+        assert_eq!(encode(ServerId::new(u64::MAX)), None, "u64::MAX is always scanned");
     }
 
     #[test]

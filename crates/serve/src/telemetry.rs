@@ -74,6 +74,12 @@ pub fn export_engine(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &E
             shard.failed,
         );
         out.push_counter(
+            "hdhash_shard_route_scans_total",
+            "Lookups that missed the epoch's route table and ran the HD scan",
+            &shard_labels,
+            shard.route_scans,
+        );
+        out.push_counter(
             "hdhash_shard_batches_total",
             "Coalesced batches executed against this shard",
             &shard_labels,
@@ -371,6 +377,7 @@ mod tests {
                 members: 8,
                 served: 4,
                 failed: 0,
+                route_scans: 2,
                 batches: 1,
                 mean_batch_fill: 4.0,
                 latency: None,
@@ -383,6 +390,7 @@ mod tests {
         assert_eq!(snap.sum, 1500);
         let text = out.to_prometheus();
         assert!(text.contains("hdhash_shard_latency_ns_bucket{shard=\"7\",le=\"+Inf\"} 4"));
+        assert!(text.contains("hdhash_shard_route_scans_total{shard=\"7\"} 2"));
         let parsed = hdhash_obs::promparse::parse(&text).expect("parses");
         hdhash_obs::promparse::validate(&parsed).expect("validates");
     }

@@ -2,21 +2,24 @@
 //! thread that joins/leaves members through the epoch path.
 //!
 //! The property under test is the serving layer's consistency contract:
-//! **every response routes to a server that was live in the epoch that
-//! served it** — no torn reads, no response computed against a
-//! half-applied membership. The epoch log is reconstructible because every
-//! publication produces exactly one receipt; the validator replays the
-//! receipts and checks each `(shard, epoch, server)` triple against the
-//! membership live at that exact epoch.
+//! **every response carries the exact verdict of the epoch that served
+//! it** — no torn reads, no response computed against a half-applied
+//! membership, no route entry left over from another epoch. The epoch log
+//! is reconstructible because every publication produces exactly one
+//! receipt; the validator replays the receipts, rebuilds each
+//! `(shard, epoch)`'s HD table from them, and checks every response's
+//! server against that table's verdict for the response's key and against
+//! the membership live at that exact epoch.
 //!
 //! CI runs this with `--test-threads=1`; the inner `ROUNDS` loop plus the
 //! driver-side repetition give the "100 consecutive runs" soak the
 //! acceptance criteria ask for.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
+use hdhash_core::HdHashTable;
 use hdhash_serve::{ServeConfig, ServeEngine, ShardReceipt};
-use hdhash_table::{RequestKey, ServerId, TableError};
+use hdhash_table::{DynamicHashTable, RequestKey, ServerId, TableError};
 
 /// Full engine rounds per test execution (each round builds a fresh
 /// engine, races clients against churn, validates every response).
@@ -42,29 +45,42 @@ fn config(seed: u64) -> ServeConfig {
     }
 }
 
-/// Epoch → membership, per shard, reconstructed from receipts.
+/// Epoch → membership in join order, per shard, reconstructed from
+/// receipts.
 fn log_receipts(
-    log: &mut HashMap<(usize, u64), HashSet<ServerId>>,
+    log: &mut HashMap<(usize, u64), Vec<ServerId>>,
     receipts: &[ShardReceipt],
 ) {
     for receipt in receipts {
-        let previous = log.insert(
-            (receipt.shard, receipt.epoch),
-            receipt.members.iter().copied().collect(),
-        );
+        let previous = log.insert((receipt.shard, receipt.epoch), receipt.members.clone());
         assert!(previous.is_none(), "epoch {} published twice", receipt.epoch);
     }
+}
+
+/// The HD table `shard` served in an epoch with `members`: the shard's
+/// seed is `config.seed + shard`.
+fn reference(config: &ServeConfig, shard: usize, members: &[ServerId]) -> HdHashTable {
+    let mut table = HdHashTable::builder()
+        .dimension(config.dimension)
+        .codebook_size(config.codebook_size)
+        .seed(config.seed.wrapping_add(shard as u64))
+        .build()
+        .expect("valid geometry");
+    for &server in members {
+        table.join(server).expect("receipts list distinct members");
+    }
+    table
 }
 
 #[test]
 fn lookups_race_churn_without_torn_reads() {
     for round in 0..ROUNDS {
-        let engine =
-            ServeEngine::new(config(round as u64 + 1)).expect("valid config");
-        let mut epoch_log: HashMap<(usize, u64), HashSet<ServerId>> = HashMap::new();
+        let config = config(round as u64 + 1);
+        let engine = ServeEngine::new(config).expect("valid config");
+        let mut epoch_log: HashMap<(usize, u64), Vec<ServerId>> = HashMap::new();
         // Genesis: every shard starts at epoch 0 with no members.
         for snapshot in engine.snapshots() {
-            epoch_log.insert((snapshot.shard, snapshot.epoch), HashSet::new());
+            epoch_log.insert((snapshot.shard, snapshot.epoch), Vec::new());
         }
         // Base membership before the race, so the pool is never empty.
         for id in 0..8u64 {
@@ -106,17 +122,17 @@ fn lookups_race_churn_without_torn_reads() {
                             // Closed loop with a small in-flight window so
                             // batches actually coalesce.
                             if window.len() >= 8 {
-                                let ticket: hdhash_serve::Ticket =
+                                let (key, ticket): (RequestKey, hdhash_serve::Ticket) =
                                     window.pop_front().expect("non-empty");
-                                collected.push(ticket.wait());
+                                collected.push((key, ticket.wait()));
                             }
                             match engine.submit(key) {
-                                Ok(ticket) => window.push_back(ticket),
+                                Ok(ticket) => window.push_back((key, ticket)),
                                 Err(e) => panic!("queue sized for the load: {e}"),
                             }
                         }
-                        for ticket in window {
-                            collected.push(ticket.wait());
+                        for (key, ticket) in window {
+                            collected.push((key, ticket.wait()));
                         }
                         collected
                     })
@@ -136,7 +152,8 @@ fn lookups_race_churn_without_torn_reads() {
             CLIENTS * LOOKUPS_PER_CLIENT,
             "round {round}"
         );
-        for response in &responses {
+        let mut references: HashMap<(usize, u64), HdHashTable> = HashMap::new();
+        for (key, response) in &responses {
             let members = epoch_log
                 .get(&(response.shard, response.epoch))
                 .unwrap_or_else(|| {
@@ -146,6 +163,17 @@ fn lookups_race_churn_without_torn_reads() {
                         response.epoch, response.shard
                     )
                 });
+            let table = references
+                .entry((response.shard, response.epoch))
+                .or_insert_with(|| reference(&config, response.shard, members));
+            assert_eq!(
+                response.result,
+                table.lookup(*key),
+                "round {round}: shard {} epoch {} answered {key} with a verdict \
+                 its epoch's table does not give",
+                response.shard,
+                response.epoch,
+            );
             match response.result {
                 Ok(server) => assert!(
                     members.contains(&server),
@@ -170,9 +198,14 @@ fn lookups_race_churn_without_torn_reads() {
         let leaves = (CHURN_OPS / 2) as u64;
         let members: Vec<ServerId> = (leaves..8 + leaves).map(ServerId::new).collect();
         let final_epoch = 8 + CHURN_OPS as u64;
+        let keys: Vec<RequestKey> = responses.iter().map(|&(key, _)| key).collect();
         for snapshot in engine.snapshots() {
             assert_eq!(snapshot.epoch, final_epoch, "round {round}");
             assert_eq!(snapshot.member_ids(), members, "round {round}");
+            let table = reference(&config, snapshot.shard, &snapshot.members);
+            let want: Vec<_> = keys.iter().map(|&k| table.lookup(k)).collect();
+            assert_eq!(snapshot.lookup_batch(&keys), want, "round {round}");
+            assert_eq!(snapshot.scrub_routes(), 0, "round {round}: a wrong route entry");
         }
     }
 }

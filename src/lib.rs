@@ -41,10 +41,11 @@
 //!   rematerialization, combinational associative memory, binarized
 //!   bundling, and the Figure 4 hardware projection;
 //! * [`serve`] — the sharded, batch-coalescing serving layer: one
-//!   bounded request queue, coalescing workers driving the
-//!   slot-deduplicated batched lookups, epoch-published shard snapshots
-//!   so membership reconfiguration never blocks readers, and tickets
-//!   redeemed by blocking, bounded or non-blocking waits.
+//!   bounded request queue, coalescing workers serving each lookup from
+//!   its epoch's per-slot route table (the HD scan fills each entry
+//!   once), epoch-published shard snapshots so membership
+//!   reconfiguration never blocks readers, and tickets redeemed by
+//!   blocking, bounded or non-blocking waits.
 //!
 //! ## Quick start
 //!
