@@ -17,7 +17,7 @@
 //! remaining rounds measure recovery. Reported per point:
 //!
 //! * `rounds_to_converge` — total chaos rounds until every replica
-//!   publishes the same per-shard member ids (the paper-level invariant:
+//!   publishes the same member ids (the paper-level invariant:
 //!   convergence is bounded no matter what the fault plan did);
 //! * `converged_under_faults` — whether retry plus redundant fanout
 //!   converged the set before the heal (common below 50% loss);
@@ -53,7 +53,7 @@ const BASE_MEMBERS: u64 = 12;
 const FAULT_ROUNDS: usize = 12;
 /// Convergence-after-heal budget; the suite asserts the same bound.
 const MAX_HEAL_ROUNDS: usize = 64;
-/// Hypervector dimension per shard.
+/// Hypervector dimension of each replica's table.
 const DIMENSION: usize = 2048;
 
 struct ChaosPoint {
@@ -71,17 +71,15 @@ struct ChaosPoint {
     wall_ms: f64,
 }
 
-fn serve_config(shards: usize) -> ServeConfig {
+fn serve_config() -> ServeConfig {
     ServeConfig {
-        shards,
         workers: 1,
         batch_capacity: 16,
         queue_capacity: 256,
         dimension: DIMENSION,
         codebook_size: 64,
         seed: ENGINE_SEED,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     }
 }
 
@@ -122,7 +120,7 @@ fn run_point(
     let engines: Vec<Arc<ReplicatedEngine>> = (0..replicas as u64)
         .map(|i| {
             Arc::new(
-                ReplicatedEngine::new(ReplicaId::new(i), serve_config(2))
+                ReplicatedEngine::new(ReplicaId::new(i), serve_config())
                     .expect("valid config"),
             )
         })

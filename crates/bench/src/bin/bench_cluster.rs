@@ -43,22 +43,18 @@ use hdhash_table::ServerId;
 
 /// Base membership shared by every replica before the churn.
 const BASE_MEMBERS: u64 = 24;
-/// Hypervector dimension per shard.
+/// Hypervector dimension of each replica's table.
 const DIMENSION: usize = 2048;
-/// Shards per engine.
-const SHARDS: usize = 2;
 
 fn replica(id: u64) -> Arc<ReplicatedEngine> {
     let config = ServeConfig {
-        shards: SHARDS,
         workers: 1,
         batch_capacity: 16,
         queue_capacity: 256,
         dimension: DIMENSION,
         codebook_size: 256,
         seed: 0x6055,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     };
     Arc::new(ReplicatedEngine::new(ReplicaId::new(id), config).expect("valid config"))
 }
@@ -271,7 +267,6 @@ fn main() {
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
     );
     let _ = writeln!(json, "  \"dimension\": {DIMENSION},");
-    let _ = writeln!(json, "  \"shards\": {SHARDS},");
     let _ = writeln!(json, "  \"base_members\": {BASE_MEMBERS},");
     let _ = writeln!(json, "  \"frame_overhead_bytes\": {FRAME_OVERHEAD},");
     let _ = writeln!(

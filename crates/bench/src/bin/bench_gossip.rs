@@ -1,5 +1,5 @@
 //! Emits `BENCH_gossip.json`: replica-set convergence cost across a churn
-//! volume × shard count grid.
+//! volume grid.
 //!
 //! ```text
 //! cargo run --release -p hdhash-bench --bin bench_gossip
@@ -10,18 +10,18 @@
 //! Each grid point builds two replica engines sharing a base membership,
 //! applies `churn_ops` divergent membership operations (split between the
 //! replicas: disjoint joins plus conflicting joins/leaves on a contended
-//! range), then runs explicit gossip rounds until the per-shard member
+//! range), then runs explicit gossip rounds until the published member
 //! sets are identical. Reported per point:
 //!
 //! * `rounds_to_converge` — driver rounds (each: both nodes advert, the
 //!   network drains); anti-entropy converges in O(1) rounds regardless of
 //!   churn volume, which is the headline this series pins;
-//! * `trajectory` — member ids in which the replicas differ (summed over
-//!   shards, [`member_divergence`]) before each round, ending at 0;
+//! * `trajectory` — member ids in which the replicas differ
+//!   ([`member_divergence`]) before each round, ending at 0;
 //! * `bytes_on_wire` — protocol bytes under the documented frame
-//!   accounting: adverts cost a 16-byte digest per shard (plus the
-//!   piggybacked seen-through ack) per adverted peer per round, member
-//!   records move **only** for diverged state;
+//!   accounting: adverts cost one 16-byte digest (plus the piggybacked
+//!   seen-through ack) per adverted peer per round, member records move
+//!   **only** for diverged state;
 //! * `records_adopted`, `divergence_detections`, `wall_ms`.
 //!
 //! A second series (`six_replica_series`) runs a 6-replica set with
@@ -45,11 +45,10 @@ use hdhash_table::ServerId;
 
 /// Base membership shared by both replicas before the churn.
 const BASE_MEMBERS: u64 = 24;
-/// Hypervector dimension per shard.
+/// Hypervector dimension of each replica's table.
 const DIMENSION: usize = 2048;
 
 struct GridPoint {
-    shards: usize,
     churn_ops: usize,
     rounds_to_converge: usize,
     trajectory: Vec<u64>,
@@ -60,18 +59,16 @@ struct GridPoint {
     wall_ms: f64,
 }
 
-fn replica(id: u64, shards: usize) -> (Arc<ReplicatedEngine>, ReplicaId) {
+fn replica(id: u64) -> (Arc<ReplicatedEngine>, ReplicaId) {
     let replica_id = ReplicaId::new(id);
     let config = ServeConfig {
-        shards,
         workers: 1,
         batch_capacity: 16,
         queue_capacity: 256,
         dimension: DIMENSION,
         codebook_size: 256,
         seed: 0x6055,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     };
     (
         Arc::new(ReplicatedEngine::new(replica_id, config).expect("valid config")),
@@ -79,14 +76,10 @@ fn replica(id: u64, shards: usize) -> (Arc<ReplicatedEngine>, ReplicaId) {
     )
 }
 
-fn run_point(
-    shards: usize,
-    churn_ops: usize,
-    telemetry: &mut TelemetrySnapshot,
-) -> GridPoint {
+fn run_point(churn_ops: usize, telemetry: &mut TelemetrySnapshot) -> GridPoint {
     let network = InProcessNetwork::new();
-    let (a, a_id) = replica(0, shards);
-    let (b, b_id) = replica(1, shards);
+    let (a, a_id) = replica(0);
+    let (b, b_id) = replica(1);
     let peers = vec![a_id, b_id];
     let node_a = GossipNode::new(
         Arc::clone(&a),
@@ -142,14 +135,11 @@ fn run_point(
     // Fold this point's gossip counters into the run-wide unified
     // snapshot; the JSON embeds its validated totals.
     for (i, m) in metrics.iter().enumerate() {
-        let (s, c, r) = (shards.to_string(), churn_ops.to_string(), i.to_string());
-        let labels =
-            [("shards", s.as_str()), ("churn", c.as_str()), ("replica", r.as_str())];
-        export_gossip(telemetry, &labels, m);
+        let (c, r) = (churn_ops.to_string(), i.to_string());
+        export_gossip(telemetry, &[("churn", c.as_str()), ("replica", r.as_str())], m);
     }
-    let advert_bytes_per_round = (shards * 16 + 13 + 9) as u64 * nodes.len() as u64;
+    let advert_bytes_per_round = (16 + 13 + 9) * nodes.len() as u64;
     GridPoint {
-        shards,
         churn_ops,
         rounds_to_converge: rounds,
         trajectory,
@@ -173,12 +163,12 @@ struct FanoutPoint {
 
 /// 6 replicas with disjoint divergent histories, gossiping under a
 /// restricted per-round fanout.
-fn run_fanout_point(replicas: usize, shards: usize, fanout: usize) -> FanoutPoint {
+fn run_fanout_point(replicas: usize, fanout: usize) -> FanoutPoint {
     let network = InProcessNetwork::new();
     let peers: Vec<ReplicaId> = (0..replicas as u64).map(ReplicaId::new).collect();
     let set: Vec<(Arc<ReplicatedEngine>, _)> = (0..replicas as u64)
         .map(|i| {
-            let (replica, id) = replica(i, shards);
+            let (replica, id) = replica(i);
             let node = GossipNode::new(
                 Arc::clone(&replica),
                 network.endpoint(id),
@@ -242,29 +232,24 @@ fn main() {
         .skip(1)
         .find_map(|a| a.strip_prefix("out=").map(str::to_owned))
         .unwrap_or_else(|| "BENCH_gossip.json".to_owned());
-    let shard_counts =
-        params.get_usize_list("shards", if quick { &[1, 2][..] } else { &[1, 2, 4][..] });
     let churn_rates =
         params.get_usize_list("churn", if quick { &[8, 32][..] } else { &[0, 8, 32, 128][..] });
 
     let mut telemetry = TelemetrySnapshot::new();
     let mut grid: Vec<GridPoint> = Vec::new();
-    for &shards in &shard_counts {
-        for &churn_ops in &churn_rates {
-            let point = run_point(shards, churn_ops, &mut telemetry);
-            println!(
-                "shards={:<2} churn={:<4} rounds={:<2} start-divergence={:<4} \
-                 wire {:>7} B  records {:>4}  {:>7.2} ms",
-                point.shards,
-                point.churn_ops,
-                point.rounds_to_converge,
-                point.trajectory.first().copied().unwrap_or(0),
-                point.bytes_on_wire,
-                point.records_adopted,
-                point.wall_ms,
-            );
-            grid.push(point);
-        }
+    for &churn_ops in &churn_rates {
+        let point = run_point(churn_ops, &mut telemetry);
+        println!(
+            "churn={:<4} rounds={:<2} start-divergence={:<4} \
+             wire {:>7} B  records {:>4}  {:>7.2} ms",
+            point.churn_ops,
+            point.rounds_to_converge,
+            point.trajectory.first().copied().unwrap_or(0),
+            point.bytes_on_wire,
+            point.records_adopted,
+            point.wall_ms,
+        );
+        grid.push(point);
     }
 
     let max_rounds = grid.iter().map(|p| p.rounds_to_converge).max().unwrap_or(0);
@@ -279,7 +264,7 @@ fn main() {
     let fanouts: &[usize] = if quick { &[2, 5] } else { &[2, 3, 5] };
     let mut fanout_grid: Vec<FanoutPoint> = Vec::new();
     for &fanout in fanouts {
-        let point = run_fanout_point(6, 2, fanout);
+        let point = run_fanout_point(6, fanout);
         println!(
             "replicas=6 fanout={:<2} rounds={:<3} adverts/node/round={:<2} wire {:>8} B  \
              records {:>4}  {:>7.2} ms",
@@ -304,7 +289,7 @@ fn main() {
     let _ = writeln!(json, "  \"base_members\": {BASE_MEMBERS},");
     let _ = writeln!(
         json,
-        "  \"protocol\": \"advert per-shard digests; push-pull LWW member records on divergence\","
+        "  \"protocol\": \"advert one membership digest; push-pull LWW member records on divergence\","
     );
     let _ = writeln!(json, "  \"max_rounds_to_converge\": {max_rounds},");
     let _ = writeln!(
@@ -332,11 +317,10 @@ fn main() {
             .join(", ");
         let _ = writeln!(
             json,
-            "    {{\"shards\": {}, \"churn_ops\": {}, \"rounds_to_converge\": {}, \
+            "    {{\"churn_ops\": {}, \"rounds_to_converge\": {}, \
              \"advert_bytes_per_round\": {}, \"bytes_on_wire\": {}, \
              \"records_adopted\": {}, \"divergence_detections\": {}, \
              \"wall_ms\": {:.2}, \"trajectory\": [{}]}}{}",
-            p.shards,
             p.churn_ops,
             p.rounds_to_converge,
             p.advert_bytes_per_round,

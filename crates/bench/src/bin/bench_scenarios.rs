@@ -10,8 +10,8 @@
 //!
 //! Every cell runs one catalog scenario (diurnal curve, flash crowd,
 //! Zipf hotspot, correlated bursts, churn storm, replica crash/rejoin)
-//! against one engine configuration (shard count × batch size, replica
-//! count per the scenario) and reports the per-phase
+//! against one engine configuration (batch size; replica count per the
+//! scenario) and reports the per-phase
 //! trajectory: throughput, p50/p99 latency, shed (open-loop overload),
 //! epoch lag and anti-entropy divergence. Each cell is stamped with the
 //! seed that reproduces it bit-for-bit (`SCENARIO_SEED=<seed>` replays
@@ -36,11 +36,11 @@ struct ConfigCell {
 fn configs() -> Vec<ConfigCell> {
     let small = ScenarioConfig::small();
     vec![
-        ConfigCell { name: "2shard-b16", config: small },
+        ConfigCell { name: "b16", config: small },
         ConfigCell {
-            name: "4shard-b32",
+            name: "b32",
             config: ScenarioConfig {
-                engine: ServeConfig { shards: 4, batch_capacity: 32, ..small.engine },
+                engine: ServeConfig { batch_capacity: 32, ..small.engine },
                 ..small
             },
         },

@@ -1,5 +1,5 @@
-//! Emits `BENCH_serve.json`: closed-loop throughput of the sharded
-//! serving engine across a shard count × batch size × worker count grid.
+//! Emits `BENCH_serve.json`: closed-loop throughput of the serving engine
+//! across a batch size × worker count grid.
 //!
 //! ```text
 //! cargo run --release -p hdhash-bench --bin bench_serve
@@ -12,7 +12,7 @@
 //! and reports completed-requests-per-second plus p50/p99 latency and the
 //! mean coalesced batch fill. The JSON also records the dispatched
 //! distance kernel (`HDHASH_FORCE_SCALAR` is honored end-to-end: the env
-//! var flips every shard's scan kernel to the portable scalar path, and
+//! var flips the table's scan kernel to the portable scalar path, and
 //! the `kernel` field proves which one ran) and the host's core count,
 //! since worker scaling is meaningless past it.
 
@@ -24,7 +24,6 @@ use hdhash_serve::{drive, ServeConfig, ServeEngine, TraceConfig};
 use hdhash_table::ServerId;
 
 struct GridPoint {
-    shards: usize,
     workers: usize,
     batch: usize,
     completed: usize,
@@ -35,15 +34,8 @@ struct GridPoint {
     mean_batch_fill: f64,
 }
 
-fn run_point(
-    shards: usize,
-    workers: usize,
-    batch: usize,
-    requests: usize,
-    trace: TraceConfig,
-) -> GridPoint {
+fn run_point(workers: usize, batch: usize, requests: usize, trace: TraceConfig) -> GridPoint {
     let mut engine = ServeEngine::new(ServeConfig {
-        shards,
         workers,
         batch_capacity: batch,
         queue_capacity: 8192,
@@ -67,12 +59,9 @@ fn run_point(
     // Window sized to keep the queue busy without tripping backpressure.
     let report = drive(&engine, &stream, (batch * workers * 4).min(2048));
     engine.shutdown();
-    let metrics = engine.metrics();
-    let fills: Vec<f64> =
-        metrics.shards.iter().filter(|s| s.batches > 0).map(|s| s.mean_batch_fill).collect();
+    let mean_batch_fill = engine.metrics().shards[0].mean_batch_fill;
     let latency = report.latency.expect("non-empty run");
     GridPoint {
-        shards,
         workers,
         batch,
         completed: report.completed,
@@ -80,11 +69,7 @@ fn run_point(
         throughput_rps: report.throughput().requests_per_sec(),
         p50_us: latency.p50.as_secs_f64() * 1e6,
         p99_us: latency.p99.as_secs_f64() * 1e6,
-        mean_batch_fill: if fills.is_empty() {
-            0.0
-        } else {
-            fills.iter().sum::<f64>() / fills.len() as f64
-        },
+        mean_batch_fill,
     }
 }
 
@@ -99,33 +84,27 @@ fn main() {
         .unwrap_or_else(|| "BENCH_serve.json".to_owned());
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
-    let shard_counts =
-        params.get_usize_list("shards", if quick { &[1, 2][..] } else { &[1, 2, 4][..] });
     let worker_counts =
         params.get_usize_list("workers", if quick { &[2][..] } else { &[1, 2, 4][..] });
     let batch_sizes =
         params.get_usize_list("batches", if quick { &[64][..] } else { &[16, 64, 256][..] });
 
     let mut grid: Vec<GridPoint> = Vec::new();
-    for &shards in &shard_counts {
-        for &workers in &worker_counts {
-            for &batch in &batch_sizes {
-                let point =
-                    run_point(shards, workers, batch, requests, TraceConfig::disabled());
-                println!(
-                    "shards={:<2} workers={:<2} batch={:<4} {:>12.0} req/s  \
-                     p50 {:>8.1} us  p99 {:>8.1} us  fill {:>6.1}  rejected {}",
-                    point.shards,
-                    point.workers,
-                    point.batch,
-                    point.throughput_rps,
-                    point.p50_us,
-                    point.p99_us,
-                    point.mean_batch_fill,
-                    point.rejected,
-                );
-                grid.push(point);
-            }
+    for &workers in &worker_counts {
+        for &batch in &batch_sizes {
+            let point = run_point(workers, batch, requests, TraceConfig::disabled());
+            println!(
+                "workers={:<2} batch={:<4} {:>12.0} req/s  \
+                 p50 {:>8.1} us  p99 {:>8.1} us  fill {:>6.1}  rejected {}",
+                point.workers,
+                point.batch,
+                point.throughput_rps,
+                point.p50_us,
+                point.p99_us,
+                point.mean_batch_fill,
+                point.rejected,
+            );
+            grid.push(point);
         }
     }
 
@@ -136,12 +115,12 @@ fn main() {
     // scheduler noise than from the one-atomic-per-request tracer, and
     // best-of-N is robust against that one-sided noise. The acceptance
     // bar for the telemetry layer is ≤5% regression.
-    let (ab_shards, ab_workers, ab_batch) = (2, 2, 64);
+    let (ab_workers, ab_batch) = (2, 64);
     // 4× the grid's request count per arm: each trial must run long
     // enough that a single descheduling blip can't move the number.
     let ab_requests = requests * 4;
     let ab_run = |trace: TraceConfig| -> f64 {
-        run_point(ab_shards, ab_workers, ab_batch, ab_requests, trace).throughput_rps
+        run_point(ab_workers, ab_batch, ab_requests, trace).throughput_rps
     };
     // Paired trials: each trial runs both arms back to back and yields
     // one on/off throughput ratio, so slow host drift cancels; the
@@ -159,31 +138,18 @@ fn main() {
     ratios.sort_by(f64::total_cmp);
     let trace_regression_pct = (1.0 - ratios[ratios.len() / 2]) * 100.0;
     println!(
-        "tracing overhead @ shards={ab_shards} workers={ab_workers} batch={ab_batch}: \
+        "tracing overhead @ workers={ab_workers} batch={ab_batch}: \
          best off {trace_off_rps:.0} req/s, best 1/64 sampled {trace_on_rps:.0} req/s, \
          median paired regression {trace_regression_pct:+.1}%"
     );
 
-    // Headline scaling ratio: best multi-shard vs best single-shard
-    // throughput at the highest measured worker count.
-    let max_workers = worker_counts.iter().copied().max().unwrap_or(1);
-    let best = |pred: &dyn Fn(&GridPoint) -> bool| {
-        grid.iter()
-            .filter(|p| p.workers == max_workers && pred(p))
-            .map(|p| p.throughput_rps)
-            .fold(0.0f64, f64::max)
-    };
-    let single = best(&|p| p.shards == 1);
-    let multi = best(&|p| p.shards > 1);
-    let scaling = if single > 0.0 { multi / single } else { 0.0 };
     let note = if cores < 4 {
         format!(
-            "host has {cores} core(s): worker/shard scaling is capped by the core count — \
-             multi-shard numbers measure coalescing overhead, not parallel speedup; \
-             rerun on a many-core box for the scaling headline"
+            "host has {cores} core(s): worker scaling is capped by the core count — \
+             extra workers measure coalescing overhead, not parallel speedup"
         )
     } else {
-        format!("host has {cores} cores; scaling ratio is meaningful up to that width")
+        format!("host has {cores} cores; worker scaling is meaningful up to that width")
     };
 
     let mut json = String::from("{\n  \"benchmark\": \"BENCH_serve\",\n");
@@ -194,17 +160,13 @@ fn main() {
     let _ = writeln!(json, "  \"note\": \"{note}\",");
     let _ = writeln!(
         json,
-        "  \"multi_vs_single_shard_at_{max_workers}_workers\": {scaling:.2},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"tracing_overhead\": {{\"shards\": {ab_shards}, \"workers\": {ab_workers}, \
+        "  \"tracing_overhead\": {{\"workers\": {ab_workers}, \
          \"batch\": {ab_batch}, \"disabled_rps\": {trace_off_rps:.0}, \
          \"sampled_1_in_64_rps\": {trace_on_rps:.0}, \
          \"regression_pct\": {trace_regression_pct:.1}}},"
     );
     json.push_str(
-        "  \"latency_note\": \"per-shard latency now feeds a lock-free 65-bucket log2 \
+        "  \"latency_note\": \"latency now feeds a lock-free 65-bucket log2 \
          histogram (atomic increments, bucket-accurate quantiles) instead of the previous \
          Mutex<Vec> reservoir that serialized every worker on the response path; the \
          tracing_overhead A/B above is measured on top of that histogram path\",\n",
@@ -213,10 +175,9 @@ fn main() {
     for (i, p) in grid.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"shards\": {}, \"workers\": {}, \"batch\": {}, \"completed\": {}, \
+            "    {{\"workers\": {}, \"batch\": {}, \"completed\": {}, \
              \"rejected\": {}, \"throughput_rps\": {:.0}, \"p50_us\": {:.1}, \
              \"p99_us\": {:.1}, \"mean_batch_fill\": {:.2}}}{}",
-            p.shards,
             p.workers,
             p.batch,
             p.completed,
@@ -231,7 +192,6 @@ fn main() {
     json.push_str("  ]\n}\n");
 
     println!("kernel: {}", hdhash_simdkernels::kernel_name());
-    println!("multi-shard vs single-shard at {max_workers} workers: {scaling:.2}x");
     // Surface the scaling caveat in the stdout summary too, so CI logs
     // are self-explanatory without opening the JSON.
     println!("note: {note}");

@@ -46,16 +46,15 @@ impl TraceConfig {
 /// `lane` / `subject` / `amount` fields are used (unused fields are 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
-    /// A request entered the engine. `subject` = shard index.
+    /// A request entered the engine.
     Submit,
     /// A worker popped a batch. `lane` = worker, `subject` = batch length,
     /// `amount` = queue-wait µs of the first sampled job in the batch.
     Pickup,
-    /// A per-shard group executed against the table. Span: `dur_micros`
-    /// covers the lookup. `lane` = worker, `subject` = shard,
-    /// `amount` = group size.
+    /// A batch executed against the table. Span: `dur_micros` covers the
+    /// lookups. `lane` = worker, `amount` = batch length.
     BatchExec,
-    /// A sampled request's ticket was filled. `subject` = shard,
+    /// A sampled request's ticket was filled. `lane` = worker,
     /// `amount` = total submit→fill latency in µs.
     ResponseFill,
     /// One gossip tick ran. Span: `dur_micros` covers the round.
@@ -144,7 +143,8 @@ pub struct TraceEvent {
     pub trace_id: u64,
     /// Worker / replica lane (see the [`SpanKind`] variant docs).
     pub lane: u32,
-    /// Kind-specific subject (shard, peer, victim, round — see variants).
+    /// Kind-specific subject (peer, victim, round, batch length — see
+    /// variants).
     pub subject: u64,
     /// Kind-specific magnitude (latency µs, jobs moved, attempt number).
     pub amount: u64,

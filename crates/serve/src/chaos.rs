@@ -638,7 +638,7 @@ mod tests {
     use super::*;
 
     fn advert(round: u64) -> GossipMessage {
-        GossipMessage::Advert { round, digests: Vec::new(), ack: None }
+        GossipMessage::Advert { round, digest: 0, ack: None }
     }
 
     fn ids(n: u64) -> Vec<ReplicaId> {

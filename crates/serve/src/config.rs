@@ -4,9 +4,9 @@ use crate::ServeError;
 use hdhash_hdc::EngineOptions;
 use hdhash_obs::TraceConfig;
 
-/// Shape of a [`ServeEngine`](crate::ServeEngine): how many shards front
-/// the traffic, how many workers coalesce it, and the HD-table geometry
-/// each shard is built with.
+/// Shape of a [`ServeEngine`](crate::ServeEngine): how many workers
+/// coalesce the traffic, and the geometry of the one HD table they route
+/// through.
 ///
 /// Every field has a production-flavoured default; override with struct
 /// update syntax:
@@ -14,15 +14,17 @@ use hdhash_obs::TraceConfig;
 /// ```
 /// use hdhash_serve::ServeConfig;
 ///
-/// let config = ServeConfig { shards: 8, workers: 4, ..ServeConfig::default() };
+/// let config = ServeConfig { workers: 4, ..ServeConfig::default() };
 /// assert!(config.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Number of independent HD-hash shards. Requests are partitioned by
-    /// key hash, so each shard sees a disjoint slice of the keyspace.
+    /// Always 1: the engine routes every key through one published table,
+    /// and [`validate`](Self::validate) rejects any other value. The field
+    /// stays only because the `perfbench/` benchmark, which is kept
+    /// unchanged between versions, sets and reads it.
     pub shards: usize,
-    /// Worker threads draining the request queue into per-shard batches.
+    /// Worker threads draining the request queue into coalesced batches.
     pub workers: usize,
     /// Maximum jobs one worker drains into a single coalesced batch (the
     /// paper batches 256 requests per GPU dispatch; the CPU sweet spot is
@@ -32,16 +34,16 @@ pub struct ServeConfig {
     /// rejects submissions with
     /// [`ServeError::QueueFull`].
     pub queue_capacity: usize,
-    /// Hypervector dimension of every shard's table.
+    /// Hypervector dimension of the table.
     pub dimension: usize,
-    /// Codebook cardinality `n` of every shard's table.
+    /// Codebook cardinality `n` of the table.
     pub codebook_size: usize,
-    /// Base seed; shard `i` derives its codebook basis from `seed + i`.
-    /// Slot assignment does not depend on it (every table hashes keys and
-    /// servers with one fixed hash), so all shards place a given id on
-    /// the same codebook slot.
+    /// Seed of the table's codebook basis. Slot assignment does not depend
+    /// on it (the table hashes keys and servers with one fixed hash), so
+    /// replicas that share the dimension and codebook size place a given
+    /// id on the same codebook slot whatever their seeds.
     pub seed: u64,
-    /// Lookup-engine options for every shard's table. The engine has a
+    /// Lookup-engine options for the table. The engine has a
     /// single layout and scan, so [`EngineOptions`] has no fields and this
     /// one changes nothing.
     pub engine: EngineOptions,
@@ -53,7 +55,7 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            shards: 4,
+            shards: 1,
             workers: 2,
             batch_capacity: 64,
             queue_capacity: 4096,
@@ -68,14 +70,19 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// Validates the structural fields (the HD-table geometry is validated
-    /// again, more precisely, by `HdConfig` when the shards are built).
+    /// again, more precisely, by `HdConfig` when the table is built).
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] naming the offending field.
     pub fn validate(&self) -> Result<(), ServeError> {
+        if self.shards != 1 {
+            return Err(ServeError::InvalidConfig(format!(
+                "shards must be 1 (the engine keeps one routing table), got {}",
+                self.shards
+            )));
+        }
         let field_positive = [
-            ("shards", self.shards),
             ("workers", self.workers),
             ("batch_capacity", self.batch_capacity),
             ("queue_capacity", self.queue_capacity),
@@ -131,6 +138,15 @@ mod tests {
                 _ => c.codebook_size = 0,
             }
             assert!(matches!(c.validate(), Err(ServeError::InvalidConfig(_))), "field {field}");
+        }
+    }
+
+    #[test]
+    fn shards_accepts_only_one() {
+        assert_eq!(ServeConfig::default().shards, 1);
+        for shards in [2, 4, usize::MAX] {
+            let c = ServeConfig { shards, ..ServeConfig::default() };
+            assert!(matches!(c.validate(), Err(ServeError::InvalidConfig(_))), "shards {shards}");
         }
     }
 

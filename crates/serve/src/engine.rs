@@ -1,5 +1,5 @@
-//! The serving engine: one bounded request queue, coalescing workers,
-//! shard fan-out.
+//! The serving engine: one bounded request queue, coalescing workers, one
+//! published routing table.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,8 +31,9 @@ pub(crate) struct EngineCore {
     /// served.
     queue: Mutex<VecDeque<LookupJob>>,
     ready: Condvar,
-    shards: Vec<Shard>,
-    metrics: Vec<ShardMetrics>,
+    /// The routing table every worker reads and every change publishes.
+    shard: Shard,
+    metrics: ShardMetrics,
     submitted: AtomicU64,
     rejected: AtomicU64,
     completed: AtomicU64,
@@ -54,22 +55,18 @@ pub(crate) struct EngineCore {
 impl EngineCore {
     fn new(config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
-        let mut shards = Vec::with_capacity(config.shards);
-        for i in 0..config.shards {
-            let table = HdHashTable::builder()
-                .dimension(config.dimension)
-                .codebook_size(config.codebook_size)
-                .seed(config.seed.wrapping_add(i as u64))
-                .build()
-                .map_err(|e| ServeError::InvalidConfig(e.to_string()))?;
-            shards.push(Shard::new(i, table));
-        }
+        let table = HdHashTable::builder()
+            .dimension(config.dimension)
+            .codebook_size(config.codebook_size)
+            .seed(config.seed)
+            .build()
+            .map_err(|e| ServeError::InvalidConfig(e.to_string()))?;
         Ok(Self {
             tracer: Arc::new(Tracer::new(config.trace)),
             queue: Mutex::new(VecDeque::with_capacity(config.queue_capacity)),
             ready: Condvar::new(),
-            metrics: (0..config.shards).map(|_| ShardMetrics::default()).collect(),
-            shards,
+            shard: Shard::new(table),
+            metrics: ShardMetrics::default(),
             submitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -81,17 +78,11 @@ impl EngineCore {
         })
     }
 
-    /// Which shard a key belongs to: a strong 64-bit mix over the key, mod
-    /// the shard count, so the partition is stable and load-balanced.
-    fn shard_of(&self, key: RequestKey) -> usize {
-        (hdhash_hashfn::mix64(key.get()) % self.config.shards as u64) as usize
-    }
-
     fn submit(&self, key: RequestKey) -> Result<Ticket, ServeError> {
-        let (mut job, ticket) = LookupJob::new(key, self.shard_of(key));
+        let (mut job, ticket) = LookupJob::new(key);
         job.trace_id = self.tracer.sample();
         if let Some(id) = job.trace_id {
-            self.tracer.record(SpanKind::Submit, id, 0, job.shard as u64, 0);
+            self.tracer.record(SpanKind::Submit, id, 0, 0, 0);
         }
         {
             let mut queue = self.queue.lock();
@@ -130,8 +121,8 @@ impl EngineCore {
     }
 
     /// The worker loop: serves each batch
-    /// [`take_batch`](Self::take_batch) hands over as one shard-grouped
-    /// coalesced unit, and returns when `take_batch` reports shutdown.
+    /// [`take_batch`](Self::take_batch) hands over as one coalesced unit,
+    /// and returns when `take_batch` reports shutdown.
     ///
     /// Panic containment: batch execution runs under `catch_unwind`, so a
     /// panicking lookup (or the injection hook) costs one batch — its
@@ -166,86 +157,68 @@ impl EngineCore {
         }
     }
 
-    /// Serves one coalesced batch: jobs are grouped per shard and each
-    /// group resolved job by job through a single epoch snapshot's route
-    /// table ([`ShardSnapshot`]). `latencies` is caller-owned scratch,
-    /// reused across batches. A batch allocates nothing else on its own:
-    /// a route hit is a slot hash and an array read, and a miss runs the
-    /// serial HD scan, which allocates nothing. The only allocation is the
-    /// route table itself (one word per codebook slot), made by the
-    /// epoch's first lookup.
+    /// Serves one coalesced batch against one epoch snapshot: every job is
+    /// resolved through that snapshot's route table ([`ShardSnapshot`]).
+    /// `latencies` is caller-owned scratch, reused across batches. A batch
+    /// allocates nothing else on its own: a route hit is a slot hash and
+    /// an array read, and a miss runs the serial HD scan, which allocates
+    /// nothing. The only allocation is the route table itself (one word
+    /// per codebook slot), made by the epoch's first lookup.
     fn serve_batch(
         &self,
         worker: usize,
         batch: &mut Vec<LookupJob>,
         latencies: &mut Vec<Duration>,
     ) {
-        batch.sort_by_key(|job| job.shard);
-        let mut start = 0;
-        while start < batch.len() {
-            let shard_idx = batch[start].shard;
-            let mut end = start + 1;
-            while end < batch.len() && batch[end].shard == shard_idx {
-                end += 1;
+        self.maybe_inject_panic(batch);
+        // Trace work is gated on the batch actually containing a sampled
+        // job, so at production sampling rates most batches pay one `any`
+        // scan over a short slice and nothing else (and with tracing
+        // disabled, one branch).
+        let traced = self.tracer.is_enabled() && batch.iter().any(|job| job.trace_id.is_some());
+        let started = if traced { Some(Instant::now()) } else { None };
+        // One snapshot per batch: every response in it is computed against
+        // a single consistent epoch.
+        let snapshot = self.shard.load();
+        latencies.clear();
+        let (mut failures, mut scans) = (0, 0);
+        for job in batch.iter() {
+            let (result, scanned) = snapshot.route(job.key);
+            scans += usize::from(scanned);
+            if result.is_err() {
+                failures += 1;
             }
-            let jobs = &batch[start..end];
-            self.maybe_inject_panic(jobs);
-            // Trace work is gated on the group actually containing a
-            // sampled job, so at production sampling rates most groups pay
-            // one `any` scan over a short slice and nothing else (and with
-            // tracing disabled, one branch).
-            let group_traced =
-                self.tracer.is_enabled() && jobs.iter().any(|job| job.trace_id.is_some());
-            let group_started = if group_traced { Some(Instant::now()) } else { None };
-            // One snapshot per shard-group: every response in the group is
-            // computed against a single consistent epoch.
-            let snapshot = self.shards[shard_idx].load();
-            latencies.clear();
-            let (mut failures, mut scans) = (0, 0);
-            for job in jobs {
-                let (result, scanned) = snapshot.route(job.key);
-                scans += usize::from(scanned);
-                if result.is_err() {
-                    failures += 1;
-                }
-                let latency = job.enqueued.elapsed();
-                latencies.push(latency);
-                job.cell.fill(ServeResponse {
-                    result,
-                    shard: shard_idx,
-                    epoch: snapshot.epoch,
-                    latency,
-                });
-                if let Some(id) = job.trace_id {
-                    self.tracer.record(
-                        SpanKind::ResponseFill,
-                        id,
-                        worker as u32,
-                        shard_idx as u64,
-                        latency.as_micros() as u64,
-                    );
-                }
-            }
-            if let Some(started) = group_started {
-                let id = jobs.iter().find_map(|job| job.trace_id).unwrap_or(0);
-                self.tracer.record_span(
-                    SpanKind::BatchExec,
+            let latency = job.enqueued.elapsed();
+            latencies.push(latency);
+            job.cell.fill(ServeResponse { result, shard: 0, epoch: snapshot.epoch, latency });
+            if let Some(id) = job.trace_id {
+                self.tracer.record(
+                    SpanKind::ResponseFill,
                     id,
                     worker as u32,
-                    shard_idx as u64,
-                    jobs.len() as u64,
-                    started,
+                    0,
+                    latency.as_micros() as u64,
                 );
             }
-            self.metrics[shard_idx].record_batch(jobs.len(), failures, scans, latencies);
-            self.completed.fetch_add(jobs.len() as u64, Ordering::Relaxed);
-            start = end;
         }
+        if let Some(started) = started {
+            let id = batch.iter().find_map(|job| job.trace_id).unwrap_or(0);
+            self.tracer.record_span(
+                SpanKind::BatchExec,
+                id,
+                worker as u32,
+                0,
+                batch.len() as u64,
+                started,
+            );
+        }
+        self.metrics.record_batch(batch.len(), failures, scans, latencies);
+        self.completed.fetch_add(batch.len() as u64, Ordering::Relaxed);
         batch.clear();
     }
 
-    /// The fault-injection hook: panics before the group is served when a
-    /// test armed this batch's key via
+    /// The fault-injection hook: panics before the batch is served when a
+    /// test armed one of its keys via
     /// [`ServeEngine::inject_worker_panic`]. Firing disarms the hook, so
     /// exactly one panic is injected per arm. Panicking *before* any cell
     /// fill keeps the completion accounting exact — containment backfills
@@ -274,10 +247,10 @@ impl EngineCore {
         for job in batch.iter() {
             let filled = job.cell.fill_if_pending(ServeResponse {
                 result: Err(TableError::WorkerPanicked),
-                // No snapshot produced this verdict; report the shard's
-                // currently published epoch for diagnostics.
-                shard: job.shard,
-                epoch: self.shards[job.shard].load().epoch,
+                // No snapshot produced this verdict; report the currently
+                // published epoch for diagnostics.
+                shard: 0,
+                epoch: self.shard.load().epoch,
                 latency: job.enqueued.elapsed(),
             });
             if filled {
@@ -290,7 +263,7 @@ impl EngineCore {
     }
 }
 
-/// The sharded, batch-coalescing serving engine.
+/// The batch-coalescing serving engine over one published routing table.
 ///
 /// See the [crate docs](crate) for the architecture. Construction spawns
 /// the worker threads; [`shutdown`](Self::shutdown) (or `Drop`) stops
@@ -303,7 +276,6 @@ impl EngineCore {
 /// use hdhash_table::{RequestKey, ServerId};
 ///
 /// let mut engine = ServeEngine::new(ServeConfig {
-///     shards: 2,
 ///     workers: 1,
 ///     dimension: 2048,
 ///     codebook_size: 64,
@@ -314,7 +286,7 @@ impl EngineCore {
 /// }
 /// let response = engine.submit(RequestKey::new(7))?.wait();
 /// let server = response.result.expect("pool is non-empty");
-/// assert!(engine.snapshots()[response.shard].contains(server));
+/// assert!(engine.snapshots()[0].contains(server));
 /// engine.shutdown();
 /// # Ok::<(), hdhash_serve::ServeError>(())
 /// ```
@@ -325,7 +297,7 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Builds the shards and spawns the worker pool.
+    /// Builds the table and spawns the worker pool.
     ///
     /// # Errors
     ///
@@ -361,103 +333,71 @@ impl ServeEngine {
         self.core.submit(key)
     }
 
-    /// Joins `server` on every shard, each through its epoch path.
+    /// Joins `server` through the epoch path. The one receipt comes in a
+    /// vector because the `perfbench/` benchmark, which is kept unchanged
+    /// between versions, indexes it.
     ///
     /// # Errors
     ///
-    /// Returns the first shard failure (e.g.
-    /// [`TableError::ServerAlreadyPresent`]); shards reconfigured before
-    /// the failure keep their new epoch — shards are independent tables.
+    /// The table's refusal (e.g. [`TableError::ServerAlreadyPresent`]); a
+    /// refused join publishes nothing.
     pub fn join(&self, server: ServerId) -> Result<Vec<ShardReceipt>, ServeError> {
-        self.reconfigure_all(|table| table.join(server))
+        Ok(vec![self.core.shard.reconfigure(|table| table.join(server))?])
     }
 
-    /// Removes `server` from every shard, each through its epoch path.
+    /// Removes `server` through the epoch path; the receipt comes as in
+    /// [`join`](Self::join).
     ///
     /// # Errors
     ///
-    /// Returns the first shard failure
-    /// ([`TableError::ServerNotFound`]); prior shards keep their new epoch.
+    /// [`TableError::ServerNotFound`]; a refused leave publishes nothing.
     pub fn leave(&self, server: ServerId) -> Result<Vec<ShardReceipt>, ServeError> {
-        self.reconfigure_all(|table| table.leave(server))
+        Ok(vec![self.core.shard.reconfigure(|table| table.leave(server))?])
     }
 
-    fn reconfigure_all<F>(&self, op: F) -> Result<Vec<ShardReceipt>, ServeError>
-    where
-        F: Fn(&mut HdHashTable) -> Result<(), TableError>,
-    {
-        let mut receipts = Vec::with_capacity(self.core.shards.len());
-        for shard in &self.core.shards {
-            receipts.push(shard.reconfigure(&op)?);
-        }
-        Ok(receipts)
-    }
-
-    /// The currently published snapshot of every shard (epoch, members)
-    /// — cheap `Arc` clones.
+    /// The currently published snapshot (epoch, members), as the only
+    /// entry — a cheap `Arc` clone. A vector because the `perfbench/`
+    /// benchmark, which is kept unchanged between versions, reads it as
+    /// one.
     #[must_use]
     pub fn snapshots(&self) -> Vec<Arc<ShardSnapshot>> {
-        self.core.shards.iter().map(Shard::load).collect()
+        vec![self.core.shard.load()]
     }
 
-    /// Number of shards the engine fronts.
+    /// The published membership digest ([`ShardSnapshot::digest`]) — the
+    /// payload a gossip round adverts to peer replicas: 16 bytes, equal
+    /// iff the member id sets are equal (up to a 128-bit hash collision).
     #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.core.shards.len()
+    pub fn digest(&self) -> u128 {
+        self.core.shard.load().digest()
     }
 
-    /// Every shard's published membership digest
-    /// ([`ShardSnapshot::digest`]) — the payload a gossip round adverts
-    /// to peer replicas: 16 bytes per shard, equal iff the member id sets
-    /// are equal (up to a 128-bit hash collision).
-    #[must_use]
-    pub fn shard_digests(&self) -> Vec<u128> {
-        self.core.shards.iter().map(|s| s.load().digest()).collect()
-    }
-
-    /// Drives `shard`'s membership to exactly `target` through the
-    /// clone → epoch-publish path — the anti-entropy application hook.
-    /// Readers never block; a target the shard already matches publishes
-    /// nothing (`Ok(None)`), so repeated reconciliation is idempotent and
-    /// burns no epochs.
+    /// Drives the membership to exactly `target` through the clone →
+    /// epoch-publish path — the anti-entropy application hook. Readers
+    /// never block; a target the table already matches publishes nothing
+    /// (`Ok(None)`), so repeated reconciliation is idempotent and burns no
+    /// epochs.
     ///
     /// # Errors
     ///
     /// [`ServeError::Table`] when the moves fail (only capacity
     /// exhaustion is reachable). A failed reconcile publishes nothing:
-    /// the shard keeps its epoch and members.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shard_count()`.
-    pub fn reconcile_shard(
-        &self,
-        shard: usize,
-        target: &[ServerId],
-    ) -> Result<Option<ShardReceipt>, ServeError> {
-        Ok(self.core.shards[shard].reconcile(target)?)
+    /// the table keeps its epoch and members.
+    pub fn reconcile(&self, target: &[ServerId]) -> Result<Option<ShardReceipt>, ServeError> {
+        Ok(self.core.shard.reconcile(target)?)
     }
 
-    /// Point-in-time engine and per-shard metrics.
+    /// Point-in-time engine and table metrics.
     #[must_use]
     pub fn metrics(&self) -> EngineMetrics {
-        let shards = self
-            .core
-            .shards
-            .iter()
-            .zip(&self.core.metrics)
-            .map(|(shard, metrics)| {
-                let snap = shard.load();
-                metrics.snapshot(snap.shard, snap.epoch, snap.members.len())
-            })
-            .collect();
+        let snap = self.core.shard.load();
         EngineMetrics {
             submitted: self.core.submitted.load(Ordering::Relaxed),
             rejected: self.core.rejected.load(Ordering::Relaxed),
             completed: self.core.completed.load(Ordering::Relaxed),
             panics_contained: self.core.panics_contained.load(Ordering::Relaxed),
             queue_depth: self.core.queue.lock().len(),
-            shards,
+            shards: vec![self.core.metrics.snapshot(snap.epoch, snap.members.len())],
         }
     }
 
@@ -517,45 +457,41 @@ mod tests {
 
     fn test_config() -> ServeConfig {
         ServeConfig {
-            shards: 3,
             workers: 2,
             batch_capacity: 16,
             queue_capacity: 256,
             dimension: 2048,
             codebook_size: 64,
             seed: 42,
-            engine: Default::default(),
-            trace: hdhash_obs::TraceConfig::disabled(),
+            ..ServeConfig::default()
         }
     }
 
     #[test]
-    fn serves_lookups_across_shards() {
+    fn serves_lookups_from_the_published_epoch() {
         let mut engine = ServeEngine::new(test_config()).expect("valid config");
         for id in 0..12 {
             engine.join(ServerId::new(id)).expect("fresh server");
         }
         let snapshots = engine.snapshots();
+        assert_eq!(snapshots.len(), 1);
+        let snapshot = &snapshots[0];
         let tickets: Vec<_> = (0..200u64)
             .map(|k| (k, engine.submit(RequestKey::new(k)).expect("accepted")))
             .collect();
-        let mut shards_hit = std::collections::HashSet::new();
+        let mut servers_hit = std::collections::HashSet::new();
         for (k, ticket) in tickets {
             let response = ticket.wait();
-            shards_hit.insert(response.shard);
             // Deterministic: the response equals a direct lookup against
             // the snapshot of the epoch that served it (static membership,
             // so that's the current snapshot).
-            assert_eq!(response.epoch, snapshots[response.shard].epoch);
-            assert_eq!(
-                response.result,
-                snapshots[response.shard].lookup(RequestKey::new(k)),
-                "key {k}"
-            );
+            assert_eq!((response.shard, response.epoch), (0, snapshot.epoch));
+            assert_eq!(response.result, snapshot.lookup(RequestKey::new(k)), "key {k}");
             let server = response.result.expect("non-empty pool");
-            assert!(snapshots[response.shard].contains(server));
+            assert!(snapshot.contains(server));
+            servers_hit.insert(server);
         }
-        assert_eq!(shards_hit.len(), 3, "keys must spread over all shards");
+        assert!(servers_hit.len() > 1, "keys must spread over the members");
         // Metrics are published after the response cells are filled; read
         // them only once the workers have quiesced.
         engine.shutdown();
@@ -563,9 +499,10 @@ mod tests {
         assert_eq!(metrics.submitted, 200);
         assert_eq!(metrics.completed, 200);
         assert_eq!(metrics.rejected, 0);
-        assert_eq!(metrics.shards.iter().map(|s| s.served).sum::<u64>(), 200);
-        assert!(metrics.shards.iter().all(|s| s.failed == 0));
-        assert!(metrics.shards.iter().any(|s| s.latency.is_some()));
+        assert_eq!(metrics.shards.len(), 1);
+        let table = &metrics.shards[0];
+        assert_eq!((table.shard, table.served, table.failed), (0, 200, 0));
+        assert!(table.latency.is_some());
     }
 
     #[test]
@@ -576,7 +513,7 @@ mod tests {
         assert_eq!(response.result, Err(TableError::EmptyPool));
         assert_eq!(response.epoch, 0, "genesis epoch");
         engine.shutdown();
-        assert_eq!(engine.metrics().shards.iter().map(|s| s.failed).sum::<u64>(), 1);
+        assert_eq!(engine.metrics().shards[0].failed, 1);
     }
 
     #[test]
@@ -646,7 +583,7 @@ mod tests {
     fn receipts_track_epochs_and_final_members() {
         let engine = ServeEngine::new(test_config()).expect("valid config");
         let r1 = engine.join(ServerId::new(1)).expect("fresh server");
-        assert_eq!(r1.len(), 3);
+        assert_eq!(r1.len(), 1);
         assert!(r1.iter().all(|r| r.epoch == 1 && r.members == vec![ServerId::new(1)]));
         let r2 = engine.join(ServerId::new(2)).expect("fresh server");
         assert!(r2.iter().all(|r| r.epoch == 2 && r.members.len() == 2));
@@ -657,9 +594,9 @@ mod tests {
         }
     }
 
-    /// One shard that fills at seven members (codebook 8, `n > k`).
+    /// A table that fills at seven members (codebook 8, `n > k`).
     fn tiny_config() -> ServeConfig {
-        ServeConfig { shards: 1, codebook_size: 8, ..test_config() }
+        ServeConfig { codebook_size: 8, ..test_config() }
     }
 
     fn ids(range: std::ops::Range<u64>) -> Vec<ServerId> {
@@ -676,7 +613,7 @@ mod tests {
         // and none of them may reach an epoch.
         let target: Vec<ServerId> = [ServerId::new(0)].into_iter().chain(ids(10..17)).collect();
         assert_eq!(
-            engine.reconcile_shard(0, &target),
+            engine.reconcile(&target),
             Err(ServeError::Table(TableError::CapacityExhausted { servers: 7, capacity: 7 }))
         );
         let snapshot = &engine.snapshots()[0];
@@ -689,7 +626,7 @@ mod tests {
 
     #[test]
     fn receipts_follow_only_successful_changes() {
-        // A seeded mix of joins, leaves and reconciles on a shard that
+        // A seeded mix of joins, leaves and reconciles on a table that
         // fills at seven members, so duplicate joins, leaves of absent
         // members and over-capacity reconciles fail along the way. The
         // model membership changes only when an operation returns `Ok`.
@@ -712,7 +649,7 @@ mod tests {
                 _ => {
                     next = (0..12).filter(|_| rng.next_below(2) == 0).map(ServerId::new).collect();
                     let target: Vec<ServerId> = next.iter().copied().collect();
-                    let result = engine.reconcile_shard(0, &target);
+                    let result = engine.reconcile(&target);
                     failed_reconciles += usize::from(result.is_err());
                     result
                 }
@@ -735,36 +672,27 @@ mod tests {
     }
 
     #[test]
-    fn reconcile_shard_and_digests_expose_the_gossip_surface() {
+    fn reconcile_and_digest_expose_the_gossip_surface() {
         let engine = ServeEngine::new(test_config()).expect("valid config");
-        assert_eq!(engine.shard_count(), 3);
         engine.join(ServerId::new(1)).expect("fresh");
         engine.join(ServerId::new(2)).expect("fresh");
-        let before = engine.shard_digests();
-        assert_eq!(before.len(), 3);
-        // Every shard holds the same member set, so reads the same digest.
-        assert!(before.iter().all(|&d| d == before[0]));
-        // Reconcile shard 0 to a different membership: only its digest
-        // moves, and its snapshot serves the new member set.
+        let before = engine.digest();
+        assert_eq!(before, engine.snapshots()[0].digest());
+        // Reconcile to a different membership: the digest moves, and the
+        // published snapshot serves the new member set.
         let target: Vec<ServerId> = [1u64, 5].into_iter().map(ServerId::new).collect();
-        let receipt =
-            engine.reconcile_shard(0, &target).expect("fits").expect("moved");
-        assert_eq!(receipt.shard, 0);
-        let after = engine.shard_digests();
-        assert_ne!(after[0], before[0]);
-        assert_eq!(after[1..], before[1..]);
+        let receipt = engine.reconcile(&target).expect("fits").expect("moved");
+        assert_eq!((receipt.shard, receipt.epoch), (0, 3));
+        assert_ne!(engine.digest(), before);
         assert_eq!(engine.snapshots()[0].member_ids(), target);
         // Idempotent: same target again publishes nothing.
-        assert!(engine.reconcile_shard(0, &target).expect("no-op").is_none());
-        // Converging every shard to one membership matches a directly
-        // built engine.
-        for shard in 0..engine.shard_count() {
-            engine.reconcile_shard(shard, &target).expect("fits");
-        }
+        assert!(engine.reconcile(&target).expect("no-op").is_none());
+        assert_eq!(engine.snapshots()[0].epoch, 3);
+        // The reconciled engine reads the digest of a directly built one.
         let direct = ServeEngine::new(test_config()).expect("valid config");
         direct.join(ServerId::new(1)).expect("fresh");
         direct.join(ServerId::new(5)).expect("fresh");
-        assert_eq!(engine.shard_digests(), direct.shard_digests());
+        assert_eq!(engine.digest(), direct.digest());
     }
 
     #[test]
@@ -812,15 +740,5 @@ mod tests {
         let tracer = engine.tracer();
         assert_eq!(tracer.drain().len(), 0);
         assert_eq!(tracer.stats().requests_sampled, 0);
-    }
-
-    #[test]
-    fn shard_partition_is_stable() {
-        let core = EngineCore::new(test_config()).expect("valid config");
-        for k in 0..500u64 {
-            let key = RequestKey::new(k);
-            assert_eq!(core.shard_of(key), core.shard_of(key));
-            assert!(core.shard_of(key) < 3);
-        }
     }
 }

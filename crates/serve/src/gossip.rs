@@ -1,29 +1,28 @@
 //! Digest-driven anti-entropy gossip between replica engines.
 //!
-//! Replicas periodically advert one exact membership **digest** per shard
+//! Replicas periodically advert one exact membership **digest**
 //! ([`ShardSnapshot::digest`], 16 bytes) instead of member lists: the
 //! checksum-before-exchange step of anti-entropy (Demers et al.,
 //! "Epidemic Algorithms for Replicated Database Maintenance", PODC 1987).
-//! A receiver compares the advert against its own digests. Equal member
+//! A receiver compares the advert against its own digest. Equal member
 //! sets read equal digests and different ones read different digests (up
 //! to a 128-bit hash collision), so the check has neither false positives
-//! nor, in practice, false negatives. Only when a shard diverges does the
-//! expensive payload move: a push–pull record exchange
+//! nor, in practice, false negatives. Only when the digests differ does
+//! the expensive payload move: a push–pull record exchange
 //! ([`MemberRecord`]s, last-writer-wins semantics) that both sides fold
-//! in through [`ReplicatedEngine::merge`], reconciling every shard via
-//! the clone → epoch-publish path. Readers never block on a
-//! reconciliation.
+//! in through [`ReplicatedEngine::merge`], reconciling the table via the
+//! clone → epoch-publish path. Readers never block on a reconciliation.
 //!
 //! ```text
 //!   A                                   B
-//!   │ tick: Advert {digests[shard]}     │
+//!   │ tick: Advert {digest}             │
 //!   ├──────────────────────────────────►│  compare digests
 //!   │                                   │  (agree → done, 1 message)
 //!   │      SyncRequest {records of B}   │
-//!   │◄──────────────────────────────────┤  diverged → push B's records
-//!   │ merge(B) ─ reconcile shards       │
+//!   │◄──────────────────────────────────┤  differ → push B's records
+//!   │ merge(B) ─ reconcile table        │
 //!   │ SyncResponse {merged records}     │
-//!   ├──────────────────────────────────►│  merge(A∪B) ─ reconcile shards
+//!   ├──────────────────────────────────►│  merge(A∪B) ─ reconcile table
 //!   │                                   │
 //! ```
 //!
@@ -53,21 +52,21 @@ use crate::transport::{Envelope, ReplicaId, Transport};
 /// and the measured TCP byte counters describe the same protocol cost.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GossipMessage {
-    /// Round opener: the sender's per-shard membership digests.
+    /// Round opener: the sender's membership digest.
     Advert {
         /// The sender's round counter (diagnostic only — anti-entropy is
         /// memoryless across rounds).
         round: u64,
-        /// One digest per shard, in shard order.
-        digests: Vec<u128>,
+        /// The sender's published membership digest.
+        digest: u128,
         /// Piggybacked seen-through confirmation: the highest capture
         /// LSN of the **destination's** log whose full record set the
         /// sender has merged — the tombstone-GC watermark input. `None`
         /// until a first sync exchange has happened.
         ack: Option<u64>,
     },
-    /// The receiver detected divergence and pushes its records, pulling
-    /// the sender's in return.
+    /// The receiver's digest differed: it pushes its records, pulling the
+    /// sender's in return.
     SyncRequest {
         /// Echo of the advert round.
         round: u64,
@@ -78,9 +77,6 @@ pub enum GossipMessage {
         stamp: u64,
         /// The requesting replica's full record set (with tombstones).
         records: Vec<MemberRecord>,
-        /// Which shards' digests diverged (diagnostic + accounting;
-        /// membership is engine-global, so one record set covers all).
-        diverged: Vec<usize>,
     },
     /// The advert sender's reply: its records *after* folding in the
     /// request's, so the requester converges in one merge.
@@ -108,17 +104,9 @@ impl GossipMessage {
     #[must_use]
     pub fn wire_size(&self) -> usize {
         match self {
-            GossipMessage::Advert { digests, .. } => {
-                FRAME_HEADER + ACK_FIELD + digests.len() * DIGEST_FIELD
-            }
-            GossipMessage::SyncRequest { records, diverged, .. } => {
-                FRAME_HEADER
-                    + STAMP_FIELD
-                    + 4
-                    + diverged.len() * 2
-                    + records.len() * MemberRecord::WIRE_SIZE
-            }
-            GossipMessage::SyncResponse { records, .. } => {
+            GossipMessage::Advert { .. } => FRAME_HEADER + ACK_FIELD + DIGEST_FIELD,
+            GossipMessage::SyncRequest { records, .. }
+            | GossipMessage::SyncResponse { records, .. } => {
                 FRAME_HEADER + STAMP_FIELD + records.len() * MemberRecord::WIRE_SIZE
             }
         }
@@ -201,10 +189,8 @@ pub struct GossipMetrics {
     pub adverts_sent: u64,
     /// Adverts received from peers.
     pub adverts_received: u64,
-    /// Adverts whose comparison found at least one diverged shard.
+    /// Adverts whose digest differed from the local one.
     pub divergence_detections: u64,
-    /// Total diverged shards across those detections.
-    pub divergent_shards: u64,
     /// Sync requests sent (this node detected divergence).
     pub syncs_sent: u64,
     /// Sync requests received (peer detected divergence).
@@ -221,10 +207,9 @@ pub struct GossipMetrics {
     pub bytes_received: u64,
     /// Sends refused by the transport (unknown/disconnected peer).
     pub send_failures: u64,
-    /// Adverts dropped as malformed (shard-count mismatch) plus merges
-    /// the engine refused (capacity). A peer with another dimension,
-    /// codebook size or seed but the same shard count is not detected:
-    /// the digests cover member ids only.
+    /// Merges the engine refused (capacity). Gossip checks no geometry: a
+    /// peer with another dimension, codebook size or seed is not detected,
+    /// because the digest covers member ids only.
     pub protocol_errors: u64,
     /// Tombstones expired by the seen-through watermark GC.
     pub tombstones_expired: u64,
@@ -255,7 +240,6 @@ struct Counters {
     adverts_sent: AtomicU64,
     adverts_received: AtomicU64,
     divergence_detections: AtomicU64,
-    divergent_shards: AtomicU64,
     syncs_sent: AtomicU64,
     syncs_received: AtomicU64,
     records_adopted: AtomicU64,
@@ -362,13 +346,12 @@ impl<T: Transport> GossipNode<T> {
         &self.replica
     }
 
-    /// Opens one round: adverts the current per-shard digests to
-    /// `min(fanout, peers)` deterministically selected peers (every peer
-    /// on small sets — see [`GossipConfig::fanout`]). Cost per adverted
-    /// peer is 16 bytes per shard — member lists never move unless a
-    /// digest disagrees. Each advert piggybacks the seen-through ack for
-    /// its destination, and acknowledged tombstones are collected before
-    /// the digests are read.
+    /// Opens one round: adverts the current digest to `min(fanout, peers)`
+    /// deterministically selected peers (every peer on small sets — see
+    /// [`GossipConfig::fanout`]). The digest costs 16 bytes per adverted
+    /// peer — member lists never move unless the digests disagree. Each
+    /// advert piggybacks the seen-through ack for its destination, and
+    /// acknowledged tombstones are collected before the digest is read.
     pub fn tick(&self) {
         let round = self.round.fetch_add(1, Ordering::Relaxed) + 1;
         Counters::add(&self.counters.rounds, 1);
@@ -383,13 +366,10 @@ impl<T: Transport> GossipNode<T> {
         Counters::add(&self.counters.tombstones_expired, expired as u64);
         self.retry_expired_syncs(round);
         let targets = self.round_targets(round);
-        let digests = self.replica.shard_digests();
+        let digest = self.replica.digest();
         for &peer in &targets {
-            let message = GossipMessage::Advert {
-                round,
-                digests: digests.clone(),
-                ack: self.replica.ack_for(peer),
-            };
+            let message =
+                GossipMessage::Advert { round, digest, ack: self.replica.ack_for(peer) };
             if self.send(peer, message) {
                 Counters::add(&self.counters.adverts_sent, 1);
             }
@@ -559,8 +539,7 @@ impl<T: Transport> GossipNode<T> {
         }
         for (peer, attempt) in retransmit {
             let (stamp, records) = self.replica.sync_payload();
-            let message =
-                GossipMessage::SyncRequest { round, stamp, records, diverged: Vec::new() };
+            let message = GossipMessage::SyncRequest { round, stamp, records };
             let bytes = message.wire_size() as u64;
             if self.send(peer, message) {
                 Counters::add(&self.counters.sync_retries, 1);
@@ -611,7 +590,6 @@ impl<T: Transport> GossipNode<T> {
             adverts_sent: load(&c.adverts_sent),
             adverts_received: load(&c.adverts_received),
             divergence_detections: load(&c.divergence_detections),
-            divergent_shards: load(&c.divergent_shards),
             syncs_sent: load(&c.syncs_sent),
             syncs_received: load(&c.syncs_received),
             records_adopted: load(&c.records_adopted),
@@ -648,17 +626,6 @@ impl<T: Transport> GossipNode<T> {
         }
     }
 
-    /// Shard indices whose digests differ from `remote`'s, or `None` when
-    /// the advert is malformed (shard-count mismatch — the peer runs an
-    /// incompatible geometry).
-    fn diverged_shards(&self, remote: &[u128]) -> Option<Vec<usize>> {
-        let local = self.replica.shard_digests();
-        if local.len() != remote.len() {
-            return None;
-        }
-        Some((0..local.len()).filter(|&shard| local[shard] != remote[shard]).collect())
-    }
-
     /// Merges a full record set sent by `from`, captured at `from`'s log
     /// LSN `stamp` — the merge doubles as the "seen through `stamp`"
     /// evidence the watermark exchange acknowledges back.
@@ -679,33 +646,28 @@ impl<T: Transport> GossipNode<T> {
         // Any message is a heartbeat: the detector only measures silence.
         self.note_heard(from);
         match message {
-            GossipMessage::Advert { round, digests, ack } => {
+            GossipMessage::Advert { round, digest, ack } => {
                 Counters::add(&self.counters.adverts_received, 1);
                 if let Some(seen_through) = ack {
                     // The peer confirms it merged our records through our
                     // clock `seen_through` — watermark input for GC.
                     self.replica.record_ack(from, seen_through);
                 }
-                let Some(diverged) = self.diverged_shards(&digests) else {
-                    Counters::add(&self.counters.protocol_errors, 1);
-                    return;
-                };
-                if diverged.is_empty() {
-                    // Replicas agree — 1 message, 16 bytes per shard.
-                    // An in-flight sync to this peer became moot.
+                if digest == self.replica.digest() {
+                    // Replicas agree — 1 message carrying one digest. An
+                    // in-flight sync to this peer became moot.
                     self.outstanding.lock().remove(&from);
                     return;
                 }
                 Counters::add(&self.counters.divergence_detections, 1);
-                Counters::add(&self.counters.divergent_shards, diverged.len() as u64);
                 let (stamp, records) = self.replica.sync_payload();
-                let message = GossipMessage::SyncRequest { round, stamp, records, diverged };
+                let message = GossipMessage::SyncRequest { round, stamp, records };
                 if self.send(from, message) {
                     Counters::add(&self.counters.syncs_sent, 1);
                     self.track_sync(from);
                 }
             }
-            GossipMessage::SyncRequest { round, stamp, records, .. } => {
+            GossipMessage::SyncRequest { round, stamp, records } => {
                 Counters::add(&self.counters.syncs_received, 1);
                 self.merge_from(from, stamp, &records);
                 // The reply ships the *merged* records so the requester
@@ -802,46 +764,39 @@ impl<T: Transport> GossipHandle<T> {
     }
 }
 
-/// Each shard's published member ids, sorted.
-fn shard_members(replica: &ReplicatedEngine) -> Vec<Vec<ServerId>> {
-    replica.engine().snapshots().iter().map(|s| s.member_ids()).collect()
+/// The replica's published member ids, sorted.
+fn published_members(replica: &ReplicatedEngine) -> Vec<ServerId> {
+    replica.engine().snapshots()[0].member_ids()
 }
 
-/// Whether every replica publishes the same sorted member ids on every
-/// shard. This is the exact check; adverts compare the digests of the
-/// same sets.
+/// Whether every replica publishes the same sorted member ids. This is
+/// the exact check; adverts compare the digests of the same sets.
 #[must_use]
 pub fn converged(replicas: &[&ReplicatedEngine]) -> bool {
     let Some((first, rest)) = replicas.split_first() else {
         return true;
     };
-    let reference = shard_members(first);
-    rest.iter().all(|r| shard_members(r) == reference)
+    let reference = published_members(first);
+    rest.iter().all(|r| published_members(r) == reference)
 }
 
-/// How far a replica set is from [`converged`], in members: per shard,
-/// the most member ids any replica's published set differs by from
-/// replica 0's (the size of the symmetric difference), summed over
-/// shards. 0 iff converged.
+/// How far a replica set is from [`converged`], in members: the most
+/// member ids any replica's published set differs by from replica 0's
+/// (the size of the symmetric difference). 0 iff converged.
 #[must_use]
 pub fn member_divergence(replicas: &[&ReplicatedEngine]) -> u64 {
     let Some((first, rest)) = replicas.split_first() else {
         return 0;
     };
-    let others: Vec<Vec<Vec<ServerId>>> = rest.iter().map(|r| shard_members(r)).collect();
-    let shards = shard_members(first);
-    let worst_per_shard = shards.iter().enumerate().map(|(shard, ours)| {
-        let ours: BTreeSet<&ServerId> = ours.iter().collect();
-        others
-            .iter()
-            .map(|theirs| {
-                let theirs: BTreeSet<&ServerId> = theirs.get(shard).into_iter().flatten().collect();
-                ours.symmetric_difference(&theirs).count() as u64
-            })
-            .max()
-            .unwrap_or(0)
-    });
-    worst_per_shard.sum()
+    let ours = published_members(first);
+    let ours: BTreeSet<&ServerId> = ours.iter().collect();
+    rest.iter()
+        .map(|r| {
+            let theirs = published_members(r);
+            ours.symmetric_difference(&theirs.iter().collect()).count() as u64
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 /// Drives one explicit round across a node set: every node adverts
@@ -889,28 +844,26 @@ mod tests {
     use crate::transport::InProcessNetwork;
     use crate::ServeConfig;
 
-    fn config(shards: usize) -> ServeConfig {
+    fn config() -> ServeConfig {
         ServeConfig {
-            shards,
             workers: 1,
             batch_capacity: 16,
             queue_capacity: 128,
             dimension: 2048,
             codebook_size: 64,
             seed: 31,
-            engine: Default::default(),
-            trace: Default::default(),
+            ..ServeConfig::default()
         }
     }
 
-    fn pair(shards: usize) -> Vec<GossipNode<crate::transport::InProcessEndpoint>> {
+    fn pair() -> Vec<GossipNode<crate::transport::InProcessEndpoint>> {
         let network = InProcessNetwork::new();
         (0..2u64)
             .map(|i| {
                 let id = ReplicaId::new(i);
                 let endpoint = network.endpoint(id);
                 let replica = Arc::new(
-                    ReplicatedEngine::new(id, config(shards)).expect("valid config"),
+                    ReplicatedEngine::new(id, config()).expect("valid config"),
                 );
                 GossipNode::new(
                     replica,
@@ -924,16 +877,11 @@ mod tests {
 
     #[test]
     fn wire_size_accounts_for_payloads() {
-        let advert = GossipMessage::Advert { round: 1, digests: vec![7, 9], ack: Some(4) };
-        assert_eq!(advert.wire_size(), 13 + 9 + 2 * 16);
+        let advert = GossipMessage::Advert { round: 1, digest: 7, ack: Some(4) };
+        assert_eq!(advert.wire_size(), 13 + 9 + 16);
         let record = MemberRecord { server: ServerId::new(1), version: 2, alive: true };
-        let request = GossipMessage::SyncRequest {
-            round: 1,
-            stamp: 9,
-            records: vec![record; 3],
-            diverged: vec![0, 1],
-        };
-        assert_eq!(request.wire_size(), 13 + 8 + 4 + 2 * 2 + 3 * 17);
+        let request = GossipMessage::SyncRequest { round: 1, stamp: 9, records: vec![record; 3] };
+        assert_eq!(request.wire_size(), 13 + 8 + 3 * 17);
         let response =
             GossipMessage::SyncResponse { round: 1, stamp: 9, records: vec![record] };
         assert_eq!(response.wire_size(), 13 + 8 + 17);
@@ -941,7 +889,7 @@ mod tests {
 
     #[test]
     fn agreeing_replicas_exchange_only_adverts() {
-        let nodes = pair(2);
+        let nodes = pair();
         for node in &nodes {
             node.replica().join(ServerId::new(7)).expect("fresh");
         }
@@ -955,13 +903,13 @@ mod tests {
         assert_eq!(m1.divergence_detections, 0);
         assert_eq!(m1.syncs_sent, 0);
         assert_eq!(m0.records_adopted + m1.records_adopted, 0);
-        // Advert cost only: header + ack field + 16 bytes per shard.
-        assert_eq!(m0.bytes_sent, 13 + 9 + 2 * 16);
+        // Advert cost only: header + ack field + one 16-byte digest.
+        assert_eq!(m0.bytes_sent, 13 + 9 + 16);
     }
 
     #[test]
     fn diverged_replicas_converge_in_one_round() {
-        let nodes = pair(2);
+        let nodes = pair();
         nodes[0].replica().join(ServerId::new(1)).expect("fresh");
         nodes[0].replica().join(ServerId::new(2)).expect("fresh");
         nodes[1].replica().join(ServerId::new(3)).expect("fresh");
@@ -982,7 +930,7 @@ mod tests {
 
     #[test]
     fn leaves_propagate_as_tombstones() {
-        let nodes = pair(1);
+        let nodes = pair();
         nodes[0].replica().join(ServerId::new(1)).expect("fresh");
         nodes[0].replica().join(ServerId::new(2)).expect("fresh");
         assert!(run_until_converged(&nodes, 8).is_some());
@@ -1002,7 +950,7 @@ mod tests {
         let build = |fanout: usize| {
             let id = ReplicaId::new(0);
             GossipNode::new(
-                Arc::new(ReplicatedEngine::new(id, config(1)).expect("valid config")),
+                Arc::new(ReplicatedEngine::new(id, config()).expect("valid config")),
                 network.endpoint(id),
                 peers.clone(),
                 GossipConfig { fanout, ..GossipConfig::default() },
@@ -1039,7 +987,7 @@ mod tests {
             .map(|i| {
                 let id = ReplicaId::new(i);
                 GossipNode::new(
-                    Arc::new(ReplicatedEngine::new(id, config(2)).expect("valid config")),
+                    Arc::new(ReplicatedEngine::new(id, config()).expect("valid config")),
                     network.endpoint(id),
                     peers.clone(),
                     GossipConfig { fanout: 1, ..GossipConfig::default() },
@@ -1053,7 +1001,7 @@ mod tests {
 
     #[test]
     fn tombstones_are_garbage_collected_after_watermark_acks() {
-        let nodes = pair(1);
+        let nodes = pair();
         nodes[0].replica().join(ServerId::new(1)).expect("fresh");
         nodes[0].replica().join(ServerId::new(2)).expect("fresh");
         assert!(run_until_converged(&nodes, 8).is_some());
@@ -1091,7 +1039,7 @@ mod tests {
 
     #[test]
     fn failure_detector_follows_silence_and_recovers() {
-        let nodes = pair(1);
+        let nodes = pair();
         let peer = ReplicaId::new(1);
         let cfg = nodes[0].config;
         assert_eq!(nodes[0].peer_health(peer), PeerHealth::Alive, "grace at round 0");
@@ -1122,7 +1070,7 @@ mod tests {
         let id = ReplicaId::new(0);
         let peers: Vec<ReplicaId> = (0..4u64).map(ReplicaId::new).collect();
         let node = GossipNode::new(
-            Arc::new(ReplicatedEngine::new(id, config(1)).expect("valid config")),
+            Arc::new(ReplicatedEngine::new(id, config()).expect("valid config")),
             network.endpoint(id),
             peers,
             GossipConfig { fanout: 3, ..GossipConfig::default() },
@@ -1151,7 +1099,7 @@ mod tests {
 
     #[test]
     fn unanswered_syncs_retry_with_backoff_then_abandon() {
-        let nodes = pair(2);
+        let nodes = pair();
         // Divergence: node 0 has a member node 1 lacks.
         nodes[0].replica().join(ServerId::new(1)).expect("fresh");
         // Node 1 adverts; node 0 detects divergence and sends a
@@ -1179,7 +1127,7 @@ mod tests {
 
     #[test]
     fn sync_response_clears_the_retransmission_chain() {
-        let nodes = pair(2);
+        let nodes = pair();
         nodes[0].replica().join(ServerId::new(9)).expect("fresh");
         assert_eq!(run_until_converged(&nodes, 8), Some(1));
         // The full exchange completed inside the round: nothing is left
@@ -1193,27 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_shard_geometry_is_rejected() {
-        let network = InProcessNetwork::new();
-        let build = |i: u64, shards: usize| {
-            let id = ReplicaId::new(i);
-            GossipNode::new(
-                Arc::new(ReplicatedEngine::new(id, config(shards)).expect("valid config")),
-                network.endpoint(id),
-                vec![ReplicaId::new(0), ReplicaId::new(1)],
-                GossipConfig::default(),
-            )
-        };
-        let a = build(0, 1);
-        let b = build(1, 2);
-        a.replica().join(ServerId::new(1)).expect("fresh");
-        a.tick();
-        b.pump();
-        assert_eq!(b.metrics().protocol_errors, 1);
-        assert_eq!(b.metrics().syncs_sent, 0, "malformed advert must not sync");
-    }
-
-    #[test]
     fn scheduler_thread_converges_and_returns_the_node() {
         let network = InProcessNetwork::new();
         let gossip_config =
@@ -1222,7 +1149,7 @@ mod tests {
         let build = |i: u64| {
             let id = ReplicaId::new(i);
             let replica = Arc::new(
-                ReplicatedEngine::new(id, config(2)).expect("valid config"),
+                ReplicatedEngine::new(id, config()).expect("valid config"),
             );
             (
                 Arc::clone(&replica),

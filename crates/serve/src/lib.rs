@@ -1,27 +1,27 @@
-//! # hdhash-serve — the sharded, batch-coalescing HD-hash serving layer
+//! # hdhash-serve — the batch-coalescing HD-hash serving layer
 //!
 //! The paper pitches the HD hash table as a dynamic hash table for
 //! datacenter-scale request routing; everything below this crate is
 //! single-caller, synchronous library code. `hdhash-serve` is the front
 //! end that puts the workspace's performance layers — the HD scan over
 //! the runtime-dispatched SIMD distance kernels, the per-epoch route
-//! tables in front of it, and the epoch-published shard tables — under
-//! real concurrent traffic:
+//! tables in front of it, and the one epoch-published routing table —
+//! under real concurrent traffic:
 //!
 //! ```text
-//!  generator ──► request queue ──► coalescing workers ─► shard 0 ─┐
-//!  (emulator)    (bounded FIFO;    (pick up to B jobs,  shard 1  ├─► metrics
-//!   clients ──►   rejects at        group by shard,     …        │   (depth,
-//!   submit())     capacity)         one snapshot per    shard N ─┘    fill,
-//!   wait ◄────────────────────────  shard per batch)                p50/p99)
+//!  generator ──► request queue ──► coalescing workers ──► table ──► metrics
+//!  (emulator)    (bounded FIFO;    (pick up to B jobs,    (one       (depth,
+//!   clients ──►   rejects at        one snapshot per       epoch      fill,
+//!   submit())     capacity)         batch)                 snapshot)  p50/p99)
+//!   wait ◄────────────────────────
 //! ```
 //!
 //! * **One request path** — `submit` pushes onto a bounded FIFO queue
 //!   under the same lock idle workers wait on; a worker takes up to
 //!   [`ServeConfig::batch_capacity`] jobs per pickup, and each
 //!   [`Ticket`] resolves through a one-shot completion cell.
-//! * **Batch coalescing** — each batch is grouped by shard, and every
-//!   group is served against one epoch snapshot of that shard.
+//! * **Batch coalescing** — each batch is served against one epoch
+//!   snapshot of the table.
 //! * **Per-epoch route tables** — `Enc` factors through the codebook
 //!   slot, so a snapshot caches its routing function: one atomic route
 //!   entry per slot, filled by the epoch's first lookup of the slot with
@@ -33,7 +33,7 @@
 //!   [`wait`](Ticket::wait), bounded
 //!   [`wait_timeout`](Ticket::wait_timeout), or non-blocking
 //!   [`try_response`](Ticket::try_response).
-//! * **Epoch-based reconfiguration** — each shard holds one table, inside
+//! * **Epoch-based reconfiguration** — the engine holds one table, inside
 //!   its published snapshot. A join or leave clones that table, applies
 //!   itself to the clone, and publishes the clone as an immutable
 //!   snapshot behind an `Arc` pointer-swap; a failed change publishes
@@ -41,16 +41,16 @@
 //!   reconfiguration work; every response reports the epoch it was served
 //!   at.
 //! * **Backpressure + metrics** — the bounded queue rejects at capacity
-//!   (the caller sees [`ServeError::QueueFull`]), and per-shard counters
+//!   (the caller sees [`ServeError::QueueFull`]), and the table's counters
 //!   plus a lock-free [`LogHistogram`](hdhash_obs::LogHistogram) of
 //!   latencies feed
 //!   [`LatencyProfile`](hdhash_emulator::LatencyProfile)-based p50/p99
 //!   snapshots.
 //! * **Replica anti-entropy** — 2+ engines form a replica set:
-//!   [`gossip`] nodes periodically advert per-shard membership
-//!   *digests* (16 bytes each, an exact additive multiset hash of the
-//!   member ids) over a pluggable [`transport`], detect divergence by
-//!   comparing them, and reconcile only diverged state through a
+//!   [`gossip`] nodes periodically advert one membership *digest* (16
+//!   bytes, an exact additive multiset hash of the member ids) over a
+//!   pluggable [`transport`], detect divergence by comparing it, and
+//!   reconcile only diverged state through a
 //!   last-writer-wins record exchange ([`replication`])
 //!   applied via the same clone → epoch-publish path — replicas
 //!   converge while readers keep streaming. Rounds advert to
@@ -73,7 +73,7 @@
 //!   partial/garbage-frame connection drops, and bounded drop-oldest
 //!   outboxes for slow peers. The `hdhash-cli cluster` mode and
 //!   `tests/cluster.rs` run ≥3 replica *processes* that reconverge to
-//!   identical per-shard digests after a real SIGKILL + restart.
+//!   identical digests after a real SIGKILL + restart.
 //!
 //! ## Quick example
 //!
@@ -82,7 +82,6 @@
 //! use hdhash_table::{RequestKey, ServerId};
 //!
 //! let config = ServeConfig {
-//!     shards: 2,
 //!     workers: 2,
 //!     dimension: 2048,
 //!     codebook_size: 64,

@@ -185,15 +185,13 @@ mod tests {
 
     fn engine() -> ServeEngine {
         ServeEngine::new(ServeConfig {
-            shards: 2,
             workers: 2,
             batch_capacity: 32,
             queue_capacity: 512,
             dimension: 2048,
             codebook_size: 64,
             seed: 9,
-            engine: Default::default(),
-            trace: Default::default(),
+            ..ServeConfig::default()
         })
         .expect("valid config")
     }
@@ -234,23 +232,21 @@ mod tests {
         assert_eq!(report.completed, report.submitted);
         assert_eq!(report.failures, 0);
         engine.shutdown();
-        // Every shard ends on the same epoch count (same control stream).
-        let snapshots = engine.snapshots();
-        assert!(snapshots.iter().all(|s| s.epoch == snapshots[0].epoch));
+        // Every accepted control published exactly one epoch.
+        let accepted = report.controls - report.control_failures;
+        assert_eq!(engine.snapshots()[0].epoch, accepted as u64);
     }
 
     #[test]
     fn tiny_queue_still_completes_via_retry() {
         let mut engine = ServeEngine::new(ServeConfig {
-            shards: 2,
             workers: 1,
             batch_capacity: 4,
             queue_capacity: 8,
             dimension: 2048,
             codebook_size: 64,
             seed: 10,
-            engine: Default::default(),
-            trace: Default::default(),
+            ..ServeConfig::default()
         })
         .expect("valid config");
         engine.join(hdhash_table::ServerId::new(1)).expect("fresh server");

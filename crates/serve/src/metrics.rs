@@ -1,5 +1,4 @@
-//! Per-shard serving metrics: counters, batch fill, lock-free latency
-//! histogram.
+//! Serving metrics: counters, batch fill, lock-free latency histogram.
 //!
 //! Latency used to live in a `Mutex<Vec<Duration>>` reservoir: every
 //! batch took the lock to append and every snapshot cloned the whole
@@ -13,7 +12,7 @@ use std::time::Duration;
 use hdhash_emulator::LatencyProfile;
 use hdhash_obs::{HistogramSnapshot, LogHistogram};
 
-/// Writer-side metrics for one shard. Everything is `Relaxed` atomics
+/// Writer-side metrics of the engine's table. Everything is `Relaxed` atomics
 /// (monotone, heuristic) — including the latency distribution; nothing on
 /// the batch path takes a lock.
 #[derive(Debug, Default)]
@@ -27,7 +26,7 @@ pub(crate) struct ShardMetrics {
 }
 
 impl ShardMetrics {
-    /// Accounts one coalesced batch served against this shard: `fill`
+    /// Accounts one coalesced batch: `fill`
     /// lookups, of which `failures` returned an error and `scans` missed
     /// the epoch's route table and ran the HD scan.
     pub(crate) fn record_batch(
@@ -47,13 +46,13 @@ impl ShardMetrics {
         }
     }
 
-    pub(crate) fn snapshot(&self, shard: usize, epoch: u64, members: usize) -> ShardMetricsSnapshot {
+    pub(crate) fn snapshot(&self, epoch: u64, members: usize) -> ShardMetricsSnapshot {
         let batches = self.batches.load(Ordering::Relaxed);
         let fill = self.batch_fill.load(Ordering::Relaxed);
         let hist = self.latency_ns.snapshot();
         let latency = profile_from_histogram(&hist);
         ShardMetricsSnapshot {
-            shard,
+            shard: 0,
             epoch,
             members,
             served: self.served.load(Ordering::Relaxed),
@@ -83,12 +82,12 @@ fn profile_from_histogram(hist: &HistogramSnapshot) -> Option<LatencyProfile> {
     })
 }
 
-/// Point-in-time metrics for one shard.
+/// Point-in-time metrics of the engine's table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardMetricsSnapshot {
-    /// Shard index.
+    /// Always 0, as [`ShardSnapshot::shard`](crate::ShardSnapshot::shard).
     pub shard: usize,
-    /// The shard's currently published epoch.
+    /// The currently published epoch.
     pub epoch: u64,
     /// Members live in that epoch.
     pub members: usize,
@@ -105,9 +104,9 @@ pub struct ShardMetricsSnapshot {
     /// Coalesced batches executed.
     pub batches: u64,
     /// Mean lookups per batch — the coalescing win; 1.0 means the queue
-    /// never held more than one request per shard at a time.
+    /// never held more than one request at a time.
     pub mean_batch_fill: f64,
-    /// p50/p90/p99/max over the shard's full latency history, measured
+    /// p50/p90/p99/max over the full latency history, measured
     /// submit-to-response (queue wait included). Quantiles are log2-bucket
     /// estimates (error below one bucket width); `max` is exact. `None`
     /// before traffic.
@@ -134,7 +133,9 @@ pub struct EngineMetrics {
     pub panics_contained: u64,
     /// Requests currently waiting in the request queue.
     pub queue_depth: usize,
-    /// Per-shard breakdowns.
+    /// The table's metrics, as the only entry. A vector because the
+    /// `perfbench/` benchmark, which is kept unchanged between versions,
+    /// reads it as one.
     pub shards: Vec<ShardMetricsSnapshot>,
 }
 
@@ -147,8 +148,8 @@ mod tests {
         let m = ShardMetrics::default();
         m.record_batch(3, 1, 2, &[Duration::from_micros(10); 3]);
         m.record_batch(5, 0, 1, &[Duration::from_micros(20); 5]);
-        let snap = m.snapshot(1, 7, 4);
-        assert_eq!(snap.shard, 1);
+        let snap = m.snapshot(7, 4);
+        assert_eq!(snap.shard, 0);
         assert_eq!(snap.epoch, 7);
         assert_eq!(snap.members, 4);
         assert_eq!(snap.served, 8);
@@ -164,7 +165,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_have_no_profile() {
-        let snap = ShardMetrics::default().snapshot(0, 0, 0);
+        let snap = ShardMetrics::default().snapshot(0, 0);
         assert!(snap.latency.is_none());
         assert_eq!(snap.mean_batch_fill, 0.0);
         assert_eq!(snap.latency_hist.count, 0);
@@ -185,12 +186,12 @@ mod tests {
             })
         };
         for _ in 0..500 {
-            let snap = m.snapshot(0, 0, 1);
+            let snap = m.snapshot(0, 1);
             // Monotone, internally consistent reads while writes race.
             assert!(snap.latency_hist.buckets.iter().sum::<u64>() <= 20_000);
         }
         writer.join().unwrap();
-        let snap = m.snapshot(0, 0, 1);
+        let snap = m.snapshot(0, 1);
         assert_eq!(snap.served, 20_000);
         assert_eq!(snap.latency_hist.count, 20_000);
         assert_eq!(snap.latency.expect("traffic").max, Duration::from_nanos(20_000));

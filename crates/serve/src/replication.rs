@@ -14,12 +14,12 @@
 //!   `replication_properties` suite pins.
 //! * [`ReplicatedEngine`] — a [`ServeEngine`] paired with a log. Local
 //!   joins/leaves write the log and the engine together; merging remote
-//!   [`MemberRecord`]s drives every shard to the merged membership through
-//!   the clone → epoch-publish path
-//!   ([`ServeEngine::reconcile_shard`]), so reconciliation is invisible to
+//!   [`MemberRecord`]s drives the engine's table to the merged membership
+//!   through the clone → epoch-publish path
+//!   ([`ServeEngine::reconcile`]), so reconciliation is invisible to
 //!   in-flight lookups.
 //!
-//! The log converges member *ids*. Each shard's membership **digest**
+//! The log converges member *ids*. The table's membership **digest**
 //! ([`ShardSnapshot::digest`](crate::shard::ShardSnapshot::digest)) is an
 //! exact function of its member id set, so converged logs imply equal
 //! digests, and unequal member sets read unequal digests — which is what
@@ -70,7 +70,7 @@ pub struct MergeOutcome {
 
 impl MergeOutcome {
     /// Whether the merge changed the live membership (the engine
-    /// reconciles its shards, and their digests move, iff this is true).
+    /// reconciles its table, and its digest moves, iff this is true).
     #[must_use]
     pub fn changed_membership(&self) -> bool {
         !self.joined.is_empty() || !self.left.is_empty()
@@ -273,7 +273,7 @@ struct LogState {
 ///
 /// Wraps the engine with a [`MembershipLog`]; local [`join`](Self::join) /
 /// [`leave`](Self::leave) write both, [`merge`](Self::merge) folds in a
-/// peer's records and reconciles every shard through the epoch path.
+/// peer's records and reconciles the table through the epoch path.
 /// Lookups ([`submit`](Self::submit)) pass straight through to the
 /// engine's MPMC queue — replication never sits on the hot path.
 ///
@@ -286,7 +286,6 @@ struct LogState {
 /// use hdhash_table::ServerId;
 ///
 /// let config = ServeConfig {
-///     shards: 2,
 ///     workers: 1,
 ///     dimension: 2048,
 ///     codebook_size: 64,
@@ -300,8 +299,8 @@ struct LogState {
 /// b.merge(&a.records())?;
 /// a.merge(&b.records())?;
 /// assert_eq!(a.member_ids(), b.member_ids());
-/// // …and therefore the per-shard digests.
-/// assert_eq!(a.shard_digests(), b.shard_digests());
+/// // …and therefore the digests.
+/// assert_eq!(a.digest(), b.digest());
 /// # Ok::<(), hdhash_serve::ServeError>(())
 /// ```
 #[derive(Debug)]
@@ -314,10 +313,10 @@ pub struct ReplicatedEngine {
 impl ReplicatedEngine {
     /// Builds a fresh engine for this replica.
     ///
-    /// Replicas of one set must share the engine geometry (`shards`,
-    /// `dimension`, `codebook_size`, `seed`): equal member sets only
-    /// route alike on identically seeded shard codebooks. Adverts check
-    /// the shard count; the rest is not on the wire.
+    /// Replicas of one set must share the engine geometry (`dimension`,
+    /// `codebook_size`, `seed`) for equal member sets to route alike. None
+    /// of it is on the wire, so gossip cannot tell a replica of another
+    /// geometry.
     ///
     /// # Errors
     ///
@@ -331,10 +330,8 @@ impl ReplicatedEngine {
     #[must_use]
     pub fn from_engine(id: ReplicaId, engine: ServeEngine) -> Self {
         let mut log = MembershipLog::new();
-        if let Some(snapshot) = engine.snapshots().first() {
-            for server in snapshot.member_ids() {
-                log.set_local(server, true);
-            }
+        for server in engine.snapshots()[0].member_ids() {
+            log.set_local(server, true);
         }
         Self {
             id,
@@ -368,8 +365,8 @@ impl ReplicatedEngine {
         self.engine.submit(key)
     }
 
-    /// Locally joins `server`: logs the decision and applies it to every
-    /// shard through the epoch path.
+    /// Locally joins `server`: logs the decision and applies it to the
+    /// table through the epoch path.
     ///
     /// # Errors
     ///
@@ -386,8 +383,8 @@ impl ReplicatedEngine {
         Ok(receipts)
     }
 
-    /// Locally removes `server`: logs the tombstone and applies it to
-    /// every shard through the epoch path.
+    /// Locally removes `server`: logs the tombstone and applies it to the
+    /// table through the epoch path.
     ///
     /// # Errors
     ///
@@ -410,20 +407,20 @@ impl ReplicatedEngine {
     }
 
     /// The full record set (including tombstones) — the sync payload a
-    /// gossip exchange ships for diverged shards.
+    /// gossip exchange ships when the digests differ.
     #[must_use]
     pub fn records(&self) -> Vec<MemberRecord> {
         self.state.lock().log.records()
     }
 
-    /// Every shard's published membership digest — the advert payload.
+    /// The published membership digest — the advert payload.
     #[must_use]
-    pub fn shard_digests(&self) -> Vec<u128> {
-        self.engine.shard_digests()
+    pub fn digest(&self) -> u128 {
+        self.engine.digest()
     }
 
     /// Whether the engine trails the log: a previous [`merge`](Self::merge)
-    /// failed partway through applying the merged membership (only shard
+    /// failed partway through applying the merged membership (only table
     /// capacity exhaustion is reachable). While set, every merge retries
     /// the application; the condition clears on its own only once the
     /// merged membership shrinks back under capacity (leaves arriving
@@ -436,14 +433,14 @@ impl ReplicatedEngine {
     }
 
     /// Folds a peer's records into the log and, when the live membership
-    /// changed, reconciles every shard to the merged view through the
+    /// changed, reconciles the table to the merged view through the
     /// clone → epoch-publish path (readers never block).
     ///
     /// # Errors
     ///
-    /// [`ServeError::Table`] when a shard reconcile fails. Only capacity
+    /// [`ServeError::Table`] when the reconcile fails. Only capacity
     /// exhaustion is reachable: the **union** of the replicas' live
-    /// memberships must fit every shard (`codebook_size - 1`), so size
+    /// memberships must fit the table (`codebook_size - 1`), so size
     /// the codebook against the whole replica set, not one replica. The
     /// log keeps the merged state, [`pending_reconcile`](Self::pending_reconcile)
     /// reports the lag, and every subsequent merge retries the engine
@@ -482,10 +479,7 @@ impl ReplicatedEngine {
         let outcome = state.log.merge(records);
         if outcome.changed_membership() || state.needs_reconcile {
             state.needs_reconcile = true;
-            let target = state.log.alive_ids();
-            for shard in 0..self.engine.shard_count() {
-                self.engine.reconcile_shard(shard, &target)?;
-            }
+            self.engine.reconcile(&state.log.alive_ids())?;
             state.needs_reconcile = false;
         }
         Ok(outcome)
@@ -530,15 +524,13 @@ mod tests {
 
     fn config() -> ServeConfig {
         ServeConfig {
-            shards: 2,
             workers: 1,
             batch_capacity: 16,
             queue_capacity: 128,
             dimension: 2048,
             codebook_size: 64,
             seed: 77,
-            engine: Default::default(),
-            trace: Default::default(),
+            ..ServeConfig::default()
         }
     }
 
@@ -757,17 +749,15 @@ mod tests {
         a.join(ServerId::new(1)).expect("fresh");
         a.join(ServerId::new(2)).expect("fresh");
         b.join(ServerId::new(3)).expect("fresh");
-        let epochs_before: Vec<u64> =
-            b.engine().snapshots().iter().map(|s| s.epoch).collect();
+        let epoch_before = b.engine().snapshots()[0].epoch;
         let outcome = b.merge(&a.records()).expect("capacity fits");
         assert_eq!(outcome.joined, ids(&[1, 2]));
         assert!(outcome.left.is_empty());
         assert_eq!(b.member_ids(), ids(&[1, 2, 3]));
-        // Reconciliation published exactly one new epoch per shard.
-        for (snapshot, before) in b.engine().snapshots().iter().zip(epochs_before) {
-            assert_eq!(snapshot.epoch, before + 1);
-            assert_eq!(snapshot.member_ids(), ids(&[1, 2, 3]));
-        }
+        // Reconciliation published exactly one new epoch.
+        let snapshot = &b.engine().snapshots()[0];
+        assert_eq!(snapshot.epoch, epoch_before + 1);
+        assert_eq!(snapshot.member_ids(), ids(&[1, 2, 3]));
         // A re-merge of the same records is a no-op: no epoch burned.
         let outcome = b.merge(&a.records()).expect("no-op");
         assert!(!outcome.changed_membership());
@@ -775,7 +765,7 @@ mod tests {
         // The other direction converges the pair.
         a.merge(&b.records()).expect("capacity fits");
         assert_eq!(a.member_ids(), b.member_ids());
-        assert_eq!(a.shard_digests(), b.shard_digests());
+        assert_eq!(a.digest(), b.digest());
     }
 
     #[test]
@@ -783,15 +773,13 @@ mod tests {
         // Capacity 7 (codebook 8): each replica fits alone, the union
         // does not — the documented sizing mistake.
         let tiny = ServeConfig {
-            shards: 1,
             workers: 1,
             batch_capacity: 8,
             queue_capacity: 64,
             dimension: 64,
             codebook_size: 8,
             seed: 5,
-            engine: Default::default(),
-            trace: Default::default(),
+            ..ServeConfig::default()
         };
         let a = ReplicatedEngine::new(ReplicaId::new(0), tiny).expect("valid");
         let b = ReplicatedEngine::new(ReplicaId::new(1), tiny).expect("valid");
@@ -822,9 +810,6 @@ mod tests {
         let replica = ReplicatedEngine::from_engine(ReplicaId::new(2), engine);
         assert_eq!(replica.id(), ReplicaId::new(2));
         assert_eq!(replica.member_ids(), ids(&[4, 8]));
-        assert_eq!(
-            replica.leave(ServerId::new(4)).expect("present").len(),
-            replica.engine().shard_count()
-        );
+        assert_eq!(replica.leave(ServerId::new(4)).expect("present").len(), 1);
     }
 }

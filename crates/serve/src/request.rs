@@ -15,12 +15,13 @@ use hdhash_table::{RequestKey, ServerId, TableError};
 /// The serving layer's answer to one submitted lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeResponse {
-    /// The routing verdict from the shard's HD table.
+    /// The routing verdict from the engine's HD table.
     pub result: Result<ServerId, TableError>,
-    /// Which shard served the request.
+    /// Always 0: the engine has one table. Kept because the `perfbench/`
+    /// benchmark, which is kept unchanged between versions, reads it.
     pub shard: usize,
-    /// The shard epoch whose membership snapshot produced the verdict —
-    /// the handle the churn tests use to prove no torn reads.
+    /// The epoch whose membership snapshot produced the verdict — the
+    /// handle the churn tests use to prove no torn reads.
     pub epoch: u64,
     /// Queue wait plus batch execution time, measured from `submit`.
     pub latency: Duration,
@@ -99,7 +100,6 @@ impl ResponseCell {
 /// use hdhash_table::{RequestKey, ServerId};
 ///
 /// let mut engine = ServeEngine::new(ServeConfig {
-///     shards: 1,
 ///     workers: 1,
 ///     dimension: 2048,
 ///     codebook_size: 64,
@@ -147,12 +147,11 @@ impl Ticket {
     }
 }
 
-/// A queued lookup: the key, its shard (fixed at submit time so workers
-/// never re-hash), the submit instant, and the client's completion cell.
+/// A queued lookup: the key, the submit instant, and the client's
+/// completion cell.
 #[derive(Debug)]
 pub(crate) struct LookupJob {
     pub(crate) key: RequestKey,
-    pub(crate) shard: usize,
     pub(crate) enqueued: Instant,
     pub(crate) cell: Arc<ResponseCell>,
     /// Nonzero id when this request was sampled for tracing; `None` for
@@ -161,10 +160,10 @@ pub(crate) struct LookupJob {
 }
 
 impl LookupJob {
-    pub(crate) fn new(key: RequestKey, shard: usize) -> (Self, Ticket) {
+    pub(crate) fn new(key: RequestKey) -> (Self, Ticket) {
         let cell = Arc::new(ResponseCell::default());
         let ticket = Ticket { cell: Arc::clone(&cell) };
-        (Self { key, shard, enqueued: Instant::now(), cell, trace_id: None }, ticket)
+        (Self { key, enqueued: Instant::now(), cell, trace_id: None }, ticket)
     }
 }
 
@@ -175,7 +174,7 @@ mod tests {
     fn response() -> ServeResponse {
         ServeResponse {
             result: Ok(ServerId::new(3)),
-            shard: 1,
+            shard: 0,
             epoch: 9,
             latency: Duration::from_micros(5),
         }
@@ -183,9 +182,8 @@ mod tests {
 
     #[test]
     fn ticket_roundtrip() {
-        let (job, ticket) = LookupJob::new(RequestKey::new(7), 1);
+        let (job, ticket) = LookupJob::new(RequestKey::new(7));
         assert_eq!(job.key, RequestKey::new(7));
-        assert_eq!(job.shard, 1);
         assert!(ticket.try_response().is_none());
         job.cell.fill(response());
         assert_eq!(ticket.try_response(), Some(response()));
@@ -194,7 +192,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_expires_then_redeems() {
-        let (job, ticket) = LookupJob::new(RequestKey::new(8), 0);
+        let (job, ticket) = LookupJob::new(RequestKey::new(8));
         assert_eq!(ticket.wait_timeout(Duration::from_millis(5)), None);
         job.cell.fill(response());
         assert_eq!(ticket.wait_timeout(Duration::from_millis(5)), Some(response()));
@@ -203,7 +201,7 @@ mod tests {
 
     #[test]
     fn wait_timeout_wakes_on_fill_across_threads() {
-        let (job, ticket) = LookupJob::new(RequestKey::new(9), 0);
+        let (job, ticket) = LookupJob::new(RequestKey::new(9));
         let got = std::thread::scope(|s| {
             let waiter = s.spawn(move || ticket.wait_timeout(Duration::from_secs(30)));
             std::thread::sleep(Duration::from_millis(10));
@@ -215,7 +213,7 @@ mod tests {
 
     #[test]
     fn fill_if_pending_is_idempotent() {
-        let (job, ticket) = LookupJob::new(RequestKey::new(10), 0);
+        let (job, ticket) = LookupJob::new(RequestKey::new(10));
         assert!(job.cell.fill_if_pending(response()));
         // A second fill attempt must not clobber the first answer.
         let mut other = response();
@@ -226,7 +224,7 @@ mod tests {
 
     #[test]
     fn wait_blocks_until_filled_across_threads() {
-        let (job, ticket) = LookupJob::new(RequestKey::new(1), 0);
+        let (job, ticket) = LookupJob::new(RequestKey::new(1));
         let got = std::thread::scope(|s| {
             let waiter = s.spawn(move || ticket.wait());
             std::thread::sleep(Duration::from_millis(10));

@@ -376,13 +376,12 @@ pub struct ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// A small test-scale configuration: 2 shards × 2 workers,
-    /// 2048-dimensional tables over a 64-slot codebook.
+    /// A small test-scale configuration: 2 workers, a 2048-dimensional
+    /// table over a 64-slot codebook.
     #[must_use]
     pub fn small() -> Self {
         Self {
             engine: ServeConfig {
-                shards: 2,
                 workers: 2,
                 batch_capacity: 16,
                 queue_capacity: 1024,
@@ -424,22 +423,22 @@ pub struct PhaseMetrics {
     pub control_failures: u64,
     /// Live members at phase end (replica 0's merged view).
     pub members: u64,
-    /// Highest shard epoch at phase end on replica 0.
+    /// Replica 0's published epoch at phase end.
     pub epoch_max: u64,
     /// Reconfiguration skew across the replica set at phase end: the
-    /// worst per-shard spread (max − min) of published epochs. Always 0
-    /// for single-engine scenarios.
+    /// spread (max − min) of the replicas' published epochs. Always 0 for
+    /// single-engine scenarios.
     pub epoch_lag: u64,
-    /// Anti-entropy distance at phase end, in members: summed over
-    /// shards, the most member ids any peer's set differs by from replica
-    /// 0's ([`member_divergence`]). Always 0 for single-engine scenarios;
-    /// 0 at the end of a converged replicated run.
+    /// Anti-entropy distance at phase end, in members: the most member
+    /// ids any peer's set differs by from replica 0's
+    /// ([`member_divergence`]). Always 0 for single-engine scenarios; 0 at
+    /// the end of a converged replicated run.
     pub divergence: u64,
-    /// Hash of replica 0's per-shard membership digests at phase end.
+    /// Hash of replica 0's membership digest at phase end.
     pub digest_hash: u64,
     /// Engine-side submit-to-response latency distribution of this phase
-    /// (nanoseconds; aggregated over every shard of every replica, then
-    /// delta'd against the previous phase). Wall-clock — excluded from
+    /// (nanoseconds; aggregated over every replica, then delta'd against
+    /// the previous phase). Wall-clock — excluded from
     /// the fingerprint.
     pub latency: HistogramSnapshot,
     /// Wall time of the phase. Excluded from the fingerprint.
@@ -496,15 +495,14 @@ pub struct ScenarioReport {
     /// Tickets abandoned at the reap timeout across the whole run. Zero
     /// against healthy engines.
     pub hung_tickets: u64,
-    /// Whether the replica set ended with equal per-shard member sets
+    /// Whether the replica set ended with equal published member sets
     /// (trivially `true` for single-engine scenarios).
     pub converged: bool,
     /// Quiescent anti-entropy rounds needed after the last tick before
     /// the set converged (0 when it was already converged, or for
     /// single-engine scenarios).
     pub recovery_rounds: u64,
-    /// Per-replica hash of the final per-shard digests; all equal iff
-    /// `converged`.
+    /// Per-replica hash of the final digest; all equal iff `converged`.
     pub replica_digests: Vec<u64>,
     /// Wall time of the whole run. Excluded from the fingerprint.
     pub wall: Duration,
@@ -687,10 +685,7 @@ pub fn run_with_observer(
 
         // 3. The membership is now quiescent for the rest of the tick:
         //    capture the per-replica serving epochs responses must match.
-        let epochs: Vec<Vec<u64>> = replicas
-            .iter()
-            .map(|r| r.engine().snapshots().iter().map(|s| s.epoch).collect())
-            .collect();
+        let epochs: Vec<u64> = replicas.iter().map(|r| published_epoch(r)).collect();
 
         // Clients fail over away from a crashed replica deterministically.
         let mut live: Vec<usize> = (0..replicas.len())
@@ -731,7 +726,7 @@ pub fn run_with_observer(
                     if response.result.is_err() {
                         acc.lookup_failures += 1;
                     }
-                    if epochs[idx].get(response.shard).copied() != Some(response.epoch) {
+                    if response.epoch != epochs[idx] {
                         epoch_mismatches += 1;
                     }
                 }
@@ -756,16 +751,10 @@ pub fn run_with_observer(
                 controls: acc.controls,
                 control_failures: acc.control_failures,
                 members: replicas[0].member_ids().len() as u64,
-                epoch_max: replicas[0]
-                    .engine()
-                    .snapshots()
-                    .iter()
-                    .map(|s| s.epoch)
-                    .max()
-                    .unwrap_or(0),
+                epoch_max: published_epoch(&replicas[0]),
                 epoch_lag: epoch_lag(&replicas),
                 divergence: member_divergence(&replica_refs),
-                digest_hash: digest_hash(&replicas[0].shard_digests()),
+                digest_hash: digest_hash(replicas[0].digest()),
                 latency: agg.delta_since(&prev_hist),
                 wall: phase_started.elapsed(),
             };
@@ -797,8 +786,7 @@ pub fn run_with_observer(
         debug_assert!(net.stats().reconciles(), "chaos conservation identity violated");
     }
 
-    let replica_digests: Vec<u64> =
-        replicas.iter().map(|r| digest_hash(&r.shard_digests())).collect();
+    let replica_digests: Vec<u64> = replicas.iter().map(|r| digest_hash(r.digest())).collect();
 
     Ok(ScenarioReport {
         scenario: scenario.name,
@@ -813,47 +801,31 @@ pub fn run_with_observer(
     })
 }
 
-/// Engine-side latency distributions of every shard of every replica,
-/// merged into one cumulative histogram.
+/// Engine-side latency distributions of every replica, merged into one
+/// cumulative histogram.
 fn aggregate_latency(replicas: &[Arc<ReplicatedEngine>]) -> HistogramSnapshot {
-    let mut agg = HistogramSnapshot::empty();
-    for replica in replicas {
-        for shard in replica.engine().metrics().shards {
-            agg = agg.merge(&shard.latency_hist);
-        }
-    }
-    agg
+    replicas.iter().fold(HistogramSnapshot::empty(), |agg, replica| {
+        agg.merge(&replica.engine().metrics().shards[0].latency_hist)
+    })
 }
 
-/// Worst per-shard spread of published epochs across the replica set.
+/// The epoch `replica` currently publishes.
+fn published_epoch(replica: &ReplicatedEngine) -> u64 {
+    replica.engine().snapshots()[0].epoch
+}
+
+/// Spread (max − min) of published epochs across the replica set.
 fn epoch_lag(replicas: &[Arc<ReplicatedEngine>]) -> u64 {
-    if replicas.len() < 2 {
-        return 0;
-    }
-    let epochs: Vec<Vec<u64>> = replicas
-        .iter()
-        .map(|r| r.engine().snapshots().iter().map(|s| s.epoch).collect())
-        .collect();
-    let shards = epochs.iter().map(Vec::len).min().unwrap_or(0);
-    (0..shards)
-        .map(|s| {
-            let column = epochs.iter().map(|e| e[s]);
-            column.clone().max().unwrap_or(0) - column.min().unwrap_or(0)
-        })
-        .max()
-        .unwrap_or(0)
+    let epochs = replicas.iter().map(|r| published_epoch(r));
+    epochs.clone().max().unwrap_or(0) - epochs.min().unwrap_or(0)
 }
 
-/// Order-sensitive hash of a digest vector.
-fn digest_hash(digests: &[u128]) -> u64 {
-    let mut acc = 0x51_6E41_u64;
-    for &digest in digests {
-        #[allow(clippy::cast_possible_truncation)]
-        for half in [(digest >> 64) as u64, digest as u64] {
-            acc = mix64(acc ^ half);
-        }
-    }
-    acc
+/// A 64-bit hash of a membership digest.
+#[allow(clippy::cast_possible_truncation)]
+fn digest_hash(digest: u128) -> u64 {
+    [(digest >> 64) as u64, digest as u64]
+        .into_iter()
+        .fold(0x51_6E41_u64, |acc, half| mix64(acc ^ half))
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! Shards: epoch-published HD-table snapshots.
+//! The engine's routing table, published as epoch-stamped snapshots.
 //!
-//! Each shard holds one HD hash table, inside its published snapshot: an
-//! immutable `Arc<ShardSnapshot>` the lookup workers load. A membership
-//! change never edits that table. Under the shard's writer lock it clones
+//! The engine holds one `Shard`: one HD hash table, inside its published
+//! snapshot, an immutable `Arc<ShardSnapshot>` the lookup workers load. A
+//! membership change never edits that table. Under the writer lock it clones
 //! the published table (the codebook basis is `Arc`-shared, so the copy is
 //! the member row matrix and the bookkeeping beside it), applies itself to
 //! the clone and publishes the clone as the next epoch with a pointer
@@ -60,14 +60,15 @@ fn decode(word: u64) -> Option<ServerId> {
     word.checked_sub(1).map(ServerId::new)
 }
 
-/// An immutable, epoch-stamped view of one shard's table, shared with the
-/// lookup workers behind an [`Arc`].
+/// An immutable, epoch-stamped view of the engine's table, shared with
+/// the lookup workers behind an [`Arc`].
 #[derive(Debug)]
 pub struct ShardSnapshot {
-    /// Which shard this snapshot belongs to.
+    /// Always 0: the engine has one table. Kept because the `perfbench/`
+    /// benchmark, which is kept unchanged between versions, reads it.
     pub shard: usize,
-    /// Monotone per-shard publication counter (0 = the empty genesis
-    /// snapshot, before any membership change).
+    /// Monotone publication counter (0 = the empty genesis snapshot,
+    /// before any membership change).
     pub epoch: u64,
     /// The membership live in this epoch, in join order.
     pub members: Vec<ServerId>,
@@ -180,7 +181,7 @@ fn mix128(id: u64) -> u128 {
 /// epoch-by-epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardReceipt {
-    /// Which shard published.
+    /// Always 0, as [`ShardSnapshot::shard`].
     pub shard: usize,
     /// The epoch the change created.
     pub epoch: u64,
@@ -188,10 +189,9 @@ pub struct ShardReceipt {
     pub members: Vec<ServerId>,
 }
 
-/// One shard: its published snapshot, replaced whole by each change.
+/// The published table: its snapshot, replaced whole by each change.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    index: usize,
     /// Orders writers: a change clones, edits and publishes while holding
     /// it, so each epoch is built from the one before.
     writer: Mutex<()>,
@@ -200,15 +200,15 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    pub(crate) fn new(index: usize, table: HdHashTable) -> Self {
+    pub(crate) fn new(table: HdHashTable) -> Self {
         let genesis = ShardSnapshot {
-            shard: index,
+            shard: 0,
             epoch: 0,
             members: table.servers(),
             table,
             routes: OnceLock::new(),
         };
-        Self { index, writer: Mutex::new(()), published: Mutex::new(Arc::new(genesis)) }
+        Self { writer: Mutex::new(()), published: Mutex::new(Arc::new(genesis)) }
     }
 
     /// The current snapshot (readers: one `Arc` clone under a micro-lock).
@@ -229,7 +229,7 @@ impl Shard {
 
     /// Drives the membership to exactly `target` and publishes the result
     /// as a new epoch — the anti-entropy application path. A target the
-    /// shard already matches publishes nothing and burns no epoch
+    /// table already matches publishes nothing and burns no epoch
     /// (reconciliation is idempotent), hence the `Option`. A
     /// reconciliation that fails part-way publishes none of its moves.
     pub(crate) fn reconcile(
@@ -258,9 +258,9 @@ impl Shard {
         }
         let epoch = current.epoch + 1;
         let members = table.servers();
-        let receipt = ShardReceipt { shard: self.index, epoch, members: members.clone() };
+        let receipt = ShardReceipt { shard: 0, epoch, members: members.clone() };
         *self.published.lock() = Arc::new(ShardSnapshot {
-            shard: self.index,
+            shard: 0,
             epoch,
             members,
             table,
@@ -285,16 +285,16 @@ mod tests {
 
     #[test]
     fn genesis_snapshot_is_epoch_zero_and_empty() {
-        let shard = Shard::new(2, table());
+        let shard = Shard::new(table());
         let snap = shard.load();
-        assert_eq!((snap.shard, snap.epoch), (2, 0));
+        assert_eq!((snap.shard, snap.epoch), (0, 0));
         assert!(snap.members.is_empty());
         assert_eq!(snap.lookup(RequestKey::new(1)), Err(TableError::EmptyPool));
     }
 
     #[test]
     fn reconfigure_publishes_new_epochs() {
-        let shard = Shard::new(0, table());
+        let shard = Shard::new(table());
         let r1 = shard.reconfigure(|t| t.join(ServerId::new(7))).expect("fresh");
         assert_eq!(r1.epoch, 1);
         assert_eq!(r1.members, vec![ServerId::new(7)]);
@@ -308,7 +308,7 @@ mod tests {
 
     #[test]
     fn failed_change_burns_no_epoch() {
-        let shard = Shard::new(0, table());
+        let shard = Shard::new(table());
         shard.reconfigure(|t| t.join(ServerId::new(1))).expect("fresh");
         let dup = shard.reconfigure(|t| t.join(ServerId::new(1)));
         assert_eq!(dup, Err(TableError::ServerAlreadyPresent(ServerId::new(1))));
@@ -317,7 +317,7 @@ mod tests {
 
     #[test]
     fn old_snapshots_stay_consistent_after_churn() {
-        let shard = Shard::new(0, table());
+        let shard = Shard::new(table());
         for id in 0..6 {
             shard.reconfigure(|t| t.join(ServerId::new(id))).expect("fresh");
         }
@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn reconcile_publishes_only_on_change() {
-        let shard = Shard::new(0, table());
+        let shard = Shard::new(table());
         for id in 0..4 {
             shard.reconfigure(|t| t.join(ServerId::new(id))).expect("fresh");
         }
@@ -347,9 +347,9 @@ mod tests {
         assert_eq!(shard.load().epoch, 5);
     }
 
-    /// A shard whose published table holds `ids`, joined in order.
+    /// A table whose published snapshot holds `ids`, joined in order.
     fn shard_with(ids: &[u64]) -> Shard {
-        let shard = Shard::new(0, table());
+        let shard = Shard::new(table());
         for &id in ids {
             shard.reconfigure(|t| t.join(ServerId::new(id))).expect("fresh");
         }
@@ -378,7 +378,7 @@ mod tests {
             let key = RequestKey::new(k);
             assert_eq!(snap.lookup(key), snap.table.lookup(key));
         }
-        assert_eq!(Shard::new(0, table()).load().route(key), (Err(TableError::EmptyPool), false));
+        assert_eq!(Shard::new(table()).load().route(key), (Err(TableError::EmptyPool), false));
     }
 
     #[test]
@@ -430,7 +430,7 @@ mod tests {
 
     #[test]
     fn digest_is_the_member_set_and_ignores_join_order() {
-        let (a, b) = (Shard::new(0, table()), Shard::new(0, table()));
+        let (a, b) = (Shard::new(table()), Shard::new(table()));
         assert_eq!(a.load().digest(), 0, "the empty set sums to zero");
         for id in [3u64, 50, 9] {
             a.reconfigure(|t| t.join(ServerId::new(id))).expect("fresh");

@@ -24,8 +24,9 @@ use crate::metrics::EngineMetrics;
 use crate::tcp::TcpStats;
 
 /// Appends the engine-layer samples (submission/completion counters,
-/// queue depth, panic containment, and per-shard serving counters plus
-/// the full latency histogram, labeled `shard="N"`).
+/// queue depth, panic containment, and the table's serving counters plus
+/// the full latency histogram, labeled `shard="0"`: the label stays, with
+/// one value, so exported series keep their names and label sets).
 pub fn export_engine(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &EngineMetrics) {
     out.push_counter(
         "hdhash_engine_submitted_total",
@@ -116,7 +117,7 @@ pub fn export_engine(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &E
 /// syncs, bytes), the retry/abandon accounting, and the failure
 /// detector's per-state peer counts.
 pub fn export_gossip(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &GossipMetrics) {
-    let counters: [(&str, &str, u64); 19] = [
+    let counters: [(&str, &str, u64); 18] = [
         ("hdhash_gossip_rounds_total", "Gossip rounds opened", m.rounds),
         ("hdhash_gossip_adverts_sent_total", "Digest adverts sent", m.adverts_sent),
         ("hdhash_gossip_adverts_received_total", "Digest adverts received", m.adverts_received),
@@ -124,11 +125,6 @@ pub fn export_gossip(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &G
             "hdhash_gossip_divergence_detections_total",
             "Adverts that revealed divergence",
             m.divergence_detections,
-        ),
-        (
-            "hdhash_gossip_divergent_shards_total",
-            "Shards found divergent across all detections",
-            m.divergent_shards,
         ),
         ("hdhash_gossip_syncs_sent_total", "Sync requests sent", m.syncs_sent),
         ("hdhash_gossip_syncs_received_total", "Sync requests received", m.syncs_received),
@@ -140,7 +136,7 @@ pub fn export_gossip(out: &mut TelemetrySnapshot, labels: &[(&str, &str)], m: &G
         ("hdhash_gossip_send_failures_total", "Transport sends that failed", m.send_failures),
         (
             "hdhash_gossip_protocol_errors_total",
-            "Adverts with another shard count plus refused merges",
+            "Merges the engine refused (capacity)",
             m.protocol_errors,
         ),
         (
@@ -292,7 +288,6 @@ mod tests {
             adverts_sent: 6,
             adverts_received: 5,
             divergence_detections: 1,
-            divergent_shards: 2,
             syncs_sent: 1,
             syncs_received: 1,
             records_adopted: 4,

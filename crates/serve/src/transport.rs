@@ -134,7 +134,7 @@ pub trait Transport: Send {
 /// let network = InProcessNetwork::new();
 /// let a = network.endpoint(ReplicaId::new(0));
 /// let b = network.endpoint(ReplicaId::new(1));
-/// a.send(ReplicaId::new(1), GossipMessage::Advert { round: 1, digests: vec![], ack: None })?;
+/// a.send(ReplicaId::new(1), GossipMessage::Advert { round: 1, digest: 0, ack: None })?;
 /// let envelope = b.try_recv().expect("delivered");
 /// assert_eq!(envelope.from, ReplicaId::new(0));
 /// # Ok::<(), hdhash_serve::transport::TransportError>(())
@@ -224,7 +224,7 @@ mod tests {
     use crate::gossip::GossipMessage;
 
     fn advert(round: u64) -> GossipMessage {
-        GossipMessage::Advert { round, digests: Vec::new(), ack: None }
+        GossipMessage::Advert { round, digest: 0, ack: None }
     }
 
     #[test]

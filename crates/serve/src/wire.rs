@@ -15,15 +15,15 @@
 //! offset size  field
 //! 0      1     tag: 0 Advert · 1 SyncRequest · 2 SyncResponse
 //! 1      8     round (u64 LE)
-//! 9      4     count (u32 LE): digests (Advert) or records (Sync*)
+//! 9      4     count (u32 LE): 1 digest (Advert) or records (Sync*)
 //! 13     …     body (tag-specific, see below)
 //! ```
 //!
 //! * **Advert** body: `ack_present` (1 B, 0/1) + `ack` (8 B, zero when
-//!   absent), then one 16-byte membership digest (u128 LE) per shard.
-//! * **SyncRequest** body: `stamp` (8 B) + `diverged_count` (u32 LE) +
-//!   one u16 LE per diverged shard + `count` × 17-byte member records.
-//! * **SyncResponse** body: `stamp` (8 B) + `count` × 17-byte records.
+//!   absent), then the 16-byte membership digest (u128 LE). An advert
+//!   whose count is not 1 is rejected.
+//! * **SyncRequest** and **SyncResponse** body: `stamp` (8 B) + `count` ×
+//!   17-byte member records.
 //! * **Member record** (17 B): server id (u64 LE) + version (u64 LE) +
 //!   alive (1 B, 0/1).
 //!
@@ -32,7 +32,7 @@
 //! ```text
 //! offset size  field
 //! 0      1     magic 0xC7
-//! 1      1     codec version (2)
+//! 1      1     codec version (3)
 //! 2      8     sender replica id (u64 LE) — every frame self-identifies
 //! 10     4     payload length (u32 LE), capped at MAX_PAYLOAD
 //! 14     4     CRC32 (IEEE) of the payload (u32 LE)
@@ -55,9 +55,10 @@ use hdhash_table::ServerId;
 pub const FRAME_MAGIC: u8 = 0xC7;
 /// Codec version stamped into every frame header. Bumps on any layout
 /// change; a mismatch is rejected as [`FrameError::BadVersion`] so mixed
-/// deployments fail loudly instead of mis-parsing. Version 2 adverts
-/// carry 16-byte membership digests.
-pub const WIRE_VERSION: u8 = 2;
+/// deployments fail loudly instead of mis-parsing. In version 3 an
+/// advert carries exactly one 16-byte membership digest, and a sync
+/// request carries records only.
+pub const WIRE_VERSION: u8 = 3;
 /// Bytes the TCP frame envelope adds around one encoded message: magic +
 /// version + sender id + length + checksum. Measured socket bytes exceed
 /// the `wire_size` accounting by exactly this much per frame.
@@ -93,8 +94,8 @@ pub enum FrameError {
     /// Unknown message tag.
     BadTag(u8),
     /// Structurally valid but non-canonical payload (boolean byte not
-    /// 0/1, absent ack with a non-zero value, an element count past
-    /// [`MAX_PAYLOAD`], trailing bytes).
+    /// 0/1, absent ack with a non-zero value, an advert count other than
+    /// 1, an element count past [`MAX_PAYLOAD`], trailing bytes).
     BadPayload,
 }
 
@@ -145,34 +146,18 @@ fn push_u32(out: &mut Vec<u8>, value: usize) {
 pub fn encode_message(message: &GossipMessage) -> Vec<u8> {
     let mut out = Vec::with_capacity(message.wire_size());
     match message {
-        GossipMessage::Advert { round, digests, ack } => {
+        GossipMessage::Advert { round, digest, ack } => {
             out.push(TAG_ADVERT);
             out.extend_from_slice(&round.to_le_bytes());
-            push_u32(&mut out, digests.len());
+            push_u32(&mut out, 1);
             out.push(u8::from(ack.is_some()));
             out.extend_from_slice(&ack.unwrap_or(0).to_le_bytes());
-            for digest in digests {
-                out.extend_from_slice(&digest.to_le_bytes());
-            }
+            out.extend_from_slice(&digest.to_le_bytes());
         }
-        GossipMessage::SyncRequest { round, stamp, records, diverged } => {
-            out.push(TAG_SYNC_REQUEST);
-            out.extend_from_slice(&round.to_le_bytes());
-            push_u32(&mut out, records.len());
-            out.extend_from_slice(&stamp.to_le_bytes());
-            push_u32(&mut out, diverged.len());
-            for &shard in diverged {
-                // Shard counts are small (wire_size budgets 2 bytes);
-                // saturate rather than alias on a absurd index.
-                let shard = u16::try_from(shard).unwrap_or(u16::MAX);
-                out.extend_from_slice(&shard.to_le_bytes());
-            }
-            for record in records {
-                encode_record(&mut out, record);
-            }
-        }
-        GossipMessage::SyncResponse { round, stamp, records } => {
-            out.push(TAG_SYNC_RESPONSE);
+        GossipMessage::SyncRequest { round, stamp, records }
+        | GossipMessage::SyncResponse { round, stamp, records } => {
+            let request = matches!(message, GossipMessage::SyncRequest { .. });
+            out.push(if request { TAG_SYNC_REQUEST } else { TAG_SYNC_RESPONSE });
             out.extend_from_slice(&round.to_le_bytes());
             push_u32(&mut out, records.len());
             out.extend_from_slice(&stamp.to_le_bytes());
@@ -211,11 +196,6 @@ impl<'a> Reader<'a> {
 
     fn u8(&mut self) -> Result<u8, FrameError> {
         Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     fn u32(&mut self) -> Result<u32, FrameError> {
@@ -277,41 +257,28 @@ pub fn decode_message(bytes: &[u8]) -> Result<GossipMessage, FrameError> {
     }
     let message = match tag {
         TAG_ADVERT => {
+            if count != 1 {
+                return Err(FrameError::BadPayload);
+            }
             let present = r.boolean()?;
             let ack_value = r.u64()?;
             if !present && ack_value != 0 {
                 return Err(FrameError::BadPayload);
             }
             let ack = present.then_some(ack_value);
-            let mut digests = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                digests.push(r.u128()?);
-            }
-            GossipMessage::Advert { round, digests, ack }
+            GossipMessage::Advert { round, digest: r.u128()?, ack }
         }
-        TAG_SYNC_REQUEST => {
-            let stamp = r.u64()?;
-            let diverged_count = r.u32()? as usize;
-            if diverged_count > MAX_PAYLOAD {
-                return Err(FrameError::BadPayload);
-            }
-            let mut diverged = Vec::with_capacity(diverged_count.min(1024));
-            for _ in 0..diverged_count {
-                diverged.push(r.u16()? as usize);
-            }
-            let mut records = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                records.push(decode_record(&mut r)?);
-            }
-            GossipMessage::SyncRequest { round, stamp, records, diverged }
-        }
-        TAG_SYNC_RESPONSE => {
+        TAG_SYNC_REQUEST | TAG_SYNC_RESPONSE => {
             let stamp = r.u64()?;
             let mut records = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
                 records.push(decode_record(&mut r)?);
             }
-            GossipMessage::SyncResponse { round, stamp, records }
+            if tag == TAG_SYNC_REQUEST {
+                GossipMessage::SyncRequest { round, stamp, records }
+            } else {
+                GossipMessage::SyncResponse { round, stamp, records }
+            }
         }
         other => return Err(FrameError::BadTag(other)),
     };
@@ -401,13 +368,12 @@ mod tests {
     #[test]
     fn message_round_trips_and_matches_wire_size() {
         let messages = vec![
-            GossipMessage::Advert { round: 0, digests: vec![], ack: None },
-            GossipMessage::Advert { round: 7, digests: vec![0, u128::MAX, 1 << 64], ack: Some(42) },
+            GossipMessage::Advert { round: 0, digest: 0, ack: None },
+            GossipMessage::Advert { round: 7, digest: u128::MAX, ack: Some(42) },
             GossipMessage::SyncRequest {
                 round: 3,
                 stamp: 11,
                 records: vec![record(1, 4, true), record(9, 2, false)],
-                diverged: vec![0, 3],
             },
             GossipMessage::SyncResponse {
                 round: u64::MAX,
@@ -424,7 +390,7 @@ mod tests {
 
     #[test]
     fn frame_round_trips_with_exact_overhead() {
-        let message = GossipMessage::Advert { round: 5, digests: vec![0xC0FFEE], ack: Some(3) };
+        let message = GossipMessage::Advert { round: 5, digest: 0xC0FFEE, ack: Some(3) };
         let from = ReplicaId::new(77);
         let frame = encode_frame(from, &message);
         assert_eq!(frame.len(), message.wire_size() + FRAME_OVERHEAD);
@@ -482,7 +448,7 @@ mod tests {
         *bytes.last_mut().expect("alive byte") = 2;
         assert_eq!(decode_message(&bytes), Err(FrameError::BadPayload));
         // Absent ack with a non-zero value.
-        let advert = GossipMessage::Advert { round: 1, digests: vec![5], ack: None };
+        let advert = GossipMessage::Advert { round: 1, digest: 5, ack: None };
         let mut bytes = encode_message(&advert);
         bytes[MESSAGE_HEADER + 1] = 0xFF;
         assert_eq!(decode_message(&bytes), Err(FrameError::BadPayload));
@@ -497,6 +463,23 @@ mod tests {
         // Truncation mid-record.
         let bytes = encode_message(&message);
         assert_eq!(decode_message(&bytes[..bytes.len() - 3]), Err(FrameError::Truncated));
+    }
+
+    #[test]
+    fn adverts_carry_exactly_one_digest() {
+        let advert = GossipMessage::Advert { round: 2, digest: 9, ack: Some(1) };
+        let bytes = encode_message(&advert);
+        assert_eq!(bytes[9..MESSAGE_HEADER], 1u32.to_le_bytes());
+        for count in [0u32, 2, u32::MAX] {
+            let mut bad = bytes.clone();
+            bad[9..MESSAGE_HEADER].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(decode_message(&bad), Err(FrameError::BadPayload), "count {count}");
+        }
+        // A second digest appended to a well-formed advert is trailing
+        // garbage.
+        let mut two = bytes.clone();
+        two.extend_from_slice(&7u128.to_le_bytes());
+        assert_eq!(decode_message(&two), Err(FrameError::BadPayload));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * **Convergence after heal** — whatever the fault plan did (drops up
 //!   to 50%, bounded delay, duplication, reordering, asymmetric
 //!   partitions, crash/restart), once the network heals the replica set
-//!   reaches identical per-shard member sets and digests within a bounded
-//!   number of rounds.
+//!   reaches identical member sets and digests within a bounded number of
+//!   rounds.
 //! * **No resurrection** — tombstone GC is gated on the *full* peer set
 //!   (dead or partitioned peers included), so a removed member never
 //!   reappears when a stale replica rejoins, no matter how long its acks
@@ -28,17 +28,15 @@ use hdhash_serve::transport::ReplicaId;
 use hdhash_serve::ServeConfig;
 use hdhash_table::ServerId;
 
-fn serve_config(shards: usize, seed: u64) -> ServeConfig {
+fn serve_config(seed: u64) -> ServeConfig {
     ServeConfig {
-        shards,
         workers: 1,
         batch_capacity: 16,
         queue_capacity: 512,
         dimension: 2048,
         codebook_size: 64,
         seed,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     }
 }
 
@@ -47,7 +45,7 @@ type ChaosSet = Vec<(Arc<ReplicatedEngine>, GossipNode<ChaosEndpoint>)>;
 
 /// Builds `n` replicas on one chaos network executing `plan`, full-mesh
 /// peer lists.
-fn chaos_set(n: u64, shards: usize, engine_seed: u64, plan: FaultPlan) -> (Arc<ChaosNetwork>, ChaosSet) {
+fn chaos_set(n: u64, engine_seed: u64, plan: FaultPlan) -> (Arc<ChaosNetwork>, ChaosSet) {
     println!("chaos seed: {:#x}", plan.seed);
     let net = ChaosNetwork::new(plan);
     let peers: Vec<ReplicaId> = (0..n).map(ReplicaId::new).collect();
@@ -57,7 +55,7 @@ fn chaos_set(n: u64, shards: usize, engine_seed: u64, plan: FaultPlan) -> (Arc<C
             // Every replica shares the engine seed: identical codebook
             // geometry is what makes converged memberships route alike.
             let replica = Arc::new(
-                ReplicatedEngine::new(id, serve_config(shards, engine_seed))
+                ReplicatedEngine::new(id, serve_config(engine_seed))
                     .expect("valid config"),
             );
             let node = GossipNode::new(
@@ -108,21 +106,20 @@ fn rounds_to_converge(
     None
 }
 
-/// The merged logs, every shard's published member ids and every shard's
-/// digest agree across the set, and each shard serves its log's members.
-fn assert_identical_shard_members(replicas: &[&ReplicatedEngine]) {
+/// The merged logs, the published member ids and the digests agree
+/// across the set, and each table serves its log's members.
+fn assert_identical_members(replicas: &[&ReplicatedEngine]) {
     let view = |replica: &ReplicatedEngine| {
-        let shards: Vec<Vec<ServerId>> =
-            replica.engine().snapshots().iter().map(|s| s.member_ids()).collect();
-        (replica.member_ids(), shards, replica.shard_digests())
+        let published = replica.engine().snapshots()[0].member_ids();
+        (replica.member_ids(), published, replica.digest())
     };
-    let (members, shards, digests) = view(replicas[0]);
-    assert!(shards.iter().all(|ids| *ids == members), "a shard trails the merged log");
+    let (members, published, digest) = view(replicas[0]);
+    assert_eq!(published, members, "the table trails the merged log");
     for replica in &replicas[1..] {
-        let (their_members, their_shards, their_digests) = view(replica);
+        let (their_members, their_published, their_digest) = view(replica);
         assert_eq!(their_members, members, "memberships diverged");
-        assert_eq!(their_shards, shards, "per-shard member ids differ");
-        assert_eq!(their_digests, digests, "per-shard digests differ");
+        assert_eq!(their_published, published, "published member ids differ");
+        assert_eq!(their_digest, digest, "digests differ");
     }
 }
 
@@ -163,7 +160,7 @@ fn convergence_after_heal_across_drop_rate_grid() {
                 ..LinkFaults::RELIABLE
             };
             let plan = FaultPlan::new(seed).with_default_link(faults);
-            let (net, set) = chaos_set(n, 2, 0x11_000 + seed, plan);
+            let (net, set) = chaos_set(n, 0x11_000 + seed, plan);
             diverge(&set);
             let nodes: Vec<GossipNode<ChaosEndpoint>> =
                 set.into_iter().map(|(_, node)| node).collect();
@@ -182,7 +179,7 @@ fn convergence_after_heal_across_drop_rate_grid() {
             );
             let replicas: Vec<&ReplicatedEngine> =
                 nodes.iter().map(GossipNode::replica).collect();
-            assert_identical_shard_members(&replicas);
+            assert_identical_members(&replicas);
             assert_eq!(replicas[0].member_ids(), diverged_want(n), "drop={drop}‰ n={n}");
             let stats = net.stats();
             assert!(stats.reconciles(), "drop={drop}‰ n={n}: {stats:?}");
@@ -205,7 +202,7 @@ fn asymmetric_partition_under_heavy_loss_converges_after_heal() {
     let plan = FaultPlan::new(seed)
         .with_default_link(LinkFaults::lossy(500))
         .with_partition_one_way(r0, r1, 2..14);
-    let (net, set) = chaos_set(3, 2, 0x22_000, plan);
+    let (net, set) = chaos_set(3, 0x22_000, plan);
     diverge(&set);
     let nodes: Vec<GossipNode<ChaosEndpoint>> =
         set.into_iter().map(|(_, node)| node).collect();
@@ -220,7 +217,7 @@ fn asymmetric_partition_under_heavy_loss_converges_after_heal() {
         .unwrap_or_else(|| panic!("failed to converge after heal (seed {seed:#x})"));
     println!("asymmetric partition healed in {rounds} rounds");
     let replicas: Vec<&ReplicatedEngine> = nodes.iter().map(GossipNode::replica).collect();
-    assert_identical_shard_members(&replicas);
+    assert_identical_members(&replicas);
     assert_eq!(replicas[0].member_ids(), diverged_want(3));
     assert!(net.stats().reconciles());
     // The sync retry machinery actually ran under this much loss.
@@ -245,7 +242,7 @@ fn removed_member_stays_dead_across_a_partition() {
     let plan = FaultPlan::new(seed)
         .with_partition(r2, ReplicaId::new(0), 5..20)
         .with_partition(r2, ReplicaId::new(1), 5..20);
-    let (net, set) = chaos_set(3, 2, 0x33_000, plan);
+    let (net, set) = chaos_set(3, 0x33_000, plan);
     // Shared base membership, installed on replica 0 and gossiped out.
     for id in 0..6u64 {
         set[0].0.join(ServerId::new(id)).expect("fresh");
@@ -286,7 +283,7 @@ fn removed_member_stays_dead_across_a_partition() {
     let rounds = rounds_to_converge(&net, &nodes, 48)
         .unwrap_or_else(|| panic!("failed to converge after heal (seed {seed:#x})"));
     println!("partition healed, converged in {rounds} rounds");
-    assert_identical_shard_members(&replicas);
+    assert_identical_members(&replicas);
     assert!(
         !replicas.iter().any(|r| r.member_ids().contains(&ServerId::new(3))),
         "resurrection: removed member came back after the partition healed"
@@ -301,7 +298,7 @@ fn removed_member_stays_dead_across_a_partition() {
 fn crashed_replica_catches_up_after_restart() {
     let seed = 0xCA_5CADE;
     let plan = FaultPlan::new(seed).with_crash(ReplicaId::new(1), 2..10);
-    let (net, set) = chaos_set(3, 2, 0x44_000, plan);
+    let (net, set) = chaos_set(3, 0x44_000, plan);
     for id in 0..4u64 {
         set[0].0.join(ServerId::new(id)).expect("fresh");
     }
@@ -322,7 +319,7 @@ fn crashed_replica_catches_up_after_restart() {
     let rounds = rounds_to_converge(&net, &nodes, 32)
         .unwrap_or_else(|| panic!("restarted replica failed to catch up (seed {seed:#x})"));
     println!("restart caught up in {rounds} rounds");
-    assert_identical_shard_members(&replicas);
+    assert_identical_members(&replicas);
     let members = replicas[1].member_ids();
     assert!(members.contains(&ServerId::new(40)), "missed the join during its crash");
     assert!(!members.contains(&ServerId::new(2)), "missed the leave during its crash");
@@ -345,7 +342,7 @@ fn same_seed_replays_the_same_scenario() {
             reorder_per_mille: 100,
             ..LinkFaults::RELIABLE
         });
-        let (net, set) = chaos_set(3, 2, 0x55_000, plan);
+        let (net, set) = chaos_set(3, 0x55_000, plan);
         diverge(&set);
         let nodes: Vec<GossipNode<ChaosEndpoint>> =
             set.into_iter().map(|(_, node)| node).collect();
@@ -355,7 +352,7 @@ fn same_seed_replays_the_same_scenario() {
         net.heal();
         let rounds = rounds_to_converge(&net, &nodes, 48).expect("converges after heal");
         let digests: Vec<_> =
-            nodes.iter().flat_map(|n| n.replica().shard_digests()).collect();
+            nodes.iter().map(|n| n.replica().digest()).collect();
         let metrics: Vec<(u64, u64, u64)> = nodes
             .iter()
             .map(|n| {
@@ -409,7 +406,7 @@ fn randomized_soak_converges_after_heal() {
             ..LinkFaults::RELIABLE
         })
         .with_partition_one_way(victim, other, 3..9);
-    let (net, set) = chaos_set(n, 2, seed ^ 0x66_000, plan);
+    let (net, set) = chaos_set(n, seed ^ 0x66_000, plan);
     diverge(&set);
     let nodes: Vec<GossipNode<ChaosEndpoint>> =
         set.into_iter().map(|(_, node)| node).collect();
@@ -422,7 +419,7 @@ fn randomized_soak_converges_after_heal() {
     });
     println!("soak converged in {rounds} rounds (drop={drop}‰ n={n})");
     let replicas: Vec<&ReplicatedEngine> = nodes.iter().map(GossipNode::replica).collect();
-    assert_identical_shard_members(&replicas);
+    assert_identical_members(&replicas);
     assert_eq!(replicas[0].member_ids(), diverged_want(n));
     assert!(net.stats().reconciles(), "soak counters must reconcile: {:?}", net.stats());
 }
@@ -433,14 +430,14 @@ fn randomized_soak_converges_after_heal() {
 #[test]
 fn reliable_plan_full_stack_is_transparent() {
     let plan = FaultPlan::new(1);
-    let (net, set) = chaos_set(2, 2, 0x99_000, plan);
+    let (net, set) = chaos_set(2, 0x99_000, plan);
     diverge(&set);
     let nodes: Vec<GossipNode<ChaosEndpoint>> =
         set.into_iter().map(|(_, node)| node).collect();
     let rounds = rounds_to_converge(&net, &nodes, 8).expect("reliable chaos converges");
     assert!(rounds <= 2, "quiescent pair took {rounds} rounds through the chaos stack");
     let replicas: Vec<&ReplicatedEngine> = nodes.iter().map(GossipNode::replica).collect();
-    assert_identical_shard_members(&replicas);
+    assert_identical_members(&replicas);
     assert_eq!(replicas[0].member_ids(), diverged_want(2));
     let stats = net.stats();
     assert_eq!(stats.dropped_total(), 0);

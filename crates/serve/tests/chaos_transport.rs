@@ -81,11 +81,7 @@ fn run_script(
     };
     for (ordinal, step) in script.iter().enumerate() {
         let to = ReplicaId::new((step.from + 1 + step.to_offset) % REPLICAS);
-        let message = GossipMessage::Advert {
-            round: ordinal as u64,
-            digests: Vec::new(),
-            ack: None,
-        };
+        let message = GossipMessage::Advert { round: ordinal as u64, digest: 0, ack: None };
         endpoints[step.from as usize].send(to, message).expect("registered peer");
         assert!(net.stats().reconciles(), "mid-script reconcile failure");
         drain(&endpoints, &mut log, &net);

@@ -6,10 +6,10 @@
 //! it** — no torn reads, no response computed against a half-applied
 //! membership, no route entry left over from another epoch. The epoch log
 //! is reconstructible because every publication produces exactly one
-//! receipt; the validator replays the receipts, rebuilds each
-//! `(shard, epoch)`'s HD table from them, and checks every response's
-//! server against that table's verdict for the response's key and against
-//! the membership live at that exact epoch.
+//! receipt; the validator replays the receipts, rebuilds each epoch's HD
+//! table from them, and checks every response's server against that
+//! table's verdict for the response's key and against the membership live
+//! at that exact epoch.
 //!
 //! CI runs this with `--test-threads=1`; the inner `ROUNDS` loop plus the
 //! driver-side repetition give the "100 consecutive runs" soak the
@@ -33,37 +33,32 @@ const CHURN_OPS: usize = 30;
 
 fn config(seed: u64) -> ServeConfig {
     ServeConfig {
-        shards: 2,
         workers: 4,
         batch_capacity: 16,
         queue_capacity: 1024,
         dimension: 2048,
         codebook_size: 64,
         seed,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     }
 }
 
-/// Epoch → membership in join order, per shard, reconstructed from
-/// receipts.
-fn log_receipts(
-    log: &mut HashMap<(usize, u64), Vec<ServerId>>,
-    receipts: &[ShardReceipt],
-) {
+/// Epoch → membership in join order, reconstructed from receipts: one per
+/// change.
+fn log_receipts(log: &mut HashMap<u64, Vec<ServerId>>, receipts: &[ShardReceipt]) {
     for receipt in receipts {
-        let previous = log.insert((receipt.shard, receipt.epoch), receipt.members.clone());
+        assert_eq!(receipt.shard, 0);
+        let previous = log.insert(receipt.epoch, receipt.members.clone());
         assert!(previous.is_none(), "epoch {} published twice", receipt.epoch);
     }
 }
 
-/// The HD table `shard` served in an epoch with `members`: the shard's
-/// seed is `config.seed + shard`.
-fn reference(config: &ServeConfig, shard: usize, members: &[ServerId]) -> HdHashTable {
+/// The HD table the engine served in an epoch with `members`.
+fn reference(config: &ServeConfig, members: &[ServerId]) -> HdHashTable {
     let mut table = HdHashTable::builder()
         .dimension(config.dimension)
         .codebook_size(config.codebook_size)
-        .seed(config.seed.wrapping_add(shard as u64))
+        .seed(config.seed)
         .build()
         .expect("valid geometry");
     for &server in members {
@@ -77,14 +72,13 @@ fn lookups_race_churn_without_torn_reads() {
     for round in 0..ROUNDS {
         let config = config(round as u64 + 1);
         let engine = ServeEngine::new(config).expect("valid config");
-        let mut epoch_log: HashMap<(usize, u64), Vec<ServerId>> = HashMap::new();
-        // Genesis: every shard starts at epoch 0 with no members.
-        for snapshot in engine.snapshots() {
-            epoch_log.insert((snapshot.shard, snapshot.epoch), Vec::new());
-        }
+        // Genesis: epoch 0 with no members.
+        let mut epoch_log: HashMap<u64, Vec<ServerId>> = HashMap::from([(0, Vec::new())]);
         // Base membership before the race, so the pool is never empty.
         for id in 0..8u64 {
-            log_receipts(&mut epoch_log, &engine.join(ServerId::new(id)).expect("fresh"));
+            let receipts = engine.join(ServerId::new(id)).expect("fresh");
+            assert_eq!(receipts.len(), 1, "a join publishes one epoch");
+            log_receipts(&mut epoch_log, &receipts);
         }
 
         let (churn_receipts, responses) = std::thread::scope(|scope| {
@@ -145,6 +139,7 @@ fn lookups_race_churn_without_torn_reads() {
                 .collect();
             (receipts, responses)
         });
+        assert_eq!(churn_receipts.len(), CHURN_OPS, "round {round}: one receipt per change");
         log_receipts(&mut epoch_log, &churn_receipts);
 
         assert_eq!(
@@ -152,34 +147,27 @@ fn lookups_race_churn_without_torn_reads() {
             CLIENTS * LOOKUPS_PER_CLIENT,
             "round {round}"
         );
-        let mut references: HashMap<(usize, u64), HdHashTable> = HashMap::new();
+        let mut references: HashMap<u64, HdHashTable> = HashMap::new();
         for (key, response) in &responses {
-            let members = epoch_log
-                .get(&(response.shard, response.epoch))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "round {round}: response cites unknown epoch {} \
-                         on shard {}",
-                        response.epoch, response.shard
-                    )
-                });
+            assert_eq!(response.shard, 0, "round {round}");
+            let members = epoch_log.get(&response.epoch).unwrap_or_else(|| {
+                panic!("round {round}: response cites unknown epoch {}", response.epoch)
+            });
             let table = references
-                .entry((response.shard, response.epoch))
-                .or_insert_with(|| reference(&config, response.shard, members));
+                .entry(response.epoch)
+                .or_insert_with(|| reference(&config, members));
             assert_eq!(
                 response.result,
                 table.lookup(*key),
-                "round {round}: shard {} epoch {} answered {key} with a verdict \
-                 its epoch's table does not give",
-                response.shard,
+                "round {round}: epoch {} answered {key} with a verdict its epoch's \
+                 table does not give",
                 response.epoch,
             );
             match response.result {
                 Ok(server) => assert!(
                     members.contains(&server),
-                    "round {round}: shard {} epoch {} routed to {server}, \
-                     which was not live in that epoch (live: {members:?})",
-                    response.shard,
+                    "round {round}: epoch {} routed to {server}, which was not live \
+                     in that epoch (live: {members:?})",
                     response.epoch,
                 ),
                 Err(TableError::EmptyPool) => assert!(
@@ -192,21 +180,20 @@ fn lookups_race_churn_without_torn_reads() {
             }
         }
 
-        // Post-race invariants: the shards all reached the same epoch
-        // count and serve exactly the membership the churn left — ids
-        // below the last leave are gone, the joins up to 8 + leaves live.
+        // Post-race invariants: the table reached one epoch per change
+        // and serves exactly the membership the churn left — ids below the
+        // last leave are gone, the joins up to 8 + leaves live.
         let leaves = (CHURN_OPS / 2) as u64;
         let members: Vec<ServerId> = (leaves..8 + leaves).map(ServerId::new).collect();
         let final_epoch = 8 + CHURN_OPS as u64;
         let keys: Vec<RequestKey> = responses.iter().map(|&(key, _)| key).collect();
-        for snapshot in engine.snapshots() {
-            assert_eq!(snapshot.epoch, final_epoch, "round {round}");
-            assert_eq!(snapshot.member_ids(), members, "round {round}");
-            let table = reference(&config, snapshot.shard, &snapshot.members);
-            let want: Vec<_> = keys.iter().map(|&k| table.lookup(k)).collect();
-            assert_eq!(snapshot.lookup_batch(&keys), want, "round {round}");
-            assert_eq!(snapshot.scrub_routes(), 0, "round {round}: a wrong route entry");
-        }
+        let snapshot = &engine.snapshots()[0];
+        assert_eq!(snapshot.epoch, final_epoch, "round {round}");
+        assert_eq!(snapshot.member_ids(), members, "round {round}");
+        let table = reference(&config, &snapshot.members);
+        let want: Vec<_> = keys.iter().map(|&k| table.lookup(k)).collect();
+        assert_eq!(snapshot.lookup_batch(&keys), want, "round {round}");
+        assert_eq!(snapshot.scrub_routes(), 0, "round {round}: a wrong route entry");
     }
 }
 
@@ -246,15 +233,13 @@ fn backpressure_surfaces_queue_full() {
     // burst: once the queue is at capacity, submits must reject with
     // QueueFull — and every *accepted* ticket must still resolve.
     let mut engine = ServeEngine::new(ServeConfig {
-        shards: 1,
         workers: 1,
         batch_capacity: 4,
         queue_capacity: 8,
         dimension: 2048,
         codebook_size: 64,
         seed: 7,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     })
     .expect("valid config");
     engine.join(ServerId::new(1)).expect("fresh");
@@ -289,15 +274,13 @@ fn stragglers_complete_at_shutdown() {
     // shutdown drain.
     for round in 0..20u64 {
         let mut engine = ServeEngine::new(ServeConfig {
-            shards: 2,
             workers: 4,
             batch_capacity: 8,
             queue_capacity: 2048,
             dimension: 2048,
             codebook_size: 64,
             seed: 1000 + round,
-            engine: Default::default(),
-            trace: Default::default(),
+            ..ServeConfig::default()
         })
         .expect("valid config");
         engine.join(ServerId::new(1)).expect("fresh");

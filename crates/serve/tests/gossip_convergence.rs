@@ -1,7 +1,7 @@
 //! Replica convergence under gossip: quiescent sets converge in a bounded
 //! number of rounds, and sets under **concurrent churn** (joins/leaves
-//! racing the gossip scheduler threads) converge to identical per-shard
-//! member sets and digests once the churn stops.
+//! racing the gossip scheduler threads) converge to identical member sets
+//! and digests once the churn stops.
 //!
 //! CI runs this suite with `--test-threads=1` and repeats the soak test,
 //! mirroring the concurrent-churn suite's discipline: the churn-vs-gossip
@@ -21,17 +21,15 @@ const SOAK_ROUNDS: usize = 5;
 /// Churn operations each replica applies per soak round.
 const CHURN_OPS: usize = 40;
 
-fn serve_config(shards: usize, seed: u64) -> ServeConfig {
+fn serve_config(seed: u64) -> ServeConfig {
     ServeConfig {
-        shards,
         workers: 1,
         batch_capacity: 16,
         queue_capacity: 512,
         dimension: 2048,
         codebook_size: 64,
         seed,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     }
 }
 
@@ -40,16 +38,14 @@ fn serve_config(shards: usize, seed: u64) -> ServeConfig {
 /// `n` grows past it).
 fn replica_set(
     n: u64,
-    shards: usize,
     seed: u64,
     period: Duration,
 ) -> Vec<(Arc<ReplicatedEngine>, GossipNode<InProcessEndpoint>)> {
-    replica_set_with_fanout(n, shards, seed, period, GossipConfig::default().fanout)
+    replica_set_with_fanout(n, seed, period, GossipConfig::default().fanout)
 }
 
 fn replica_set_with_fanout(
     n: u64,
-    shards: usize,
     seed: u64,
     period: Duration,
     fanout: usize,
@@ -60,7 +56,7 @@ fn replica_set_with_fanout(
         .map(|i| {
             let id = ReplicaId::new(i);
             let replica = Arc::new(
-                ReplicatedEngine::new(id, serve_config(shards, seed)).expect("valid config"),
+                ReplicatedEngine::new(id, serve_config(seed)).expect("valid config"),
             );
             let node = GossipNode::new(
                 Arc::clone(&replica),
@@ -73,28 +69,27 @@ fn replica_set_with_fanout(
         .collect()
 }
 
-/// The merged logs, every shard's published member ids and every shard's
-/// digest agree across the set, and each shard serves its log's members.
-fn assert_identical_shard_members(replicas: &[&ReplicatedEngine]) {
+/// The merged logs, the published member ids and the digests agree
+/// across the set, and each table serves its log's members.
+fn assert_identical_members(replicas: &[&ReplicatedEngine]) {
     let view = |replica: &ReplicatedEngine| {
-        let shards: Vec<Vec<ServerId>> =
-            replica.engine().snapshots().iter().map(|s| s.member_ids()).collect();
-        (replica.member_ids(), shards, replica.shard_digests())
+        let published = replica.engine().snapshots()[0].member_ids();
+        (replica.member_ids(), published, replica.digest())
     };
-    let (members, shards, digests) = view(replicas[0]);
-    assert!(shards.iter().all(|ids| *ids == members), "a shard trails the merged log");
+    let (members, published, digest) = view(replicas[0]);
+    assert_eq!(published, members, "the table trails the merged log");
     for replica in &replicas[1..] {
-        let (their_members, their_shards, their_digests) = view(replica);
+        let (their_members, their_published, their_digest) = view(replica);
         assert_eq!(their_members, members, "memberships diverged");
-        assert_eq!(their_shards, shards, "per-shard member ids differ");
-        assert_eq!(their_digests, digests, "per-shard digests differ");
+        assert_eq!(their_published, published, "published member ids differ");
+        assert_eq!(their_digest, digest, "digests differ");
     }
 }
 
 #[test]
 fn two_quiescent_replicas_converge_in_bounded_rounds() {
-    for shards in [1usize, 2, 4] {
-        let set = replica_set(2, shards, 1000 + shards as u64, Duration::from_millis(50));
+    for seed in [1001u64, 1002, 1004] {
+        let set = replica_set(2, seed, Duration::from_millis(50));
         let (a, b) = (&set[0].0, &set[1].0);
         // Divergent histories: overlapping joins, one conflicting leave.
         for id in 0..12u64 {
@@ -108,10 +103,10 @@ fn two_quiescent_replicas_converge_in_bounded_rounds() {
             set.into_iter().map(|(_, n)| n).collect();
         // One push-pull round must converge a quiescent pair.
         let rounds = run_until_converged(&nodes, 8).expect("must converge");
-        assert!(rounds <= 2, "quiescent pair took {rounds} rounds (shards={shards})");
+        assert!(rounds <= 2, "quiescent pair took {rounds} rounds (seed {seed})");
         let replicas: Vec<&ReplicatedEngine> =
             nodes.iter().map(GossipNode::replica).collect();
-        assert_identical_shard_members(&replicas);
+        assert_identical_members(&replicas);
         // The union minus the tombstoned member.
         let want: Vec<ServerId> =
             (0..20u64).filter(|&id| id != 3).map(ServerId::new).collect();
@@ -121,7 +116,7 @@ fn two_quiescent_replicas_converge_in_bounded_rounds() {
 
 #[test]
 fn three_replica_mesh_converges() {
-    let set = replica_set(3, 2, 7, Duration::from_millis(50));
+    let set = replica_set(3, 7, Duration::from_millis(50));
     set[0].0.join(ServerId::new(1)).expect("fresh");
     set[1].0.join(ServerId::new(2)).expect("fresh");
     set[2].0.join(ServerId::new(3)).expect("fresh");
@@ -131,7 +126,7 @@ fn three_replica_mesh_converges() {
     let rounds = run_until_converged(&nodes, 8).expect("must converge");
     assert!(rounds <= 2, "3-mesh took {rounds} rounds");
     let replicas: Vec<&ReplicatedEngine> = nodes.iter().map(GossipNode::replica).collect();
-    assert_identical_shard_members(&replicas);
+    assert_identical_members(&replicas);
     assert_eq!(replicas[0].member_ids(), vec![ServerId::new(1), ServerId::new(2)]);
 }
 
@@ -141,7 +136,7 @@ fn six_replica_set_converges_under_restricted_fanout() {
     // the deterministic per-round shuffle), yet the epidemic still
     // converges — in more rounds than full mesh, but bounded.
     for fanout in [2usize, 3] {
-        let set = replica_set_with_fanout(6, 2, 60 + fanout as u64, Duration::from_millis(50), fanout);
+        let set = replica_set_with_fanout(6, 60 + fanout as u64, Duration::from_millis(50), fanout);
         // Disjoint histories: replica i joins servers 10i..10i+3, and
         // replica 1 tombstones one of its own members so removal
         // propagation is exercised across the sparse rounds too.
@@ -158,7 +153,7 @@ fn six_replica_set_converges_under_restricted_fanout() {
         assert!(rounds <= 16, "fanout {fanout} took {rounds} rounds");
         let replicas: Vec<&ReplicatedEngine> =
             nodes.iter().map(GossipNode::replica).collect();
-        assert_identical_shard_members(&replicas);
+        assert_identical_members(&replicas);
         // Union of all joins minus the tombstoned member.
         let want: Vec<ServerId> = (0..6u64)
             .flat_map(|i| (0..3u64).map(move |s| 10 * i + s))
@@ -177,7 +172,7 @@ fn six_replica_set_converges_under_restricted_fanout() {
 
 #[test]
 fn lookups_agree_after_convergence() {
-    let set = replica_set(2, 2, 99, Duration::from_millis(50));
+    let set = replica_set(2, 99, Duration::from_millis(50));
     set[0].0.join(ServerId::new(5)).expect("fresh");
     set[1].0.join(ServerId::new(6)).expect("fresh");
     let nodes: Vec<GossipNode<InProcessEndpoint>> =
@@ -189,7 +184,6 @@ fn lookups_agree_after_convergence() {
         let a = nodes[0].replica().submit(RequestKey::new(k)).expect("accepted").wait();
         let b = nodes[1].replica().submit(RequestKey::new(k)).expect("accepted").wait();
         assert_eq!(a.result, b.result, "key {k} routed differently");
-        assert_eq!(a.shard, b.shard);
     }
 }
 
@@ -200,7 +194,7 @@ fn lookups_agree_after_convergence() {
 fn concurrent_churn_soak_converges() {
     for round in 0..SOAK_ROUNDS {
         let seed = 0xC0FFEE + round as u64;
-        let set = replica_set(2, 2, seed, Duration::from_millis(2));
+        let set = replica_set(2, seed, Duration::from_millis(2));
         let (a, b) = (Arc::clone(&set[0].0), Arc::clone(&set[1].0));
         // Base membership both replicas agree on, so lookups always route.
         for id in 0..8u64 {
@@ -263,7 +257,7 @@ fn concurrent_churn_soak_converges() {
         let node_b = handle_b.stop();
         // Stopping drains in-flight messages; the set must still agree.
         assert!(converged(&[&a, &b]), "soak round {round}: diverged during shutdown");
-        assert_identical_shard_members(&[&a, &b]);
+        assert_identical_members(&[&a, &b]);
         // Base members survived every race.
         let members = a.member_ids();
         for id in 0..8u64 {
@@ -282,10 +276,12 @@ fn reproducer_set() -> Vec<u64> {
     ids
 }
 
-/// Two replicas of the soak's geometry (d = 2,048, n = 64, seed
-/// 0xC0FFEE), holding `a` and `b`.
+/// Two replicas of the soak's geometry (d = 2,048, n = 64), holding `a`
+/// and `b`. Seeded 0xC0FFEF: the soak that found these sets ran two tables
+/// per replica at seed 0xC0FFEE, and the second table's basis was
+/// 0xC0FFEE + 1.
 fn pair_holding(a: &[u64], b: &[u64]) -> Vec<GossipNode<InProcessEndpoint>> {
-    let set = replica_set(2, 2, 0xC0FFEE, Duration::from_millis(50));
+    let set = replica_set(2, 0xC0FFEF, Duration::from_millis(50));
     for (ids, (replica, _)) in [a, b].into_iter().zip(&set) {
         for &id in ids {
             replica.join(ServerId::new(id)).expect("fresh");
@@ -299,14 +295,14 @@ fn assert_one_round_to_union(nodes: &[GossipNode<InProcessEndpoint>], union: &[u
     let replicas: Vec<&ReplicatedEngine> = nodes.iter().map(GossipNode::replica).collect();
     assert!(!converged(&replicas), "different member sets reported converged");
     assert_eq!(run_until_converged(nodes, 4), Some(1));
-    assert_identical_shard_members(&replicas);
+    assert_identical_members(&replicas);
     let mut want: Vec<u64> = union.to_vec();
     want.sort_unstable();
     assert_eq!(replicas[0].member_ids(), want.into_iter().map(ServerId::new).collect::<Vec<_>>());
 }
 
-/// S and S ∪ {50, 108} read the same majority-centroid signature on both
-/// shards: the majority absorbs the two extra members. The digests differ.
+/// S and S ∪ {50, 108} read the same majority-centroid signature at this
+/// seed: the majority absorbs the two extra members. The digests differ.
 #[test]
 fn members_absorbed_by_the_majority_still_sync() {
     let s = reproducer_set();

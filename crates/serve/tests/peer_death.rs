@@ -18,15 +18,13 @@ use hdhash_table::ServerId;
 
 fn serve_config(seed: u64) -> ServeConfig {
     ServeConfig {
-        shards: 2,
         workers: 1,
         batch_capacity: 16,
         queue_capacity: 256,
         dimension: 1024,
         codebook_size: 32,
         seed,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     }
 }
 

@@ -2,8 +2,8 @@
 //! [`MemberRecord`] deltas into a [`MembershipLog`] is **idempotent**
 //! (applying the same delta twice equals applying it once) and
 //! **order-independent** (two deltas in either order reach the same
-//! state), and both properties carry through to the per-shard membership
-//! *digests* when the merged log is applied to real engines — the
+//! state), and both properties carry through to the membership *digests*
+//! when the merged log is applied to real engines — the
 //! guarantee that lets gossip rounds overlap, retry and reorder freely
 //! without ever un-converging a replica set.
 
@@ -41,15 +41,13 @@ fn build_log(script: &[(u8, bool)]) -> MembershipLog {
 
 fn serve_config() -> ServeConfig {
     ServeConfig {
-        shards: 2,
         workers: 1,
         batch_capacity: 8,
         queue_capacity: 64,
         dimension: 1024,
         codebook_size: 32,
         seed: 404,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     }
 }
 
@@ -277,7 +275,7 @@ proptest! {
 
     /// The engine-level statement of both properties: two replicas fed
     /// the same deltas twice and in opposite orders end with **equal**
-    /// per-shard digests and member ids — delta application at the engine
+    /// digests and member ids — delta application at the engine
     /// level inherits the log's idempotence and commutativity.
     #[test]
     fn digests_are_delta_order_and_repeat_invariant(
@@ -296,12 +294,11 @@ proptest! {
         b.merge(&d2).expect("capacity fits");
         b.merge(&d1).expect("capacity fits");
         prop_assert_eq!(a.member_ids(), b.member_ids());
-        prop_assert_eq!(a.shard_digests(), b.shard_digests());
+        prop_assert_eq!(a.digest(), b.digest());
         // And the engines themselves converged, not just the logs.
-        for (snap_a, snap_b) in
-            a.engine().snapshots().iter().zip(b.engine().snapshots().iter())
-        {
-            prop_assert_eq!(snap_a.member_ids(), snap_b.member_ids());
-        }
+        prop_assert_eq!(
+            a.engine().snapshots()[0].member_ids(),
+            b.engine().snapshots()[0].member_ids()
+        );
     }
 }

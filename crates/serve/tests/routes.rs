@@ -1,6 +1,6 @@
-//! Route suite: every verdict a shard snapshot serves from its per-epoch
-//! route table equals the HD reference, `HdHashTable::lookup` on a table
-//! built from the snapshot's member ids with the shard's seed.
+//! Route suite: every verdict a snapshot serves from its per-epoch route
+//! table equals the HD reference, `HdHashTable::lookup` on a table built
+//! from the snapshot's member ids with the engine's seed.
 //!
 //! Seeded sequences of joins, leaves and reconciles run on two
 //! geometries: d = 2,048 and n = 64, whose id pool holds 50 and 106 (they
@@ -49,8 +49,8 @@ struct Geometry {
 enum Change {
     Join(usize),
     Leave(usize),
-    /// Drives one shard to the pool ids whose bits are set in `mask`.
-    Reconcile { shard: usize, mask: u16 },
+    /// Drives the table to the pool ids whose bits are set in `mask`.
+    Reconcile { mask: u16 },
 }
 
 fn changes() -> impl Strategy<Value = Vec<Change>> {
@@ -58,32 +58,30 @@ fn changes() -> impl Strategy<Value = Vec<Change>> {
         (0usize..16).prop_map(Change::Join),
         (0usize..16).prop_map(Change::Join),
         (0usize..16).prop_map(Change::Leave),
-        (0usize..2, any::<u16>()).prop_map(|(shard, mask)| Change::Reconcile { shard, mask }),
+        any::<u16>().prop_map(|mask| Change::Reconcile { mask }),
     ];
     prop::collection::vec(change, 4..16)
 }
 
 fn config(geometry: &Geometry, seed: u64) -> ServeConfig {
     ServeConfig {
-        shards: 2,
         workers: 1,
         batch_capacity: 8,
         queue_capacity: 256,
         dimension: geometry.dimension,
         codebook_size: geometry.codebook_size,
         seed,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     }
 }
 
-/// The HD reference for `snapshot`: a fresh table with the shard's seed
+/// The HD reference for `snapshot`: a fresh table with the engine's seed
 /// holding the snapshot's member ids.
 fn reference(config: &ServeConfig, snapshot: &ShardSnapshot) -> HdHashTable {
     let mut table = HdHashTable::builder()
         .dimension(config.dimension)
         .codebook_size(config.codebook_size)
-        .seed(config.seed.wrapping_add(snapshot.shard as u64))
+        .seed(config.seed)
         .build()
         .expect("valid geometry");
     for server in snapshot.member_ids() {
@@ -99,17 +97,12 @@ struct Held {
 }
 
 impl Held {
-    /// Takes each shard's published snapshot under check, once per epoch.
+    /// Takes the published snapshot under check, once per epoch.
     fn take(&mut self, engine: &ServeEngine) {
-        for snapshot in engine.snapshots() {
-            let seen = self
-                .epochs
-                .iter()
-                .any(|(s, _)| (s.shard, s.epoch) == (snapshot.shard, snapshot.epoch));
-            if !seen {
-                let table = reference(&self.config, &snapshot);
-                self.epochs.push((snapshot, table));
-            }
+        let snapshot = Arc::clone(&engine.snapshots()[0]);
+        if !self.epochs.iter().any(|(s, _)| s.epoch == snapshot.epoch) {
+            let table = reference(&self.config, &snapshot);
+            self.epochs.push((snapshot, table));
         }
     }
 
@@ -119,19 +112,20 @@ impl Held {
         for (snapshot, table) in &self.epochs {
             let want: Vec<Result<ServerId, TableError>> =
                 keys.iter().map(|&k| table.lookup(k)).collect();
-            let (shard, epoch) = (snapshot.shard, snapshot.epoch);
-            prop_assert_eq!(snapshot.lookup_batch(keys), want, "shard {} epoch {}", shard, epoch);
+            let epoch = snapshot.epoch;
+            prop_assert_eq!(snapshot.lookup_batch(keys), want, "epoch {}", epoch);
             for (&key, want) in keys.iter().zip(&want) {
                 let got = snapshot.lookup(key);
-                prop_assert_eq!(got, *want, "shard {} epoch {} {}", shard, epoch, key);
+                prop_assert_eq!(got, *want, "epoch {} {}", epoch, key);
             }
         }
         for &key in keys {
             let response = engine.submit(key).expect("queue sized for one key").wait();
+            prop_assert_eq!(response.shard, 0);
             let (snapshot, table) = self
                 .epochs
                 .iter()
-                .find(|(s, _)| (s.shard, s.epoch) == (response.shard, response.epoch))
+                .find(|(s, _)| s.epoch == response.epoch)
                 .expect("the engine served a held epoch");
             let want = table.lookup(key);
             prop_assert_eq!(response.result, want, "engine, {} epoch {}", key, snapshot.epoch);
@@ -151,10 +145,10 @@ fn apply(engine: &ServeEngine, geometry: &Geometry, change: &Change) {
     let _ = match *change {
         Change::Join(index) => engine.join(id(index)).map(drop),
         Change::Leave(index) => engine.leave(id(index)).map(drop),
-        Change::Reconcile { shard, mask } => {
+        Change::Reconcile { mask } => {
             let target: Vec<ServerId> =
                 (0..geometry.pool.len()).filter(|&i| mask & (1 << i) != 0).map(id).collect();
-            engine.reconcile_shard(shard, &target).map(drop)
+            engine.reconcile(&target).map(drop)
         }
     };
 }
@@ -217,10 +211,9 @@ fn a_member_with_id_u64_max_routes_correctly() {
     let max = ServerId::new(u64::MAX);
     engine.join(max).expect("fresh");
     let keys: Vec<RequestKey> = (0..256).map(RequestKey::new).collect();
-    for snapshot in engine.snapshots() {
-        for _ in 0..2 {
-            assert!(snapshot.lookup_batch(&keys).iter().all(|v| *v == Ok(max)));
-        }
+    let snapshot = &engine.snapshots()[0];
+    for _ in 0..2 {
+        assert!(snapshot.lookup_batch(&keys).iter().all(|v| *v == Ok(max)));
     }
     for id in [0, 50, 106] {
         engine.join(ServerId::new(id)).expect("fresh");
@@ -249,39 +242,38 @@ fn threads_racing_to_fill_a_cold_snapshot_get_the_reference() {
     }
     let keys: Vec<RequestKey> = (0..2000).map(RequestKey::new).collect();
     for round in 0..20u64 {
-        // A join starts every shard's epoch cold.
+        // A join starts the published epoch cold.
         engine.join(ServerId::new(1000 + round)).expect("fresh");
-        for snapshot in engine.snapshots() {
-            let table = reference(&config, &snapshot);
-            let want: Vec<_> = keys.iter().map(|&k| table.lookup(k)).collect();
-            let start = std::sync::Barrier::new(THREADS);
-            let verdicts: Vec<Vec<_>> = std::thread::scope(|scope| {
-                let racers: Vec<_> = (0..THREADS)
-                    .map(|t| {
-                        let (snapshot, keys, start) = (&snapshot, &keys, &start);
-                        scope.spawn(move || {
-                            start.wait();
-                            // Odd threads walk the keys backwards, so fills
-                            // of one slot meet from both ends.
-                            let mut order: Vec<usize> = (0..keys.len()).collect();
-                            if t % 2 == 1 {
-                                order.reverse();
-                            }
-                            let mut out = vec![Err(TableError::EmptyPool); keys.len()];
-                            for i in order {
-                                out[i] = snapshot.lookup(keys[i]);
-                            }
-                            out
-                        })
+        let snapshot = Arc::clone(&engine.snapshots()[0]);
+        let table = reference(&config, &snapshot);
+        let want: Vec<_> = keys.iter().map(|&k| table.lookup(k)).collect();
+        let start = std::sync::Barrier::new(THREADS);
+        let verdicts: Vec<Vec<_>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (snapshot, keys, start) = (&snapshot, &keys, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        // Odd threads walk the keys backwards, so fills of
+                        // one slot meet from both ends.
+                        let mut order: Vec<usize> = (0..keys.len()).collect();
+                        if t % 2 == 1 {
+                            order.reverse();
+                        }
+                        let mut out = vec![Err(TableError::EmptyPool); keys.len()];
+                        for i in order {
+                            out[i] = snapshot.lookup(keys[i]);
+                        }
+                        out
                     })
-                    .collect();
-                racers.into_iter().map(|r| r.join().expect("racer must not panic")).collect()
-            });
-            for (t, got) in verdicts.iter().enumerate() {
-                assert_eq!(*got, want, "round {round}, shard {}, thread {t}", snapshot.shard);
-            }
-            assert_eq!(snapshot.scrub_routes(), 0, "round {round}");
-            assert_eq!(snapshot.lookup_batch(&keys), want, "round {round}: filled entries");
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("racer must not panic")).collect()
+        });
+        for (t, got) in verdicts.iter().enumerate() {
+            assert_eq!(*got, want, "round {round}, thread {t}");
         }
+        assert_eq!(snapshot.scrub_routes(), 0, "round {round}");
+        assert_eq!(snapshot.lookup_batch(&keys), want, "round {round}: filled entries");
     }
 }

@@ -169,7 +169,6 @@ fn recorded_trace_replays_identically_through_the_serve_driver() {
     assert_eq!(parsed.name(), trace.name());
 
     let engine_config = ServeConfig {
-        shards: 2,
         workers: 2,
         batch_capacity: 16,
         queue_capacity: 4096,
@@ -207,7 +206,6 @@ fn trace_counters_agree_across_emulator_and_serve_worlds() {
     let emulated = trace.replay_report(&mut module);
 
     let engine = ServeEngine::new(ServeConfig {
-        shards: 2,
         workers: 2,
         batch_capacity: 16,
         queue_capacity: 4096,

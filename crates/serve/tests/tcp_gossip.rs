@@ -1,6 +1,6 @@
 //! Gossip over real sockets: the same anti-entropy protocol the
 //! in-process suites pin — divergent replicas converging to identical
-//! per-shard member sets and digests — run over framed loopback TCP
+//! member sets and digests — run over framed loopback TCP
 //! ([`TcpNetwork`]) instead of channel mailboxes. On top of convergence
 //! it pins the measured-bytes contract: after the outboxes quiesce, the
 //! bytes the kernel actually carried equal the gossip layer's
@@ -20,15 +20,13 @@ use hdhash_table::ServerId;
 
 fn serve_config(seed: u64) -> ServeConfig {
     ServeConfig {
-        shards: 2,
         workers: 1,
         batch_capacity: 16,
         queue_capacity: 256,
         dimension: 1024,
         codebook_size: 32,
         seed,
-        engine: Default::default(),
-        trace: Default::default(),
+        ..ServeConfig::default()
     }
 }
 
@@ -112,14 +110,12 @@ fn divergent_replicas_converge_over_loopback_tcp() {
         assert!(Instant::now() < deadline, "no convergence over TCP within deadline");
     }
 
-    // Identical member ids and digests on every shard.
-    let shard_ids = |replica: &ReplicatedEngine| -> Vec<Vec<ServerId>> {
-        replica.engine().snapshots().iter().map(|s| s.member_ids()).collect()
-    };
+    // Identical member ids and digests on every replica.
+    let published = |replica: &ReplicatedEngine| replica.engine().snapshots()[0].member_ids();
     for replica in &replicas[1..] {
         assert_eq!(replica.member_ids(), replicas[0].member_ids());
-        assert_eq!(shard_ids(replica), shard_ids(&replicas[0]));
-        assert_eq!(replica.shard_digests(), replicas[0].shard_digests());
+        assert_eq!(published(replica), published(&replicas[0]));
+        assert_eq!(replica.digest(), replicas[0].digest());
     }
 
     // Quiesce the outboxes, then hold the accounting to the byte: what

@@ -23,7 +23,6 @@ use hdhash_table::{RequestKey, ServerId};
 
 fn serve_config(seed: u64) -> ServeConfig {
     ServeConfig {
-        shards: 2,
         workers: 2,
         batch_capacity: 16,
         queue_capacity: 512,
@@ -31,8 +30,8 @@ fn serve_config(seed: u64) -> ServeConfig {
         codebook_size: 32,
         seed,
         // Sample every request: this suite asserts on event presence.
-        engine: Default::default(),
         trace: TraceConfig::sampled(1),
+        ..ServeConfig::default()
     }
 }
 
@@ -57,7 +56,7 @@ fn run_chaos_traffic() -> hdhash_serve::ChaosStats {
     for round in 0..40 {
         a.send(
             ReplicaId::new(1),
-            GossipMessage::Advert { round, digests: Vec::new(), ack: None },
+            GossipMessage::Advert { round, digest: 0, ack: None },
         )
         .expect("registered");
     }

@@ -8,7 +8,6 @@ use hdhash_table::{RequestKey, ServerId, TableError};
 
 fn engine(workers: usize) -> ServeEngine {
     let engine = ServeEngine::new(ServeConfig {
-        shards: 2,
         workers,
         dimension: 2048,
         codebook_size: 64,

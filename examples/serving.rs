@@ -1,5 +1,5 @@
-//! A closed-loop serving demo: the emulator's generator feeds the sharded
-//! serving engine while membership churns through the epoch path.
+//! A closed-loop serving demo: the emulator's generator feeds the serving
+//! engine while membership churns through the epoch path.
 //!
 //! ```text
 //! cargo run --release --example serving
@@ -16,11 +16,11 @@
 //! Architecture exercised (see README "Serving layer"):
 //!
 //! ```text
-//! generator ──► request queue ──► coalescing workers ──► shards ──► metrics
+//! generator ──► request queue ──► coalescing workers ──► table ──► metrics
 //! ```
 //!
 //! The churn phase keeps a window of tickets in flight and redeems them
-//! oldest first while a churn thread reconfigures the shards.
+//! oldest first while a churn thread reconfigures the table.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,30 +43,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace =
         if telemetry_on { TraceConfig::sampled(64) } else { TraceConfig::disabled() };
     let config = ServeConfig {
-        shards: 4,
         workers: 2,
         batch_capacity: 64,
         queue_capacity: 4096,
         dimension: 4096,
         codebook_size: 256,
         seed: 2022,
-        engine: Default::default(),
         trace,
+        ..ServeConfig::default()
     };
     println!(
-        "engine: {} shards × {} workers, batch capacity {}, queue capacity {}",
-        config.shards, config.workers, config.batch_capacity, config.queue_capacity,
+        "engine: {} workers, batch capacity {}, queue capacity {}",
+        config.workers, config.batch_capacity, config.queue_capacity,
     );
     let mut engine = ServeEngine::new(config)?;
 
-    // A fleet of 48 servers joins; every join publishes one epoch per shard.
+    // A fleet of 48 servers joins; every join publishes one epoch.
     for id in 0..48u64 {
         engine.join(ServerId::new(id))?;
     }
-    println!("joined 48 servers; shard epochs: {:?}", {
-        let snapshots = engine.snapshots();
-        snapshots.iter().map(|s| s.epoch).collect::<Vec<_>>()
-    });
+    println!("joined 48 servers; epoch {}", engine.snapshots()[0].epoch);
 
     // Phase 1: a Zipf-skewed closed-loop burst (web-style traffic).
     let workload = Workload {
@@ -108,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut redeem = |ticket: hdhash::serve::Ticket| {
             let response = ticket.wait();
             assert!(response.result.is_ok(), "pool never empties during churn");
-            epochs_seen.insert((response.shard, response.epoch));
+            epochs_seen.insert(response.epoch);
             served += 1;
         };
         let mut window = std::collections::VecDeque::new();
@@ -127,21 +123,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (served, epochs_seen.len())
     });
     println!(
-        "\nphase 2 — churn race: {} lookups served across {} distinct (shard, epoch) \
-         snapshots, zero failures",
+        "\nphase 2 — churn race: {} lookups served across {} distinct epochs, \
+         zero failures",
         verdicts.0, verdicts.1
     );
 
     engine.shutdown();
     let metrics = engine.metrics();
-    println!("\nper-shard totals:");
-    for shard in &metrics.shards {
-        println!(
-            "  shard {}: epoch {:>3}, {:>2} members, {:>6} served, {:>5} batches, mean fill {:.1}",
-            shard.shard, shard.epoch, shard.members, shard.served, shard.batches,
-            shard.mean_batch_fill
-        );
-    }
+    let table = &metrics.shards[0];
+    println!(
+        "\ntable: epoch {}, {} members, {} served, {} batches, mean fill {:.1}",
+        table.epoch, table.members, table.served, table.batches, table.mean_batch_fill
+    );
     println!(
         "engine totals: {} submitted, {} completed, {} rejected",
         metrics.submitted, metrics.completed, metrics.rejected
@@ -196,7 +189,6 @@ fn replicated_phase(
         }
     }
     let config = ServeConfig {
-        shards: 2,
         workers: 2,
         dimension: 1024,
         codebook_size: 32,

@@ -211,9 +211,9 @@ impl Shell {
         ))
     }
 
-    /// `serve [shards] [workers] [requests] [--metrics <path>]`: runs a
-    /// closed-loop burst through the sharded serving engine and prints
-    /// throughput plus per-shard batch-coalescing and latency metrics.
+    /// `serve [workers] [requests] [--metrics <path>]`: runs a closed-loop
+    /// burst through the serving engine and prints throughput plus
+    /// batch-coalescing and latency metrics.
     /// With `--metrics`, tracing is sampled at 1/64 and the unified
     /// Prometheus exposition is rewritten to `path` every 200ms during the
     /// burst plus once at the end.
@@ -225,10 +225,9 @@ impl Shell {
                 None => Ok(default),
             }
         };
-        let shards = parse(0, 4)?.max(1);
-        let workers = parse(1, 2)?.max(1);
-        let requests = parse(2, 20_000)?;
-        if let Some(extra) = args.get(3) {
+        let workers = parse(0, 2)?.max(1);
+        let requests = parse(1, 20_000)?;
+        if let Some(extra) = args.get(2) {
             return Err(format!("unexpected argument `{extra}`"));
         }
         let trace = if metrics_path.is_some() {
@@ -237,7 +236,6 @@ impl Shell {
             hdhash::obs::TraceConfig::disabled()
         };
         let config = hdhash::serve::ServeConfig {
-            shards,
             workers,
             dimension: 4096,
             codebook_size: 256,
@@ -285,10 +283,8 @@ impl Shell {
         }
         let metrics = engine.metrics();
         let mut out = format!(
-            "served {} lookups over {} shard(s) × {} worker(s): {:.0} req/s, \
-             {} rejected\n",
+            "served {} lookups with {} worker(s): {:.0} req/s, {} rejected\n",
             report.completed,
-            shards,
             workers,
             report.throughput().requests_per_sec(),
             report.rejected,
@@ -299,13 +295,11 @@ impl Shell {
                 latency.p50, latency.p90, latency.p99, latency.max
             ));
         }
-        for shard in &metrics.shards {
-            out.push_str(&format!(
-                "  shard {}: epoch {}, {} member(s), {} served in {} batch(es), mean fill {:.1}\n",
-                shard.shard, shard.epoch, shard.members, shard.served, shard.batches,
-                shard.mean_batch_fill
-            ));
-        }
+        let table = &metrics.shards[0];
+        out.push_str(&format!(
+            "  table: epoch {}, {} member(s), {} served in {} batch(es), mean fill {:.1}\n",
+            table.epoch, table.members, table.served, table.batches, table.mean_batch_fill
+        ));
         if let Some(path) = metrics_path.as_deref() {
             out.push_str(&format!("telemetry exposition written to {path}\n"));
         }
@@ -329,10 +323,11 @@ impl Shell {
                 None => Ok(default),
             }
         };
-        let shards = parse(0, 2)?.max(1);
-        let churn_ops = parse(1, 24)?;
+        let churn_ops = parse(0, 24)?;
+        if let Some(extra) = args.get(1) {
+            return Err(format!("unexpected argument `{extra}`"));
+        }
         let config = hdhash::serve::ServeConfig {
-            shards,
             workers: 1,
             dimension: 4096,
             codebook_size: 256,
@@ -370,8 +365,7 @@ impl Shell {
         }
         let divergence = || member_divergence(&[&replicas[0], &replicas[1]]);
         let mut out = format!(
-            "2 replicas × {shards} shard(s), {churn_ops} divergent ops; \
-             {} member id(s) differ over all shards\n",
+            "2 replicas, {churn_ops} divergent ops; {} member id(s) differ\n",
             divergence(),
         );
         let mut rounds = 0;
@@ -382,13 +376,13 @@ impl Shell {
             }
             run_round(&nodes);
             out.push_str(&format!(
-                "round {rounds}: {} member id(s) differ over all shards\n",
+                "round {rounds}: {} member id(s) differ\n",
                 divergence(),
             ));
         }
         let metrics = nodes[0].metrics();
         out.push_str(&format!(
-            "converged in {rounds} round(s): {} member(s), identical per-shard digests; \
+            "converged in {rounds} round(s): {} member(s), identical digests; \
              replica0 sent {} B ({} advert(s), {} sync(s), {} record(s) adopted)\n",
             replicas[0].member_ids().len(),
             metrics.bytes_sent,
@@ -503,7 +497,6 @@ fn run_stats(args: &[String]) -> Result<String, String> {
 
     // Engine + tracer: a closed-loop burst with every request sampled.
     let config = hdhash::serve::ServeConfig {
-        shards: 2,
         workers: 2,
         dimension: 2048,
         codebook_size: 64,
@@ -527,7 +520,6 @@ fn run_stats(args: &[String]) -> Result<String, String> {
 
     // Gossip: two in-process replicas diverge, then converge.
     let replica_config = hdhash::serve::ServeConfig {
-        shards: 2,
         workers: 1,
         dimension: 1024,
         codebook_size: 32,
@@ -581,7 +573,7 @@ fn run_stats(args: &[String]) -> Result<String, String> {
     let (ea, eb) = (a.endpoint(), b.endpoint());
     ea.send(
         ReplicaId::new(1),
-        GossipMessage::Advert { round: 1, digests: Vec::new(), ack: None },
+        GossipMessage::Advert { round: 1, digest: 0, ack: None },
     )
     .map_err(|e| e.to_string())?;
     if eb.recv_timeout(Duration::from_secs(10)).is_none() {
@@ -596,7 +588,7 @@ fn run_stats(args: &[String]) -> Result<String, String> {
     for round in 0..40 {
         ca.send(
             ReplicaId::new(1),
-            GossipMessage::Advert { round, digests: Vec::new(), ack: None },
+            GossipMessage::Advert { round, digest: 0, ack: None },
         )
         .map_err(|e| e.to_string())?;
     }
@@ -707,7 +699,7 @@ fn run_simulate(args: &[String]) -> Result<String, String> {
     if s.replicas > 1 {
         out.push_str(&format!(
             "\nreplica set {} after {} recovery round(s)",
-            if report.converged { "converged (identical per-shard members)" } else { "DIVERGED" },
+            if report.converged { "converged (identical members)" } else { "DIVERGED" },
             report.recovery_rounds,
         ));
     }
@@ -730,10 +722,10 @@ commands:
   burst <bits> [seed]          inject one adjacent-bit burst (MCU)
   clear                        repair all injected noise
   stats                        table summary
-  serve [shards] [workers] [n]  closed-loop burst through the serving engine; add
+  serve [workers] [n]          closed-loop burst through the serving engine; add
                                --metrics <path> to sample tracing at 1/64 and
                                periodically dump the Prometheus exposition
-  replicate [shards] [ops]     anti-entropy demo: diverge two replicas, gossip to convergence
+  replicate [ops]              anti-entropy demo: diverge two replicas, gossip to convergence
   accel [servers] [d]          projected single-cycle lookup time on HDC hardware
   quit                         exit
 
@@ -807,21 +799,20 @@ fn atty_stdin() -> bool {
 /// running a [`ReplicatedEngine`](hdhash::serve::replication) gossiping
 /// over framed loopback TCP, and a crash-recovery script: churn,
 /// converge, SIGKILL one replica mid-churn, restart it on a fresh port,
-/// and prove the cluster reconverges to identical per-shard membership
-/// digests.
+/// and prove the cluster reconverges to identical membership digests.
 ///
 /// The driver↔replica protocol is line-oriented over stdin/stdout (one
 /// response line per command), so a supervisor harness — or a human with
 /// a pipe — can drive a replica directly:
 ///
 /// ```text
-/// $ hdhash-cli cluster-replica 0 2 1024 128 1789 20
+/// $ hdhash-cli cluster-replica 0 1024 128 1789 20
 /// listening 40123            # OS-assigned loopback port
 /// peer 1 127.0.0.1:40124     -> ok
 /// start                      -> ok
 /// join 7                     -> ok
 /// members                    -> members 7
-/// digest                     -> digest <32 hex digits per shard>
+/// digest                     -> digest <32 hex digits>
 /// metrics                    -> metrics frames_sent=… bytes_sent=…
 /// quit                       -> bye
 /// ```
@@ -883,8 +874,8 @@ mod cluster {
     // Replica process
     // ------------------------------------------------------------------
 
-    /// Entry point of `hdhash-cli cluster-replica <id> <shards>
-    /// <dimension> <codebook> <seed> <period_ms>`.
+    /// Entry point of `hdhash-cli cluster-replica <id> <dimension>
+    /// <codebook> <seed> <period_ms>`.
     pub fn replica_main(args: &[String]) -> i32 {
         match run_replica(args) {
             Ok(()) => 0,
@@ -897,11 +888,10 @@ mod cluster {
 
     fn run_replica(args: &[String]) -> Result<(), String> {
         let id: u64 = parse(args, 0, "id")?;
-        let shards: usize = parse(args, 1, "shards")?;
-        let dimension: usize = parse(args, 2, "dimension")?;
-        let codebook: usize = parse(args, 3, "codebook")?;
-        let seed: u64 = parse(args, 4, "seed")?;
-        let period_ms: u64 = parse(args, 5, "period_ms")?;
+        let dimension: usize = parse(args, 1, "dimension")?;
+        let codebook: usize = parse(args, 2, "codebook")?;
+        let seed: u64 = parse(args, 3, "seed")?;
+        let period_ms: u64 = parse(args, 4, "period_ms")?;
         // Optional: `--metrics <path> [interval_ms]` — a background
         // thread rewrites the whole Prometheus exposition to `path`
         // every interval (default 500ms), and tracing turns on at 1/64.
@@ -924,19 +914,18 @@ mod cluster {
         let network =
             TcpNetwork::bind(local, "127.0.0.1:0", tcp_config()).map_err(|e| e.to_string())?;
         let config = ServeConfig {
-            shards,
             workers: 1,
             batch_capacity: 16,
             queue_capacity: 256,
             dimension,
             codebook_size: codebook,
             seed,
-            engine: Default::default(),
             trace: if metrics_out.is_some() {
                 hdhash::obs::TraceConfig::sampled(64)
             } else {
                 hdhash::obs::TraceConfig::disabled()
             },
+            ..ServeConfig::default()
         };
         let replica = Arc::new(ReplicatedEngine::new(local, config).map_err(|e| e.to_string())?);
         network.set_tracer(replica.engine().tracer());
@@ -1050,13 +1039,8 @@ mod cluster {
                 },
                 "telemetry" => {
                     let metrics = replica.engine().metrics();
-                    let p99_us = metrics
-                        .shards
-                        .iter()
-                        .filter_map(|s| s.latency.as_ref())
-                        .map(|l| l.p99.as_micros() as u64)
-                        .max()
-                        .unwrap_or(0);
+                    let p99_us =
+                        metrics.shards[0].latency.as_ref().map_or(0, |l| l.p99.as_micros() as u64);
                     let (gossip_bytes, rounds) = match gossip.as_ref() {
                         Some(handle) => {
                             let m = handle.node().metrics();
@@ -1073,13 +1057,7 @@ mod cluster {
                         network.stats().connections_reconnected,
                     )
                 }
-                "digest" => {
-                    let mut out = String::from("digest");
-                    for digest in replica.shard_digests() {
-                        out.push_str(&format!(" {digest:032x}"));
-                    }
-                    out
-                }
+                "digest" => format!("digest {:032x}", replica.digest()),
                 "metrics" => {
                     let s = network.stats();
                     format!(
@@ -1132,13 +1110,12 @@ mod cluster {
     }
 
     impl Replica {
-        fn spawn(id: u64, shards: usize, seed: u64, period_ms: u64) -> Result<Self, String> {
+        fn spawn(id: u64, seed: u64, period_ms: u64) -> Result<Self, String> {
             let exe = std::env::current_exe().map_err(|e| e.to_string())?;
             let mut child = Command::new(exe)
                 .arg("cluster-replica")
                 .args([
                     id.to_string(),
-                    shards.to_string(),
                     "1024".into(),
                     "128".into(),
                     seed.to_string(),
@@ -1251,11 +1228,11 @@ mod cluster {
         if n < 3 {
             return Err("need at least 3 replicas".into());
         }
-        let (shards, seed, period_ms) = (2usize, 0x7EA_C1u64, 20u64);
-        println!("[cluster] spawning {n} replica processes (shards={shards} churn={churn})");
+        let (seed, period_ms) = (0x7EA_C1u64, 20u64);
+        println!("[cluster] spawning {n} replica processes (churn={churn})");
         let mut replicas = Vec::new();
         for id in 0..n {
-            let replica = Replica::spawn(id, shards, seed, period_ms)?;
+            let replica = Replica::spawn(id, seed, period_ms)?;
             println!("[cluster] replica{id} pid {} listening on {}", replica.child.id(), replica.addr());
             replicas.push(replica);
         }
@@ -1300,7 +1277,7 @@ mod cluster {
         // Restart the victim on a fresh OS-assigned port, re-wire the
         // survivors to it, and demand identical digests across the full
         // cluster again.
-        let restarted = Replica::spawn(victim_id, shards, seed, period_ms)?;
+        let restarted = Replica::spawn(victim_id, seed, period_ms)?;
         println!(
             "[cluster] phase 3: replica{victim_id} restarted on {} (was {})",
             restarted.addr(),
@@ -1320,11 +1297,9 @@ mod cluster {
             replicas[victim].expect_ok(line)?;
         }
         replicas[victim].expect_ok("start")?;
-        let (polls, digests) = await_convergence(&mut replicas, Duration::from_secs(120))?;
+        let (polls, digest) = await_convergence(&mut replicas, Duration::from_secs(120))?;
         println!(
-            "[cluster] phase 3: full cluster reconverged after {polls} digest polls \
-             ({} hex chars/shard set)",
-            digests.len() - "digest ".len()
+            "[cluster] phase 3: full cluster reconverged after {polls} digest polls ({digest})"
         );
         // Serve a lookup burst on every replica so the teardown
         // telemetry has real latency numbers behind it.
@@ -1455,12 +1430,12 @@ mod tests {
     #[test]
     fn serve_runs_a_closed_loop_burst() {
         let mut shell = Shell::new();
-        let out = shell.execute("serve 2 2 500").expect("ok");
-        assert!(out.contains("served 500 lookups over 2 shard(s)"), "{out}");
-        assert!(out.contains("shard 0:") && out.contains("shard 1:"), "{out}");
+        let out = shell.execute("serve 2 500").expect("ok");
+        assert!(out.contains("served 500 lookups with 2 worker(s)"), "{out}");
+        assert!(out.contains("table: epoch 32, 32 member(s), 500 served"), "{out}");
         assert!(out.contains("latency p50"), "{out}");
         assert!(shell.execute("serve x").is_err());
-        assert!(shell.execute("serve 2 2 100 bogus").is_err());
+        assert!(shell.execute("serve 2 100 bogus").is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! by a restart on a fresh OS-assigned port: the survivors are
 //! re-pointed at the new address, the restarted replica (which comes
 //! back *empty*) anti-entropies the full membership over the wire, and
-//! every process must end at identical per-shard membership digests.
+//! every process must end at identical membership digests.
 //!
 //! CI runs this single-threaded; every driver→replica command and its
 //! response is a deterministic line pair, so a failing run replays from
@@ -26,11 +26,11 @@ struct Replica {
 }
 
 impl Replica {
-    /// Spawns `hdhash-cli cluster-replica <id> 2 1024 128 <seed> 15`
+    /// Spawns `hdhash-cli cluster-replica <id> 1024 128 <seed> 15`
     /// and waits for its `listening <port>` banner.
     fn spawn(id: u64, seed: u64) -> Replica {
         let mut child = Command::new(env!("CARGO_BIN_EXE_hdhash-cli"))
-            .args(["cluster-replica", &id.to_string(), "2", "1024", "128", &seed.to_string(), "15"])
+            .args(["cluster-replica", &id.to_string(), "1024", "128", &seed.to_string(), "15"])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
@@ -126,6 +126,8 @@ fn three_processes_reconverge_byte_identically_after_sigkill_and_restart() {
     replicas[0].expect_ok("leave 0");
     replicas[1].expect_ok("leave 101");
     let digest_before = await_identical_digests(&mut replicas, Duration::from_secs(60));
+    let words: Vec<&str> = digest_before.split_whitespace().collect();
+    assert!(words.len() == 2 && words[1].len() == 32, "one 128-bit digest: {digest_before}");
     let members_before = replicas[0].command("members");
     assert_eq!(replicas[1].command("members"), members_before, "memberships diverged");
     assert!(members_before.contains(" 205"), "replica2's range must have replicated");
