@@ -1,19 +1,17 @@
 //! Timing ablations for DESIGN.md's design choices: the lookup cost of
-//! dimension, codebook size, similarity metric and search strategy.
+//! dimension, codebook size and search strategy.
 //!
 //! Run with `cargo bench -p hdhash-bench --bench ablations`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdhash_core::HdHashTable;
-use hdhash_hdc::{SearchStrategy, SimilarityMetric};
+use hdhash_hdc::SearchStrategy;
 use hdhash_table::{DynamicHashTable, RequestKey, ServerId};
 
-fn build(dimension: usize, codebook: usize, metric: SimilarityMetric, search: SearchStrategy, servers: u64) -> HdHashTable {
+fn build(dimension: usize, codebook: usize, servers: u64) -> HdHashTable {
     let mut table = HdHashTable::builder()
         .dimension(dimension)
         .codebook_size(codebook)
-        .metric(metric)
-        .search(search)
         .seed(5)
         .build()
         .expect("valid config");
@@ -26,7 +24,7 @@ fn build(dimension: usize, codebook: usize, metric: SimilarityMetric, search: Se
 fn dimension_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_dimension");
     for &d in &[1_000usize, 4_000, 10_000, 16_000] {
-        let table = build(d, 256, SimilarityMetric::InverseHamming, SearchStrategy::Serial, 64);
+        let table = build(d, 256, 64);
         group.bench_with_input(BenchmarkId::from_parameter(d), &d, |b, _| {
             let mut key = 0u64;
             b.iter(|| {
@@ -41,27 +39,8 @@ fn dimension_cost(c: &mut Criterion) {
 fn codebook_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_codebook");
     for &n in &[128usize, 512, 2048] {
-        let table =
-            build(10_000, n, SimilarityMetric::InverseHamming, SearchStrategy::Serial, 64);
+        let table = build(10_000, n, 64);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            let mut key = 0u64;
-            b.iter(|| {
-                key = key.wrapping_add(1);
-                table.lookup(RequestKey::new(key)).expect("non-empty pool")
-            });
-        });
-    }
-    group.finish();
-}
-
-fn metric_cost(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_metric");
-    for (name, metric) in [
-        ("inverse_hamming", SimilarityMetric::InverseHamming),
-        ("cosine", SimilarityMetric::Cosine),
-    ] {
-        let table = build(10_000, 256, metric, SearchStrategy::Serial, 64);
-        group.bench_function(name, |b| {
             let mut key = 0u64;
             b.iter(|| {
                 key = key.wrapping_add(1);
@@ -103,5 +82,5 @@ fn parallel_cost(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, dimension_cost, codebook_cost, metric_cost, parallel_cost);
+criterion_group!(benches, dimension_cost, codebook_cost, parallel_cost);
 criterion_main!(benches);

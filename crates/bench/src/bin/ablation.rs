@@ -1,17 +1,15 @@
 //! Quality ablations for the design choices DESIGN.md calls out.
 //!
-//! Prints four studies:
+//! Prints five studies:
 //!
 //! 1. **dimension** — HD robustness margin and mismatch rate vs `d`
 //!    (justifies the ≥10k-bit default);
 //! 2. **codebook** — HD uniformity (χ²) vs the codebook/server ratio;
-//! 3. **metric** — Hamming vs cosine arg-max agreement (they must rank
-//!    identically);
-//! 4. **vnodes** — consistent hashing χ² vs virtual-node count,
+//! 3. **vnodes** — consistent hashing χ² vs virtual-node count,
 //!    contextualizing Figure 6;
-//! 5. **replicas** — the same study for HD hashing via the weighted
+//! 4. **replicas** — the same study for HD hashing via the weighted
 //!    table (replicas are HD's virtual nodes);
-//! 6. **bounded loads** — max/min load of plain vs bounded-load HD
+//! 5. **bounded loads** — max/min load of plain vs bounded-load HD
 //!    assignment across ε (paper reference \[13\] transferred to
 //!    hyperspace).
 //!
@@ -98,31 +96,7 @@ fn main() {
     }
 
     println!();
-    println!("# Ablation 3: metric agreement (inverse-hamming vs cosine arg-max)");
-    let mut hamming_table = HdHashTable::builder()
-        .dimension(10_000)
-        .codebook_size(2 * servers)
-        .metric(hdhash_hdc::SimilarityMetric::InverseHamming)
-        .seed(seed)
-        .build()
-        .expect("valid config");
-    let mut cosine_table = HdHashTable::builder()
-        .dimension(10_000)
-        .codebook_size(2 * servers)
-        .metric(hdhash_hdc::SimilarityMetric::Cosine)
-        .seed(seed)
-        .build()
-        .expect("valid config");
-    join_all(&mut hamming_table, servers);
-    join_all(&mut cosine_table, servers);
-    let agree = workload
-        .iter()
-        .filter(|&&k| hamming_table.lookup(k).ok() == cosine_table.lookup(k).ok())
-        .count();
-    println!("agreement: {agree}/{lookups} (expected: identical ranking)");
-
-    println!();
-    println!("# Ablation 4: consistent hashing virtual nodes vs uniformity");
+    println!("# Ablation 3: consistent hashing virtual nodes vs uniformity");
     println!("vnodes,chi_squared");
     for vnodes in [1usize, 4, 16, 64, 128] {
         let mut ring = ConsistentTable::with_vnodes(vnodes);
@@ -134,7 +108,7 @@ fn main() {
     }
 
     println!();
-    println!("# Ablation 5: HD hashing replicas (virtual nodes) vs uniformity");
+    println!("# Ablation 4: HD hashing replicas (virtual nodes) vs uniformity");
     println!("replicas,chi_squared");
     for replicas in [1u32, 2, 4, 8, 16] {
         let codebook = (2 * servers * replicas as usize).next_power_of_two();
@@ -156,7 +130,7 @@ fn main() {
     }
 
     println!();
-    println!("# Ablation 6: bounded-load HD assignment (epsilon vs max/min load)");
+    println!("# Ablation 5: bounded-load HD assignment (epsilon vs max/min load)");
     println!("epsilon,max_load,min_load,cap");
     for &epsilon in &[0.05f64, 0.1, 0.25, 0.5, 1.0, 8.0] {
         let mut table = BoundedHdTable::with_config(

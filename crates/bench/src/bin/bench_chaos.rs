@@ -74,7 +74,6 @@ struct ChaosPoint {
 fn serve_config() -> ServeConfig {
     ServeConfig {
         workers: 1,
-        batch_capacity: 16,
         queue_capacity: 256,
         dimension: DIMENSION,
         codebook_size: 64,

@@ -49,7 +49,6 @@ const DIMENSION: usize = 2048;
 fn replica(id: u64) -> Arc<ReplicatedEngine> {
     let config = ServeConfig {
         workers: 1,
-        batch_capacity: 16,
         queue_capacity: 256,
         dimension: DIMENSION,
         codebook_size: 256,

@@ -63,7 +63,6 @@ fn replica(id: u64) -> (Arc<ReplicatedEngine>, ReplicaId) {
     let replica_id = ReplicaId::new(id);
     let config = ServeConfig {
         workers: 1,
-        batch_capacity: 16,
         queue_capacity: 256,
         dimension: DIMENSION,
         codebook_size: 256,

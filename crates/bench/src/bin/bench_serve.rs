@@ -1,5 +1,5 @@
 //! Emits `BENCH_serve.json`: closed-loop throughput of the serving engine
-//! across a batch size × worker count grid.
+//! across worker counts.
 //!
 //! ```text
 //! cargo run --release -p hdhash-bench --bin bench_serve
@@ -7,7 +7,7 @@
 //! cargo run --release -p hdhash-bench --bin bench_serve -- out=/tmp/B.json requests=20000
 //! ```
 //!
-//! Each grid point builds a fresh engine, replays an emulator-generated
+//! Each point builds a fresh engine, replays an emulator-generated
 //! uniform workload through `hdhash_serve::load::drive` (closed loop),
 //! and reports completed-requests-per-second plus p50/p99 latency and the
 //! mean coalesced batch fill. The JSON also records the dispatched
@@ -25,7 +25,6 @@ use hdhash_table::ServerId;
 
 struct GridPoint {
     workers: usize,
-    batch: usize,
     completed: usize,
     rejected: usize,
     throughput_rps: f64,
@@ -34,10 +33,9 @@ struct GridPoint {
     mean_batch_fill: f64,
 }
 
-fn run_point(workers: usize, batch: usize, requests: usize, trace: TraceConfig) -> GridPoint {
+fn run_point(workers: usize, requests: usize, trace: TraceConfig) -> GridPoint {
     let mut engine = ServeEngine::new(ServeConfig {
         workers,
-        batch_capacity: batch,
         queue_capacity: 8192,
         dimension: 4096,
         codebook_size: 256,
@@ -56,14 +54,14 @@ fn run_point(workers: usize, batch: usize, requests: usize, trace: TraceConfig) 
         seed: 0x5EED,
     };
     let stream = Generator::new(workload).lookup_requests();
-    // Window sized to keep the queue busy without tripping backpressure.
-    let report = drive(&engine, &stream, (batch * workers * 4).min(2048));
+    // Window sized to keep the queue busy without tripping backpressure:
+    // four 64-job pickups per worker.
+    let report = drive(&engine, &stream, (256 * workers).min(2048));
     engine.shutdown();
     let mean_batch_fill = engine.metrics().shards[0].mean_batch_fill;
     let latency = report.latency.expect("non-empty run");
     GridPoint {
         workers,
-        batch,
         completed: report.completed,
         rejected: report.rejected,
         throughput_rps: report.throughput().requests_per_sec(),
@@ -86,41 +84,36 @@ fn main() {
 
     let worker_counts =
         params.get_usize_list("workers", if quick { &[2][..] } else { &[1, 2, 4][..] });
-    let batch_sizes =
-        params.get_usize_list("batches", if quick { &[64][..] } else { &[16, 64, 256][..] });
 
     let mut grid: Vec<GridPoint> = Vec::new();
     for &workers in &worker_counts {
-        for &batch in &batch_sizes {
-            let point = run_point(workers, batch, requests, TraceConfig::disabled());
-            println!(
-                "workers={:<2} batch={:<4} {:>12.0} req/s  \
-                 p50 {:>8.1} us  p99 {:>8.1} us  fill {:>6.1}  rejected {}",
-                point.workers,
-                point.batch,
-                point.throughput_rps,
-                point.p50_us,
-                point.p99_us,
-                point.mean_batch_fill,
-                point.rejected,
-            );
-            grid.push(point);
-        }
+        let point = run_point(workers, requests, TraceConfig::disabled());
+        println!(
+            "workers={:<2} {:>12.0} req/s  \
+             p50 {:>8.1} us  p99 {:>8.1} us  fill {:>6.1}  rejected {}",
+            point.workers,
+            point.throughput_rps,
+            point.p50_us,
+            point.p99_us,
+            point.mean_batch_fill,
+            point.rejected,
+        );
+        grid.push(point);
     }
 
-    // Tracing-overhead A/B on a representative mid-grid point: the
-    // request-path tracer at its default 1/64 sampling rate vs tracing
-    // fully disabled. Arms are interleaved and each keeps its best of 5
-    // — closed-loop throughput on a shared host swings far more from
-    // scheduler noise than from the one-atomic-per-request tracer, and
-    // best-of-N is robust against that one-sided noise. The acceptance
-    // bar for the telemetry layer is ≤5% regression.
-    let (ab_workers, ab_batch) = (2, 64);
-    // 4× the grid's request count per arm: each trial must run long
+    // Tracing-overhead A/B on the 2-worker point: the request-path
+    // tracer at its default 1/64 sampling rate vs tracing fully disabled.
+    // Arms are interleaved and each keeps its best of 5 — closed-loop
+    // throughput on a shared host swings far more from scheduler noise
+    // than from the one-atomic-per-request tracer, and best-of-N is robust
+    // against that one-sided noise. The acceptance bar for the telemetry
+    // layer is ≤5% regression.
+    let ab_workers = 2;
+    // 4× the sweep's request count per arm: each trial must run long
     // enough that a single descheduling blip can't move the number.
     let ab_requests = requests * 4;
     let ab_run = |trace: TraceConfig| -> f64 {
-        run_point(ab_workers, ab_batch, ab_requests, trace).throughput_rps
+        run_point(ab_workers, ab_requests, trace).throughput_rps
     };
     // Paired trials: each trial runs both arms back to back and yields
     // one on/off throughput ratio, so slow host drift cancels; the
@@ -138,7 +131,7 @@ fn main() {
     ratios.sort_by(f64::total_cmp);
     let trace_regression_pct = (1.0 - ratios[ratios.len() / 2]) * 100.0;
     println!(
-        "tracing overhead @ workers={ab_workers} batch={ab_batch}: \
+        "tracing overhead @ workers={ab_workers}: \
          best off {trace_off_rps:.0} req/s, best 1/64 sampled {trace_on_rps:.0} req/s, \
          median paired regression {trace_regression_pct:+.1}%"
     );
@@ -161,7 +154,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"tracing_overhead\": {{\"workers\": {ab_workers}, \
-         \"batch\": {ab_batch}, \"disabled_rps\": {trace_off_rps:.0}, \
+         \"disabled_rps\": {trace_off_rps:.0}, \
          \"sampled_1_in_64_rps\": {trace_on_rps:.0}, \
          \"regression_pct\": {trace_regression_pct:.1}}},"
     );
@@ -175,11 +168,10 @@ fn main() {
     for (i, p) in grid.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"workers\": {}, \"batch\": {}, \"completed\": {}, \
+            "    {{\"workers\": {}, \"completed\": {}, \
              \"rejected\": {}, \"throughput_rps\": {:.0}, \"p50_us\": {:.1}, \
              \"p99_us\": {:.1}, \"mean_batch_fill\": {:.2}}}{}",
             p.workers,
-            p.batch,
             p.completed,
             p.rejected,
             p.throughput_rps,

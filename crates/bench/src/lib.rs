@@ -7,7 +7,7 @@
 //! | Paper artifact | Regenerate with |
 //! |---|---|
 //! | Figure 2 (similarity heatmaps) | `cargo run --release -p hdhash-bench --bin fig2` |
-//! | Figure 4 (efficiency sweep)    | `cargo run --release -p hdhash-bench --bin fig4` and `cargo bench -p hdhash-bench --bench fig4_efficiency` |
+//! | Figure 4 (efficiency sweep)    | `cargo run --release -p hdhash-bench --bin fig4` |
 //! | Figure 5 (mismatches vs bit errors) | `cargo run --release -p hdhash-bench --bin fig5` |
 //! | Figure 6 (χ² uniformity)       | `cargo run --release -p hdhash-bench --bin fig6` |
 //! | Ablations (DESIGN.md §4)       | `cargo run --release -p hdhash-bench --bin ablation` and `cargo bench -p hdhash-bench --bench ablations` |

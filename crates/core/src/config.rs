@@ -1,7 +1,7 @@
 //! Configuration for HD hash tables.
 
 use hdhash_hdc::basis::FlipStrategy;
-use hdhash_hdc::{EngineOptions, SearchStrategy, SimilarityMetric};
+use hdhash_hdc::{EngineOptions, SearchStrategy};
 
 /// Validated configuration for an [`HdHashTable`](crate::HdHashTable).
 ///
@@ -24,7 +24,6 @@ use hdhash_hdc::{EngineOptions, SearchStrategy, SimilarityMetric};
 pub struct HdConfig {
     pub(crate) dimension: usize,
     pub(crate) codebook_size: usize,
-    pub(crate) metric: SimilarityMetric,
     pub(crate) search: SearchStrategy,
     pub(crate) flip_strategy: FlipStrategy,
     pub(crate) seed: u64,
@@ -47,12 +46,6 @@ impl HdConfig {
     #[must_use]
     pub fn codebook_size(&self) -> usize {
         self.codebook_size
-    }
-
-    /// The similarity metric `δ` of Eq. 2.
-    #[must_use]
-    pub fn metric(&self) -> SimilarityMetric {
-        self.metric
     }
 
     /// The associative-memory search strategy.
@@ -94,12 +87,10 @@ impl Default for HdConfig {
 ///
 /// ```
 /// use hdhash_core::HdConfig;
-/// use hdhash_hdc::SimilarityMetric;
 ///
 /// let config = HdConfig::builder()
 ///     .dimension(4096)
 ///     .codebook_size(256)
-///     .metric(SimilarityMetric::Cosine)
 ///     .seed(7)
 ///     .build_config()?;
 /// assert_eq!(config.dimension(), 4096);
@@ -109,7 +100,6 @@ impl Default for HdConfig {
 pub struct HdConfigBuilder {
     dimension: usize,
     codebook_size: usize,
-    metric: SimilarityMetric,
     search: SearchStrategy,
     flip_strategy: Option<FlipStrategy>,
     seed: u64,
@@ -120,7 +110,6 @@ impl Default for HdConfigBuilder {
         Self {
             dimension: 10_000,
             codebook_size: 512,
-            metric: SimilarityMetric::InverseHamming,
             search: SearchStrategy::Serial,
             flip_strategy: None,
             seed: 0x4844_4153_4821, // "HDHASH!"
@@ -144,13 +133,6 @@ impl HdConfigBuilder {
     #[must_use]
     pub fn codebook_size(mut self, n: usize) -> Self {
         self.codebook_size = n;
-        self
-    }
-
-    /// Sets the similarity metric `δ`.
-    #[must_use]
-    pub fn metric(mut self, metric: SimilarityMetric) -> Self {
-        self.metric = metric;
         self
     }
 
@@ -200,7 +182,6 @@ impl HdConfigBuilder {
         Ok(HdConfig {
             dimension: padded,
             codebook_size: self.codebook_size,
-            metric: self.metric,
             search: self.search,
             flip_strategy: self.flip_strategy.unwrap_or(FlipStrategy::Partition),
             seed: self.seed,
@@ -252,7 +233,6 @@ mod tests {
         assert_eq!(c.dimension(), 10_240);
         assert_eq!(c.codebook_size(), 512);
         assert_eq!(c.quantum(), 20);
-        assert_eq!(c.metric(), SimilarityMetric::InverseHamming);
         assert_eq!(c.search(), SearchStrategy::Serial);
         assert_eq!(c.flip_strategy(), FlipStrategy::Partition);
     }
@@ -262,7 +242,6 @@ mod tests {
         let c = HdConfig::builder()
             .dimension(8192)
             .codebook_size(128)
-            .metric(SimilarityMetric::Cosine)
             .search(SearchStrategy::Parallel { threads: 4 })
             .flip_strategy(FlipStrategy::Independent { flips_per_step: 10 })
             .seed(99)
@@ -271,7 +250,6 @@ mod tests {
         assert_eq!(c.dimension(), 8192); // already a multiple of 256
         assert_eq!(c.codebook_size(), 128);
         assert_eq!(c.quantum(), 64);
-        assert_eq!(c.metric(), SimilarityMetric::Cosine);
         assert_eq!(c.search(), SearchStrategy::Parallel { threads: 4 });
         assert_eq!(c.flip_strategy(), FlipStrategy::Independent { flips_per_step: 10 });
         assert_eq!(c.seed(), 99);

@@ -103,7 +103,6 @@ impl HierarchicalHdTable {
             let config = HdConfig::builder()
                 .dimension(self.config.dimension())
                 .codebook_size(self.config.codebook_size())
-                .metric(self.config.metric())
                 .search(self.config.search())
                 .seed(seed)
                 .build_config()

@@ -20,9 +20,10 @@
 //! sⱼ = argmax_{s ∈ S} δ(Enc(s), Enc(rᵢ))                   (Eq. 2)
 //! ```
 //!
-//! where `δ` is a hypervector similarity metric (inverse Hamming or
-//! cosine). Because circular-hypervector similarity decays with circular
-//! distance, Eq. 2 assigns each request to the server at the *nearest
+//! where `δ` is a hypervector similarity metric. Inverse Hamming and
+//! cosine both decrease with Hamming distance, so they pick the same
+//! server; the table scores with inverse Hamming. Because
+//! circular-hypervector similarity decays with circular distance, Eq. 2 assigns each request to the server at the *nearest
 //! circle node* — like consistent hashing, but direction-insensitive, and
 //! computed as an HDC associative-memory inference that special hardware
 //! can execute in `O(1)`.

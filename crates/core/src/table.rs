@@ -90,9 +90,7 @@ impl HdHashTable {
                 Box::new(hdhash_hashfn::XxHash64::with_seed(0)),
                 config.seed,
             );
-        let memory = AssociativeMemory::new(config.dimension)
-            .with_metric(config.metric)
-            .with_strategy(config.search);
+        let memory = AssociativeMemory::new(config.dimension).with_strategy(config.search);
         Self { config, codebook, memory, members: Vec::new() }
     }
 
@@ -236,9 +234,8 @@ impl HdHashTable {
     }
 
     fn rebuild_memory(&mut self) {
-        let mut memory = AssociativeMemory::new(self.config.dimension)
-            .with_metric(self.config.metric)
-            .with_strategy(self.config.search);
+        let mut memory =
+            AssociativeMemory::new(self.config.dimension).with_strategy(self.config.search);
         for &(server, slot) in &self.members {
             memory
                 .insert(server, self.codebook.hypervector(slot).clone())

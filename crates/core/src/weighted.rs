@@ -83,9 +83,7 @@ impl WeightedHdTable {
             Box::new(hdhash_hashfn::XxHash64::with_seed(0)),
             config.seed,
         );
-        let memory = AssociativeMemory::new(config.dimension)
-            .with_metric(config.metric)
-            .with_strategy(config.search);
+        let memory = AssociativeMemory::new(config.dimension).with_strategy(config.search);
         Self { config, codebook, memory, replicas: Vec::new(), weights: Vec::new() }
     }
 
@@ -191,9 +189,8 @@ impl WeightedHdTable {
     }
 
     fn rebuild_memory(&mut self) {
-        let mut memory = AssociativeMemory::new(self.config.dimension)
-            .with_metric(self.config.metric)
-            .with_strategy(self.config.search);
+        let mut memory =
+            AssociativeMemory::new(self.config.dimension).with_strategy(self.config.search);
         for replica in &self.replicas {
             memory
                 .insert(

@@ -2,7 +2,7 @@
 //!
 //! An associative memory stores keyed hypervectors and answers
 //! nearest-neighbour queries: given a probe hypervector, return the stored
-//! key whose hypervector maximizes the similarity metric. This is the
+//! key whose hypervector maximizes the similarity. This is the
 //! operation Schmuck et al. show can be executed in a single clock cycle on
 //! HDC accelerator hardware; on a CPU we provide two paths:
 //!
@@ -18,9 +18,11 @@
 //! sweep over integer Hamming distances (a row is dropped once it exceeds
 //! the best so far), and the float similarity is computed once, for the
 //! winner. The parallel path reuses a precomputed shard plan — rebuilt
-//! when membership changes, not re-derived per query. Both metrics are monotone decreasing in Hamming distance, so
-//! the distance argmin *is* the similarity argmax, ties (earliest insert)
-//! included.
+//! when membership changes, not re-derived per query. Scores are
+//! [`SimilarityMetric::InverseHamming`]; every [`SimilarityMetric`] is
+//! monotone decreasing in Hamming distance, so the distance argmin *is*
+//! the similarity argmax under any of them, ties (earliest insert)
+//! included, and a metric choice could not change a single answer.
 
 use crate::batch::{BatchLookup, Hit};
 use crate::hypervector::{DimensionMismatchError, Hypervector};
@@ -71,7 +73,9 @@ impl<'a> Row<'a> {
 pub struct Match<K> {
     /// The stored key.
     pub key: K,
-    /// The similarity score under the memory's metric.
+    /// The similarity score,
+    /// [`SimilarityMetric::InverseHamming`] of the probe and the stored
+    /// hypervector.
     pub similarity: f64,
 }
 
@@ -95,7 +99,6 @@ pub struct Match<K> {
 #[derive(Debug, Clone)]
 pub struct AssociativeMemory<K> {
     dimension: usize,
-    metric: SimilarityMetric,
     strategy: SearchStrategy,
     /// Keys in insertion order; key `i` owns row `i` of `engine`.
     keys: Vec<K>,
@@ -107,8 +110,8 @@ pub struct AssociativeMemory<K> {
 }
 
 impl<K: Clone + Send + Sync> AssociativeMemory<K> {
-    /// Creates an empty memory for hypervectors of dimension `d` using the
-    /// default metric (inverse Hamming) and serial search.
+    /// Creates an empty memory for hypervectors of dimension `d` using
+    /// serial search.
     ///
     /// # Panics
     ///
@@ -118,7 +121,6 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
         assert!(d > 0, "dimension must be positive");
         Self {
             dimension: d,
-            metric: SimilarityMetric::default(),
             strategy: SearchStrategy::default(),
             keys: Vec::new(),
             engine: BatchLookup::new(d),
@@ -137,13 +139,6 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
         Self::new(d)
     }
 
-    /// Sets the similarity metric (builder style).
-    #[must_use]
-    pub fn with_metric(mut self, metric: SimilarityMetric) -> Self {
-        self.metric = metric;
-        self
-    }
-
     /// Sets the search strategy (builder style).
     #[must_use]
     pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
@@ -156,12 +151,6 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     #[must_use]
     pub fn dimension(&self) -> usize {
         self.dimension
-    }
-
-    /// The similarity metric used by queries.
-    #[must_use]
-    pub fn metric(&self) -> SimilarityMetric {
-        self.metric
     }
 
     /// Number of stored entries.
@@ -424,7 +413,8 @@ impl<K: Clone + Send + Sync> AssociativeMemory<K> {
     fn hit_to_match(&self, hit: Hit) -> Match<K> {
         Match {
             key: self.keys[hit.row].clone(),
-            similarity: self.metric.score_from_distance(hit.distance, self.dimension),
+            similarity: SimilarityMetric::InverseHamming
+                .score_from_distance(hit.distance, self.dimension),
         }
     }
 
@@ -659,28 +649,23 @@ mod tests {
     }
 
     #[test]
-    fn metric_builder_roundtrip() {
-        let mem: AssociativeMemory<u8> =
-            AssociativeMemory::new(64).with_metric(SimilarityMetric::Cosine);
-        assert_eq!(mem.metric(), SimilarityMetric::Cosine);
-        assert_eq!(mem.dimension(), 64);
-    }
-
-    #[test]
     fn similarity_scores_match_metric_evaluate() {
         let (mem, _) = filled_memory(20, 1000, 99);
-        let cos = mem.clone().with_metric(SimilarityMetric::Cosine);
+        let parallel = mem.clone().with_strategy(SearchStrategy::Parallel { threads: 3 });
         let mut rng = Rng::new(7);
         for _ in 0..10 {
             let probe = Hypervector::random(1000, &mut rng);
-            for m in [&mem, &cos] {
+            for m in [&mem, &parallel] {
                 let hit = m.nearest(&probe).expect("non-empty");
                 let winner = m
                     .iter()
                     .find(|(&k, _)| k == hit.key)
                     .map(|(_, row)| stored(row, 1000))
                     .expect("winner stored");
-                assert_eq!(hit.similarity, m.metric().evaluate(&probe, &winner));
+                assert_eq!(
+                    hit.similarity,
+                    SimilarityMetric::InverseHamming.evaluate(&probe, &winner)
+                );
             }
         }
     }

@@ -7,9 +7,11 @@
 //!
 //! The crate has three parts:
 //!
-//! * **Metrics** — [`Registry`] hands out named lock-free [`Counter`] /
-//!   [`Gauge`] handles and shared [`LogHistogram`]s. The histogram is an
-//!   atomic log2-bucketed design: `record` is a couple of `fetch_add`s and
+//! * **Metrics** — each layer keeps its counters as atomic fields of its
+//!   own and exports them into a [`TelemetrySnapshot`] (the serving crate's
+//!   `telemetry` module does this for the engine, gossip, TCP and chaos
+//!   counters). Latencies go to a [`LogHistogram`], an atomic
+//!   log2-bucketed design: `record` is a couple of `fetch_add`s and
 //!   quantiles come from the bucket counts, so there is no lock and no
 //!   sample-buffer clone anywhere near a hot path.
 //! * **Tracing** — [`Tracer`] samples request-path [`TraceEvent`]s into a
@@ -31,12 +33,10 @@
 mod hist;
 pub mod jsonlite;
 pub mod promparse;
-mod registry;
 mod snapshot;
 mod trace;
 
 pub use hist::{bucket_index, bucket_upper_inclusive, HistogramSnapshot, LogHistogram, BUCKETS};
-pub use registry::{Counter, Gauge, Registry};
 pub use snapshot::{MetricKind, MetricSample, MetricValue, TelemetrySnapshot};
 pub use trace::{
     chrome_trace, jsonl, SpanKind, TraceConfig, TraceEvent, Tracer, TracerStats,

@@ -26,10 +26,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Worker threads draining the request queue into coalesced batches.
     pub workers: usize,
-    /// Maximum jobs one worker drains into a single coalesced batch (the
-    /// paper batches 256 requests per GPU dispatch; the CPU sweet spot is
-    /// smaller).
-    pub batch_capacity: usize,
     /// Bound of the request queue — the backpressure knob: a full queue
     /// rejects submissions with
     /// [`ServeError::QueueFull`].
@@ -57,7 +53,6 @@ impl Default for ServeConfig {
         Self {
             shards: 1,
             workers: 2,
-            batch_capacity: 64,
             queue_capacity: 4096,
             dimension: 4096,
             codebook_size: 256,
@@ -84,7 +79,6 @@ impl ServeConfig {
         }
         let field_positive = [
             ("workers", self.workers),
-            ("batch_capacity", self.batch_capacity),
             ("queue_capacity", self.queue_capacity),
             ("dimension", self.dimension),
             ("codebook_size", self.codebook_size),
@@ -127,14 +121,13 @@ mod tests {
 
     #[test]
     fn zero_fields_are_rejected() {
-        for field in 0..6 {
+        for field in 0..5 {
             let mut c = ServeConfig::default();
             match field {
                 0 => c.shards = 0,
                 1 => c.workers = 0,
-                2 => c.batch_capacity = 0,
-                3 => c.queue_capacity = 0,
-                4 => c.dimension = 0,
+                2 => c.queue_capacity = 0,
+                3 => c.dimension = 0,
                 _ => c.codebook_size = 0,
             }
             assert!(matches!(c.validate(), Err(ServeError::InvalidConfig(_))), "field {field}");

@@ -18,6 +18,13 @@ use crate::request::{LookupJob, ServeResponse, Ticket};
 use crate::shard::{Shard, ShardReceipt, ShardSnapshot};
 use crate::ServeError;
 
+/// Most jobs one worker drains into a single coalesced batch. A constant,
+/// not a setting: it only bounds a burst that has already queued (a
+/// pickup takes what is waiting, up to this cap), the `perfbench/`
+/// serving benchmark runs at 64, and the scenario catalog reads the same
+/// fingerprints at caps of 16, 32 and 64.
+pub(crate) const BATCH_CAPACITY: usize = 64;
+
 /// The shared state workers and clients operate on.
 #[derive(Debug)]
 pub(crate) struct EngineCore {
@@ -100,7 +107,7 @@ impl EngineCore {
         Ok(ticket)
     }
 
-    /// Moves up to `batch_capacity` jobs, oldest first, into `batch`,
+    /// Moves up to [`BATCH_CAPACITY`] jobs, oldest first, into `batch`,
     /// waiting on `ready` while the queue is empty. Returns `false`
     /// instead once shutdown has begun and the queue is empty.
     ///
@@ -115,7 +122,7 @@ impl EngineCore {
             }
             self.ready.wait(&mut queue);
         }
-        let take = queue.len().min(self.config.batch_capacity);
+        let take = queue.len().min(BATCH_CAPACITY);
         batch.extend(queue.drain(..take));
         true
     }
@@ -134,7 +141,7 @@ impl EngineCore {
     /// reuse), and the engine core, whose shared state is lock-protected
     /// with poison-recovering mutexes.
     fn worker_loop(&self, worker: usize) {
-        let mut batch: Vec<LookupJob> = Vec::with_capacity(self.config.batch_capacity);
+        let mut batch: Vec<LookupJob> = Vec::with_capacity(BATCH_CAPACITY);
         let mut latencies = Vec::new();
         while self.take_batch(&mut batch) {
             if self.tracer.is_enabled() {
@@ -458,7 +465,6 @@ mod tests {
     fn test_config() -> ServeConfig {
         ServeConfig {
             workers: 2,
-            batch_capacity: 16,
             queue_capacity: 256,
             dimension: 2048,
             codebook_size: 64,
@@ -520,29 +526,33 @@ mod tests {
     fn backpressure_rejects_at_capacity() {
         // White-box: an engine with no workers, so nothing drains the queue
         // until this test takes a batch or shuts the engine down.
-        let config = ServeConfig { queue_capacity: 3, batch_capacity: 2, ..test_config() };
+        let queued = BATCH_CAPACITY as u64 + 1;
+        let config = ServeConfig { queue_capacity: BATCH_CAPACITY + 1, ..test_config() };
         let core = Arc::new(EngineCore::new(config).expect("valid config"));
         let mut engine = ServeEngine { core: Arc::clone(&core), workers: Vec::new() };
         engine.join(ServerId::new(1)).expect("fresh server");
-        let mut tickets: Vec<Ticket> = (1..=3)
+        let mut tickets: Vec<Ticket> = (1..=queued)
             .map(|k| engine.submit(RequestKey::new(k)).expect("below capacity"))
             .collect();
-        assert_eq!(engine.submit(RequestKey::new(9)).unwrap_err(), ServeError::QueueFull);
+        assert_eq!(engine.submit(RequestKey::new(0)).unwrap_err(), ServeError::QueueFull);
         assert_eq!(core.rejected.load(Ordering::Relaxed), 1);
-        assert_eq!(core.submitted.load(Ordering::Relaxed), 3);
-        assert_eq!(engine.metrics().queue_depth, 3);
-        // A pickup takes at most `batch_capacity` jobs, oldest first, and
-        // frees their queue slots.
+        assert_eq!(core.submitted.load(Ordering::Relaxed), queued);
+        assert_eq!(engine.metrics().queue_depth, BATCH_CAPACITY + 1);
+        // A pickup takes exactly `BATCH_CAPACITY` of the waiting jobs,
+        // oldest first, and frees their queue slots.
         let mut batch = Vec::new();
         assert!(core.take_batch(&mut batch));
-        assert_eq!(batch.iter().map(|job| job.key.get()).collect::<Vec<_>>(), vec![1, 2]);
-        assert_eq!(core.queue.lock().front().map(|job| job.key.get()), Some(3));
+        assert_eq!(
+            batch.iter().map(|job| job.key.get()).collect::<Vec<_>>(),
+            (1..queued).collect::<Vec<_>>()
+        );
+        assert_eq!(core.queue.lock().front().map(|job| job.key.get()), Some(queued));
         core.serve_batch(0, &mut batch, &mut Vec::new());
-        tickets.push(engine.submit(RequestKey::new(4)).expect("a pickup frees capacity"));
+        tickets.push(engine.submit(RequestKey::new(0)).expect("a pickup frees capacity"));
         // Shutdown serves the stragglers inline and leaves nothing queued.
         engine.shutdown();
         let metrics = engine.metrics();
-        assert_eq!((metrics.queue_depth, metrics.completed), (0, 4));
+        assert_eq!((metrics.queue_depth, metrics.completed), (0, queued + 1));
         for ticket in tickets {
             assert!(ticket.try_response().expect("served").result.is_ok());
         }

@@ -30,6 +30,15 @@
 //! round re-adverts current state, so the protocol is memoryless across
 //! rounds and self-heals lost or reordered messages.
 //!
+//! The bounded sync retry chain ([`SYNC_RETRY_CAP`]) is not redundant with
+//! that: the side that asked retransmits on its own schedule, while a
+//! fresh exchange waits for the peer's next advert to get through. Over
+//! `bench_chaos`'s grid at 50% loss (200 fault seeds per point) the chain
+//! cut 5 replicas' mean rounds to converge from 5.47 to 4.78, and raised
+//! the share of 3-replica sets converging during a 12-round partition
+//! from 92.0% to 97.5%, for 4–14% more bytes (`CHANGES.md` has the
+//! table).
+//!
 //! [`ShardSnapshot::digest`]: crate::shard::ShardSnapshot::digest
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -113,7 +122,30 @@ impl GossipMessage {
     }
 }
 
-/// Tuning knobs of a [`GossipNode`].
+/// Failure detector: rounds without hearing from a peer before it is
+/// considered [`PeerHealth::Suspect`].
+pub const SUSPECT_AFTER: u64 = 3;
+/// Failure detector: rounds without hearing from a peer before it is
+/// considered [`PeerHealth::Dead`] and excluded from fanout selection
+/// (probes still reach it — see [`PROBE_PERIOD`]).
+pub const DEAD_AFTER: u64 = 8;
+/// Every `PROBE_PERIOD`-th round redirects one fanout slot to a dead
+/// peer (round-robin over the dead set), so a healed peer or mended
+/// partition is re-detected instead of shunned forever.
+pub const PROBE_PERIOD: u64 = 4;
+/// Retry: base backoff (in rounds) before an unanswered `SyncRequest` is
+/// retransmitted. Attempt `n` waits `base · 2ⁿ + jitter` rounds, with
+/// deterministic per-peer jitter in `0..base`.
+pub const SYNC_RETRY_ROUNDS: u64 = 2;
+/// Retry: retransmissions attempted before an in-flight sync is abandoned
+/// (counted in [`GossipMetrics::sync_abandoned`]; the next divergent
+/// advert starts a fresh exchange). With [`SYNC_RETRY_ROUNDS`] the chain
+/// gives up 30–34 rounds after the request.
+pub const SYNC_RETRY_CAP: u32 = 3;
+
+/// Tuning knobs of a [`GossipNode`]. The failure detector and the sync
+/// retry chain run at fixed constants ([`SUSPECT_AFTER`], [`DEAD_AFTER`],
+/// [`PROBE_PERIOD`], [`SYNC_RETRY_ROUNDS`], [`SYNC_RETRY_CAP`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GossipConfig {
     /// Scheduler-thread round period (ignored by explicit
@@ -127,27 +159,6 @@ pub struct GossipConfig {
     /// default (3) keeps today's full-mesh behavior for replica sets of
     /// up to 4 — in particular every ≤3-replica set is unchanged.
     pub fanout: usize,
-    /// Failure detector: rounds without hearing from a peer before it is
-    /// considered [`PeerHealth::Suspect`].
-    pub suspect_after: u64,
-    /// Failure detector: rounds without hearing from a peer before it is
-    /// considered [`PeerHealth::Dead`] and excluded from fanout
-    /// selection (probes still reach it — see
-    /// [`probe_period`](Self::probe_period)).
-    pub dead_after: u64,
-    /// Every `probe_period`-th round redirects one fanout slot to a dead
-    /// peer (round-robin over the dead set), so a healed peer or mended
-    /// partition is re-detected instead of shunned forever.
-    pub probe_period: u64,
-    /// Retry: base backoff (in rounds) before an unanswered
-    /// `SyncRequest` is retransmitted. Attempt `n` waits
-    /// `base · 2ⁿ + jitter` rounds, with deterministic per-peer jitter
-    /// in `0..base`.
-    pub sync_retry_rounds: u64,
-    /// Retry: retransmissions attempted before an in-flight sync is
-    /// abandoned (counted in [`GossipMetrics::sync_abandoned`]; the next
-    /// divergent advert starts a fresh exchange).
-    pub sync_retry_cap: u32,
 }
 
 impl Default for GossipConfig {
@@ -155,11 +166,6 @@ impl Default for GossipConfig {
         Self {
             period: Duration::from_millis(50),
             fanout: 3,
-            suspect_after: 3,
-            dead_after: 8,
-            probe_period: 4,
-            sync_retry_rounds: 2,
-            sync_retry_cap: 3,
         }
     }
 }
@@ -170,12 +176,12 @@ impl Default for GossipConfig {
 /// [`Alive`](Self::Alive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerHealth {
-    /// Heard from within [`GossipConfig::suspect_after`] rounds.
+    /// Heard from within [`SUSPECT_AFTER`] rounds.
     Alive,
-    /// Silent past `suspect_after` but within
-    /// [`GossipConfig::dead_after`] rounds — still gossiped to.
+    /// Silent past `SUSPECT_AFTER` but within [`DEAD_AFTER`] rounds —
+    /// still gossiped to.
     Suspect,
-    /// Silent past `dead_after` rounds: excluded from fanout selection,
+    /// Silent past `DEAD_AFTER` rounds: excluded from fanout selection,
     /// reached only by periodic probes.
     Dead,
 }
@@ -216,8 +222,8 @@ pub struct GossipMetrics {
     /// Unanswered sync requests retransmitted after their backoff
     /// deadline expired.
     pub sync_retries: u64,
-    /// In-flight syncs given up on after
-    /// [`GossipConfig::sync_retry_cap`] retransmissions.
+    /// In-flight syncs given up on after [`SYNC_RETRY_CAP`]
+    /// retransmissions.
     pub sync_abandoned: u64,
     /// Bytes spent on retransmitted sync requests (already included in
     /// [`bytes_sent`](Self::bytes_sent); broken out so `bench_chaos` can
@@ -394,8 +400,7 @@ impl<T: Transport> GossipNode<T> {
     /// two nodes don't mirror each other's choices.
     ///
     /// The failure detector shapes the pool: [`PeerHealth::Dead`] peers
-    /// are excluded, except that every
-    /// [`probe_period`](GossipConfig::probe_period)-th round redirects
+    /// are excluded, except that every [`PROBE_PERIOD`]-th round redirects
     /// one slot to a dead peer (round-robin) so recovery is noticed. A
     /// fully dead pool falls back to every peer — an isolated node keeps
     /// gossiping blindly rather than going silent.
@@ -426,11 +431,10 @@ impl<T: Transport> GossipNode<T> {
         if !all_dead
             && !dead.is_empty()
             && !targets.is_empty()
-            && self.config.probe_period > 0
-            && round.is_multiple_of(self.config.probe_period)
+            && round.is_multiple_of(PROBE_PERIOD)
         {
             #[allow(clippy::cast_possible_truncation)]
-            let probe = dead[((round / self.config.probe_period) as usize) % dead.len()];
+            let probe = dead[((round / PROBE_PERIOD) as usize) % dead.len()];
             targets[0] = probe;
             Counters::add(&self.counters.probes_sent, 1);
         }
@@ -453,9 +457,9 @@ impl<T: Transport> GossipNode<T> {
     fn health_at(&self, peer: ReplicaId, round: u64) -> PeerHealth {
         let heard = self.last_heard.lock().get(&peer).copied().unwrap_or(0);
         let elapsed = round.saturating_sub(heard);
-        if elapsed <= self.config.suspect_after {
+        if elapsed <= SUSPECT_AFTER {
             PeerHealth::Alive
-        } else if elapsed <= self.config.dead_after {
+        } else if elapsed <= DEAD_AFTER {
             PeerHealth::Suspect
         } else {
             PeerHealth::Dead
@@ -482,18 +486,17 @@ impl<T: Transport> GossipNode<T> {
         }
     }
 
-    /// Backoff before attempt `attempt`'s deadline: `base · 2^attempt`
-    /// plus deterministic per-`(local, peer, attempt)` jitter in
-    /// `0..base`, so a partitioned clique doesn't retransmit in
-    /// lockstep.
+    /// Backoff before attempt `attempt`'s deadline:
+    /// `SYNC_RETRY_ROUNDS · 2^attempt` plus deterministic
+    /// per-`(local, peer, attempt)` jitter in `0..SYNC_RETRY_ROUNDS`, so a
+    /// partitioned clique doesn't retransmit in lockstep.
     fn retry_delay(&self, peer: ReplicaId, attempt: u32) -> u64 {
-        let base = self.config.sync_retry_rounds.max(1);
-        let backoff = base << attempt.min(6);
+        let backoff = SYNC_RETRY_ROUNDS << attempt.min(6);
         let jitter = hdhash_hashfn::mix64(
             self.transport.local().get()
                 ^ peer.get().wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ u64::from(attempt),
-        ) % base;
+        ) % SYNC_RETRY_ROUNDS;
         backoff + jitter
     }
 
@@ -512,7 +515,7 @@ impl<T: Transport> GossipNode<T> {
                 if entry.deadline > round {
                     continue;
                 }
-                if entry.attempt >= self.config.sync_retry_cap {
+                if entry.attempt >= SYNC_RETRY_CAP {
                     let attempt = entry.attempt;
                     outstanding.remove(&peer);
                     abandoned.push((peer, attempt));
@@ -847,7 +850,6 @@ mod tests {
     fn config() -> ServeConfig {
         ServeConfig {
             workers: 1,
-            batch_capacity: 16,
             queue_capacity: 128,
             dimension: 2048,
             codebook_size: 64,
@@ -1041,14 +1043,13 @@ mod tests {
     fn failure_detector_follows_silence_and_recovers() {
         let nodes = pair();
         let peer = ReplicaId::new(1);
-        let cfg = nodes[0].config;
         assert_eq!(nodes[0].peer_health(peer), PeerHealth::Alive, "grace at round 0");
         // Silence: node 0 ticks alone, never hearing from node 1.
-        for _ in 0..cfg.suspect_after + 1 {
+        for _ in 0..=SUSPECT_AFTER {
             nodes[0].tick();
         }
         assert_eq!(nodes[0].peer_health(peer), PeerHealth::Suspect);
-        while nodes[0].round.load(Ordering::Relaxed) <= cfg.dead_after {
+        while nodes[0].round.load(Ordering::Relaxed) <= DEAD_AFTER {
             nodes[0].tick();
         }
         nodes[0].tick();
@@ -1085,7 +1086,7 @@ mod tests {
         // has room for it.
         let targets = node.round_targets(21);
         assert_eq!(targets, vec![ReplicaId::new(1), ReplicaId::new(2)]);
-        // Probe round (divisible by probe_period): one slot redirects to
+        // Probe round (divisible by PROBE_PERIOD): one slot redirects to
         // the dead peer.
         let probe_round = 24;
         let targets = node.round_targets(probe_round);
@@ -1110,12 +1111,11 @@ mod tests {
         assert_eq!(nodes[0].outstanding.lock().len(), 1);
         // Node 0 keeps ticking into silence; the retransmission chain
         // runs its course.
-        let cfg = nodes[0].config;
-        for _ in 0..8 * cfg.sync_retry_rounds * (1 << cfg.sync_retry_cap) {
+        for _ in 0..8 * SYNC_RETRY_ROUNDS * (1 << SYNC_RETRY_CAP) {
             nodes[0].tick();
         }
         let m = nodes[0].metrics();
-        assert_eq!(m.sync_retries, u64::from(cfg.sync_retry_cap), "capped retransmissions");
+        assert_eq!(m.sync_retries, u64::from(SYNC_RETRY_CAP), "capped retransmissions");
         assert_eq!(m.sync_abandoned, 1, "chain abandoned after the cap");
         assert!(m.retry_bytes > 0, "retry traffic is accounted");
         assert!(nodes[0].outstanding.lock().is_empty(), "no tracking leak");

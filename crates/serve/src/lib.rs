@@ -17,8 +17,8 @@
 //! ```
 //!
 //! * **One request path** — `submit` pushes onto a bounded FIFO queue
-//!   under the same lock idle workers wait on; a worker takes up to
-//!   [`ServeConfig::batch_capacity`] jobs per pickup, and each
+//!   under the same lock idle workers wait on; a worker takes up to 64
+//!   jobs per pickup, and each
 //!   [`Ticket`] resolves through a one-shot completion cell.
 //! * **Batch coalescing** — each batch is served against one epoch
 //!   snapshot of the table.

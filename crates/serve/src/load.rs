@@ -186,7 +186,6 @@ mod tests {
     fn engine() -> ServeEngine {
         ServeEngine::new(ServeConfig {
             workers: 2,
-            batch_capacity: 32,
             queue_capacity: 512,
             dimension: 2048,
             codebook_size: 64,
@@ -241,7 +240,6 @@ mod tests {
     fn tiny_queue_still_completes_via_retry() {
         let mut engine = ServeEngine::new(ServeConfig {
             workers: 1,
-            batch_capacity: 4,
             queue_capacity: 8,
             dimension: 2048,
             codebook_size: 64,

@@ -21,7 +21,6 @@ pub(crate) struct ShardMetrics {
     failed: AtomicU64,
     route_scans: AtomicU64,
     batches: AtomicU64,
-    batch_fill: AtomicU64,
     latency_ns: LogHistogram,
 }
 
@@ -37,7 +36,6 @@ impl ShardMetrics {
         latencies: &[Duration],
     ) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_fill.fetch_add(fill as u64, Ordering::Relaxed);
         self.served.fetch_add(fill as u64, Ordering::Relaxed);
         self.failed.fetch_add(failures as u64, Ordering::Relaxed);
         self.route_scans.fetch_add(scans as u64, Ordering::Relaxed);
@@ -48,18 +46,18 @@ impl ShardMetrics {
 
     pub(crate) fn snapshot(&self, epoch: u64, members: usize) -> ShardMetricsSnapshot {
         let batches = self.batches.load(Ordering::Relaxed);
-        let fill = self.batch_fill.load(Ordering::Relaxed);
+        let served = self.served.load(Ordering::Relaxed);
         let hist = self.latency_ns.snapshot();
         let latency = profile_from_histogram(&hist);
         ShardMetricsSnapshot {
             shard: 0,
             epoch,
             members,
-            served: self.served.load(Ordering::Relaxed),
+            served,
             failed: self.failed.load(Ordering::Relaxed),
             route_scans: self.route_scans.load(Ordering::Relaxed),
             batches,
-            mean_batch_fill: if batches == 0 { 0.0 } else { fill as f64 / batches as f64 },
+            mean_batch_fill: if batches == 0 { 0.0 } else { served as f64 / batches as f64 },
             latency,
             latency_hist: hist,
         }
@@ -103,8 +101,8 @@ pub struct ShardMetricsSnapshot {
     pub route_scans: u64,
     /// Coalesced batches executed.
     pub batches: u64,
-    /// Mean lookups per batch — the coalescing win; 1.0 means the queue
-    /// never held more than one request at a time.
+    /// Mean lookups per batch, `served / batches` — the coalescing win;
+    /// 1.0 means the queue never held more than one request at a time.
     pub mean_batch_fill: f64,
     /// p50/p90/p99/max over the full latency history, measured
     /// submit-to-response (queue wait included). Quantiles are log2-bucket

@@ -525,7 +525,6 @@ mod tests {
     fn config() -> ServeConfig {
         ServeConfig {
             workers: 1,
-            batch_capacity: 16,
             queue_capacity: 128,
             dimension: 2048,
             codebook_size: 64,
@@ -774,7 +773,6 @@ mod tests {
         // does not — the documented sizing mistake.
         let tiny = ServeConfig {
             workers: 1,
-            batch_capacity: 8,
             queue_capacity: 64,
             dimension: 64,
             codebook_size: 8,

@@ -383,7 +383,6 @@ impl ScenarioConfig {
         Self {
             engine: ServeConfig {
                 workers: 2,
-                batch_capacity: 16,
                 queue_capacity: 1024,
                 dimension: 2048,
                 codebook_size: 64,

@@ -31,7 +31,6 @@ use hdhash_table::ServerId;
 fn serve_config(seed: u64) -> ServeConfig {
     ServeConfig {
         workers: 1,
-        batch_capacity: 16,
         queue_capacity: 512,
         dimension: 2048,
         codebook_size: 64,

@@ -34,7 +34,6 @@ const CHURN_OPS: usize = 30;
 fn config(seed: u64) -> ServeConfig {
     ServeConfig {
         workers: 4,
-        batch_capacity: 16,
         queue_capacity: 1024,
         dimension: 2048,
         codebook_size: 64,
@@ -234,7 +233,6 @@ fn backpressure_surfaces_queue_full() {
     // QueueFull — and every *accepted* ticket must still resolve.
     let mut engine = ServeEngine::new(ServeConfig {
         workers: 1,
-        batch_capacity: 4,
         queue_capacity: 8,
         dimension: 2048,
         codebook_size: 64,
@@ -275,7 +273,6 @@ fn stragglers_complete_at_shutdown() {
     for round in 0..20u64 {
         let mut engine = ServeEngine::new(ServeConfig {
             workers: 4,
-            batch_capacity: 8,
             queue_capacity: 2048,
             dimension: 2048,
             codebook_size: 64,

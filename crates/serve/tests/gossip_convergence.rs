@@ -24,7 +24,6 @@ const CHURN_OPS: usize = 40;
 fn serve_config(seed: u64) -> ServeConfig {
     ServeConfig {
         workers: 1,
-        batch_capacity: 16,
         queue_capacity: 512,
         dimension: 2048,
         codebook_size: 64,
@@ -62,7 +61,7 @@ fn replica_set_with_fanout(
                 Arc::clone(&replica),
                 network.endpoint(id),
                 peers.clone(),
-                GossipConfig { period, fanout, ..GossipConfig::default() },
+                GossipConfig { period, fanout },
             );
             (replica, node)
         })

@@ -1,16 +1,18 @@
 //! Permanent peer death, end to end: a peer that stops participating and
 //! never comes back must walk the full detector ladder
-//! (Alive → Suspect → Dead at the configured round boundaries), its
-//! in-flight sync exchange must drain through bounded retries to
-//! `sync_abandoned` (never retrying forever), and once Dead it must stop
-//! consuming fanout slots — the only traffic it sees afterwards is the
-//! probe advert every `probe_period`-th round that would notice a
+//! (Alive → Suspect → Dead at the `SUSPECT_AFTER` and `DEAD_AFTER` round
+//! boundaries), its in-flight sync exchange must drain through bounded
+//! retries to `sync_abandoned` (never retrying forever), and once Dead it
+//! must stop consuming fanout slots — the only traffic it sees afterwards
+//! is the probe advert every `PROBE_PERIOD`-th round that would notice a
 //! recovery. The survivors stay converged with each other throughout.
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use hdhash_serve::gossip::{converged, GossipConfig, GossipMessage, GossipNode, PeerHealth};
+use hdhash_serve::gossip::{
+    converged, GossipConfig, GossipMessage, GossipNode, PeerHealth, DEAD_AFTER, SUSPECT_AFTER,
+    SYNC_RETRY_CAP,
+};
 use hdhash_serve::replication::ReplicatedEngine;
 use hdhash_serve::transport::{InProcessEndpoint, InProcessNetwork, ReplicaId, Transport};
 use hdhash_serve::ServeConfig;
@@ -19,26 +21,11 @@ use hdhash_table::ServerId;
 fn serve_config(seed: u64) -> ServeConfig {
     ServeConfig {
         workers: 1,
-        batch_capacity: 16,
         queue_capacity: 256,
         dimension: 1024,
         codebook_size: 32,
         seed,
         ..ServeConfig::default()
-    }
-}
-
-/// Tight detector/retry windows so the whole ladder fits in a short
-/// deterministic round script.
-fn gossip_config() -> GossipConfig {
-    GossipConfig {
-        period: Duration::from_millis(5),
-        fanout: 3,
-        suspect_after: 2,
-        dead_after: 5,
-        probe_period: 4,
-        sync_retry_rounds: 2,
-        sync_retry_cap: 2,
     }
 }
 
@@ -72,7 +59,7 @@ fn cluster() -> DeadPeerCluster {
             Arc::clone(&replica),
             network.endpoint(id),
             peers.clone(),
-            gossip_config(),
+            GossipConfig::default(),
         ));
         replicas.push(replica);
     }
@@ -82,7 +69,6 @@ fn cluster() -> DeadPeerCluster {
 #[test]
 fn silent_peer_walks_the_detector_ladder_and_syncs_drain_to_abandoned() {
     let DeadPeerCluster { network, replicas, nodes } = cluster();
-    let config = gossip_config();
     let dead_peer = ReplicaId::new(2);
 
     // Round 1: everyone speaks once. Replicas 0 and 1 hear replica 2's
@@ -100,17 +86,17 @@ fn silent_peer_walks_the_detector_ladder_and_syncs_drain_to_abandoned() {
     );
 
     // Rounds 2..=20: survivors keep gossiping; the detector must walk
-    // Alive (heard at round 1, elapsed ≤ suspect_after) → Suspect
-    // (elapsed ≤ dead_after) → Dead, on exact boundaries.
+    // Alive (heard at round 1, elapsed ≤ SUSPECT_AFTER = 3) → Suspect
+    // (elapsed ≤ DEAD_AFTER = 8) → Dead, on exact boundaries.
     for round in 2..=20u64 {
         nodes[0].tick();
         nodes[1].tick();
         nodes[0].pump();
         nodes[1].pump();
         let elapsed = round - 1;
-        let expected = if elapsed <= config.suspect_after {
+        let expected = if elapsed <= SUSPECT_AFTER {
             PeerHealth::Alive
-        } else if elapsed <= config.dead_after {
+        } else if elapsed <= DEAD_AFTER {
             PeerHealth::Suspect
         } else {
             PeerHealth::Dead
@@ -124,18 +110,17 @@ fn silent_peer_walks_the_detector_ladder_and_syncs_drain_to_abandoned() {
         }
     }
 
-    // The sync exchanges opened at round 1 must have been retried (with
-    // backoff) and then abandoned — bounded, never infinite.
+    // The sync exchanges opened at round 1 have used every retransmission
+    // (backoff 2 + 4 + 8 rounds plus jitter: the last one by round 18),
+    // and still wait for the final deadline, 30–34 rounds after round 1.
     for (i, node) in nodes[..2].iter().enumerate() {
         let metrics = node.metrics();
-        assert!(
-            metrics.sync_retries >= 1,
-            "node {i}: the unanswered sync was never retransmitted"
-        );
         assert_eq!(
-            metrics.sync_abandoned, 1,
-            "node {i}: the retry chain must drain to exactly one abandonment"
+            metrics.sync_retries,
+            u64::from(SYNC_RETRY_CAP),
+            "node {i}: the unanswered sync must be retransmitted up to the cap"
         );
+        assert_eq!(metrics.sync_abandoned, 0, "node {i}: abandoned before its last deadline");
         assert!(metrics.retry_bytes > 0, "node {i}: retransmissions must be accounted");
         assert_eq!(metrics.peers_dead, 1, "node {i}: detector must report one dead peer");
     }
@@ -151,8 +136,9 @@ fn silent_peer_walks_the_detector_ladder_and_syncs_drain_to_abandoned() {
 
     // Dead peers stop consuming fanout slots: steal replica 2's mailbox
     // (re-registering an id replaces it) and observe exactly the probe
-    // adverts — one redirected slot every probe_period-th round per
-    // survivor — and nothing else.
+    // adverts — one redirected slot every PROBE_PERIOD-th round per
+    // survivor — and nothing else. The retry chains abandon in this
+    // window and send nothing more.
     let graveyard = network.endpoint(dead_peer);
     let probes_before: u64 = nodes[..2].iter().map(|n| n.metrics().probes_sent).sum();
     for _ in 21..=40u64 {
@@ -177,4 +163,19 @@ fn silent_peer_walks_the_detector_ladder_and_syncs_drain_to_abandoned() {
         delivered, probes_delta,
         "every message to a dead peer must be a redirected probe slot"
     );
+
+    // Bounded, never infinite: each chain drained to exactly one
+    // abandonment without another retransmission.
+    for (i, node) in nodes[..2].iter().enumerate() {
+        let metrics = node.metrics();
+        assert_eq!(
+            metrics.sync_abandoned, 1,
+            "node {i}: the retry chain must drain to exactly one abandonment"
+        );
+        assert_eq!(
+            metrics.sync_retries,
+            u64::from(SYNC_RETRY_CAP),
+            "node {i}: retried past the cap"
+        );
+    }
 }

@@ -42,7 +42,6 @@ fn build_log(script: &[(u8, bool)]) -> MembershipLog {
 fn serve_config() -> ServeConfig {
     ServeConfig {
         workers: 1,
-        batch_capacity: 8,
         queue_capacity: 64,
         dimension: 1024,
         codebook_size: 32,

@@ -66,7 +66,6 @@ fn changes() -> impl Strategy<Value = Vec<Change>> {
 fn config(geometry: &Geometry, seed: u64) -> ServeConfig {
     ServeConfig {
         workers: 1,
-        batch_capacity: 8,
         queue_capacity: 256,
         dimension: geometry.dimension,
         codebook_size: geometry.codebook_size,

@@ -170,7 +170,6 @@ fn recorded_trace_replays_identically_through_the_serve_driver() {
 
     let engine_config = ServeConfig {
         workers: 2,
-        batch_capacity: 16,
         queue_capacity: 4096,
         dimension: 2048,
         codebook_size: 64,
@@ -207,7 +206,6 @@ fn trace_counters_agree_across_emulator_and_serve_worlds() {
 
     let engine = ServeEngine::new(ServeConfig {
         workers: 2,
-        batch_capacity: 16,
         queue_capacity: 4096,
         dimension: 2048,
         codebook_size: 64,

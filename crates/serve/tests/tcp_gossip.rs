@@ -21,7 +21,6 @@ use hdhash_table::ServerId;
 fn serve_config(seed: u64) -> ServeConfig {
     ServeConfig {
         workers: 1,
-        batch_capacity: 16,
         queue_capacity: 256,
         dimension: 1024,
         codebook_size: 32,

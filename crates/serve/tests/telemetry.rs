@@ -24,7 +24,6 @@ use hdhash_table::{RequestKey, ServerId};
 fn serve_config(seed: u64) -> ServeConfig {
     ServeConfig {
         workers: 2,
-        batch_capacity: 16,
         queue_capacity: 512,
         dimension: 1024,
         codebook_size: 32,

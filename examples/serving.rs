@@ -44,7 +44,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if telemetry_on { TraceConfig::sampled(64) } else { TraceConfig::disabled() };
     let config = ServeConfig {
         workers: 2,
-        batch_capacity: 64,
         queue_capacity: 4096,
         dimension: 4096,
         codebook_size: 256,
@@ -53,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..ServeConfig::default()
     };
     println!(
-        "engine: {} workers, batch capacity {}, queue capacity {}",
-        config.workers, config.batch_capacity, config.queue_capacity,
+        "engine: {} workers, queue capacity {}",
+        config.workers, config.queue_capacity,
     );
     let mut engine = ServeEngine::new(config)?;
 

@@ -915,7 +915,6 @@ mod cluster {
             TcpNetwork::bind(local, "127.0.0.1:0", tcp_config()).map_err(|e| e.to_string())?;
         let config = ServeConfig {
             workers: 1,
-            batch_capacity: 16,
             queue_capacity: 256,
             dimension,
             codebook_size: codebook,
