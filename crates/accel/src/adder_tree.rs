@@ -29,7 +29,6 @@
 /// assert_eq!(tree.output_bits(), 14);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AdderTree {
     inputs: usize,
 }

@@ -29,7 +29,6 @@
 /// assert_eq!((winner, best), (1, 4)); // tie 1 vs 3 -> lower index
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComparatorTree {
     entries: usize,
     score_bits: usize,

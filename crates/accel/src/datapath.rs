@@ -35,7 +35,6 @@ pub struct Inference {
 
 /// Critical-path timing of one combinational lookup, in picoseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingReport {
     /// Delay of the XOR difference stage.
     pub xor_ps: f64,
@@ -62,7 +61,6 @@ impl TimingReport {
 
 /// Gate-count area summary of the datapath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AreaReport {
     /// Two-input XOR gates in the difference stage (`k · d`).
     pub xor_gates: usize,

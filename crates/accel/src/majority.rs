@@ -148,7 +148,6 @@ pub fn agreement(a: &Hypervector, b: &Hypervector) -> f64 {
 /// assert!(cost.maj3_gates_per_bit * 2 <= cost.counter_fa_per_bit);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BundlingCost {
     /// Inputs being bundled.
     pub inputs: usize,

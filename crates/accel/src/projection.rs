@@ -14,7 +14,6 @@ use crate::timing::{ExecutionModel, LookupSchedule};
 
 /// One projected point of the Figure 4 curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProjectionPoint {
     /// Pool size `k` (stored server hypervectors).
     pub servers: usize,

@@ -24,7 +24,6 @@
 /// assert!(asic.fa_delay_ps < fpga.fa_delay_ps);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TechnologyParams {
     /// Human-readable corner name.
     pub name: String,

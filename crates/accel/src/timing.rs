@@ -21,7 +21,6 @@ use crate::tech::TechnologyParams;
 
 /// How the datapath is clocked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ExecutionModel {
     /// One combinational cycle per lookup (the paper's reference point).
     Combinational,
@@ -65,7 +64,6 @@ impl core::fmt::Display for ExecutionModel {
 /// assert!(piped.time_per_lookup_ps() <= single.time_per_lookup_ps());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LookupSchedule {
     /// The clocking discipline.
     pub model: ExecutionModel,

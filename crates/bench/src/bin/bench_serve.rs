@@ -117,23 +117,34 @@ fn main() {
     };
     // Paired trials: each trial runs both arms back to back and yields
     // one on/off throughput ratio, so slow host drift cancels; the
-    // reported regression is the median ratio across trials.
+    // reported regression is the median ratio across trials, with the
+    // quartiles beside it so a reader can see whether the spread is
+    // narrower than the 5% bar.
     let (mut trace_off_rps, mut trace_on_rps) = (0.0f64, 0.0f64);
-    let mut ratios: Vec<f64> = (0..9)
+    let mut regressions_pct: Vec<f64> = (0..9)
         .map(|_| {
             let off = ab_run(TraceConfig::disabled());
             let on = ab_run(TraceConfig::sampled(64));
             trace_off_rps = trace_off_rps.max(off);
             trace_on_rps = trace_on_rps.max(on);
-            if off > 0.0 { on / off } else { 1.0 }
+            let ratio = if off > 0.0 { on / off } else { 1.0 };
+            (1.0 - ratio) * 100.0
         })
         .collect();
-    ratios.sort_by(f64::total_cmp);
-    let trace_regression_pct = (1.0 - ratios[ratios.len() / 2]) * 100.0;
+    regressions_pct.sort_by(f64::total_cmp);
+    // Nearest-rank quantile of the sorted paired regressions.
+    let regression_pct_at = |q: f64| {
+        let rank = (q * regressions_pct.len() as f64).ceil() as usize;
+        regressions_pct[rank.max(1) - 1]
+    };
+    let trace_regression_pct = regression_pct_at(0.5);
+    let (trace_regression_q1, trace_regression_q3) =
+        (regression_pct_at(0.25), regression_pct_at(0.75));
     println!(
         "tracing overhead @ workers={ab_workers}: \
          best off {trace_off_rps:.0} req/s, best 1/64 sampled {trace_on_rps:.0} req/s, \
-         median paired regression {trace_regression_pct:+.1}%"
+         median paired regression {trace_regression_pct:+.1}% \
+         [quartiles {trace_regression_q1:+.1}%, {trace_regression_q3:+.1}%]"
     );
 
     let note = if cores < 4 {
@@ -156,7 +167,8 @@ fn main() {
         "  \"tracing_overhead\": {{\"workers\": {ab_workers}, \
          \"disabled_rps\": {trace_off_rps:.0}, \
          \"sampled_1_in_64_rps\": {trace_on_rps:.0}, \
-         \"regression_pct\": {trace_regression_pct:.1}}},"
+         \"regression_pct\": {trace_regression_pct:.1}, \
+         \"regression_pct_quartiles\": [{trace_regression_q1:.1}, {trace_regression_q3:.1}]}},"
     );
     json.push_str(
         "  \"latency_note\": \"latency now feeds a lock-free 65-bucket log2 \

@@ -3,17 +3,18 @@
 //!
 //! Plain HD hashing, like the classic ring, can overload a server whose
 //! circle neighbourhood happens to be sparse. Mirrokni, Thorup &
-//! Zadimoghaddam's bounded-loads refinement caps every server at
-//! `⌈(1 + ε) · average⌉` items; `hdhash-ring` implements it for the ring
-//! (`hdhash_ring::BoundedLoadTable`). This module transfers the idea to
-//! HD hashing: a request walks the *similarity ranking* of Eq. 2 — most
-//! similar server first — past full servers until one has spare capacity.
+//! Zadimoghaddam's bounded-loads refinement of consistent hashing
+//! ("Consistent Hashing with Bounded Loads", SODA 2018) caps every server
+//! at `⌈(1 + ε) · average⌉` items, sending an item past full servers along
+//! the ring. This module transfers the idea to HD hashing: a request walks
+//! the *similarity ranking* of Eq. 2 — most similar server first — past
+//! full servers until one has spare capacity.
 //! Because the ranking is computed from the same quantized hypervector
 //! distances as the plain table, the robustness guarantee carries over:
 //! sub-quantum corruption cannot reorder the ranking, so placements are
 //! bit-stable under the paper's entire noise sweep.
 //!
-//! Like its ring counterpart, this is a *stateful* assignment structure
+//! Like the ring version, this is a *stateful* assignment structure
 //! (an overflowed item must keep resolving where it was parked), so it
 //! exposes `assign`/`release` rather than the read-only lookup trait.
 

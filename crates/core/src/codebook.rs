@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use hdhash_hashfn::{Hasher64, XxHash64};
+use hdhash_hashfn::XxHash64;
 use hdhash_hdc::basis::{CircularBasis, FlipStrategy};
 use hdhash_hdc::{Hypervector, Rng};
 
@@ -13,11 +13,12 @@ use hdhash_hdc::{Hypervector, Rng};
 /// inputs whose hashes land on nearby circle nodes receive similar
 /// hypervectors — the geometric foundation of HD hashing.
 ///
-/// The basis and hash function are immutable once generated and shared
-/// behind [`Arc`]s, so cloning a codebook — and therefore cloning a whole
+/// The basis is immutable once generated and shared behind an [`Arc`], so
+/// cloning a codebook — and therefore cloning a whole
 /// [`HdHashTable`](crate::HdHashTable), as the serving layer's
 /// epoch-snapshot publication does per reconfiguration — never copies the
-/// `n × d`-bit basis, only bumps two reference counts.
+/// `n × d`-bit basis, only bumps one reference count. `h` is XXH64 at
+/// seed 0.
 ///
 /// # Examples
 ///
@@ -32,7 +33,7 @@ use hdhash_hdc::{Hypervector, Rng};
 #[derive(Clone)]
 pub struct Codebook {
     basis: Arc<CircularBasis>,
-    hasher: Arc<dyn Hasher64>,
+    hasher: XxHash64,
 }
 
 impl core::fmt::Debug for Codebook {
@@ -40,14 +41,13 @@ impl core::fmt::Debug for Codebook {
         f.debug_struct("Codebook")
             .field("n", &self.basis.len())
             .field("d", &self.basis.dimension())
-            .field("hash", &self.hasher.kind())
             .finish()
     }
 }
 
 impl Codebook {
     /// Generates a codebook of `n` circular-hypervectors of dimension `d`
-    /// using the default construction and hash function, seeded by `seed`.
+    /// using the default construction, seeded by `seed`.
     ///
     /// # Panics
     ///
@@ -56,26 +56,20 @@ impl Codebook {
     /// validated building.
     #[must_use]
     pub fn generate(n: usize, d: usize, seed: u64) -> Self {
-        Self::generate_with(n, d, FlipStrategy::Partition, Box::new(XxHash64::with_seed(0)), seed)
+        Self::generate_with(n, d, FlipStrategy::Partition, seed)
     }
 
-    /// Generates a codebook with explicit strategy and hash function.
+    /// Generates a codebook with an explicit flip strategy.
     ///
     /// # Panics
     ///
     /// Panics if the circular basis parameters are invalid.
     #[must_use]
-    pub fn generate_with(
-        n: usize,
-        d: usize,
-        strategy: FlipStrategy,
-        hasher: Box<dyn Hasher64>,
-        seed: u64,
-    ) -> Self {
+    pub fn generate_with(n: usize, d: usize, strategy: FlipStrategy, seed: u64) -> Self {
         let mut rng = Rng::new(seed);
         let basis = CircularBasis::generate_with_strategy(n, d, strategy, &mut rng)
             .expect("validated codebook parameters");
-        Self { basis: Arc::new(basis), hasher: Arc::from(hasher) }
+        Self { basis: Arc::new(basis), hasher: XxHash64::with_seed(0) }
     }
 
     /// Codebook cardinality `n`.

@@ -82,14 +82,12 @@ impl HdHashTable {
     /// Creates a table from a validated configuration.
     #[must_use]
     pub fn with_config(config: HdConfig) -> Self {
-        let codebook =
-            Codebook::generate_with(
-                config.codebook_size,
-                config.dimension,
-                config.flip_strategy,
-                Box::new(hdhash_hashfn::XxHash64::with_seed(0)),
-                config.seed,
-            );
+        let codebook = Codebook::generate_with(
+            config.codebook_size,
+            config.dimension,
+            config.flip_strategy,
+            config.seed,
+        );
         let memory = AssociativeMemory::new(config.dimension).with_strategy(config.search);
         Self { config, codebook, memory, members: Vec::new() }
     }

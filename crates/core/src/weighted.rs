@@ -80,7 +80,6 @@ impl WeightedHdTable {
             config.codebook_size,
             config.dimension,
             config.flip_strategy,
-            Box::new(hdhash_hashfn::XxHash64::with_seed(0)),
             config.seed,
         );
         let memory = AssociativeMemory::new(config.dimension).with_strategy(config.search);

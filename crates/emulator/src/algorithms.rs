@@ -12,7 +12,6 @@ use hdhash_table::{ModularTable, NoisyTable};
 
 /// The algorithms the paper compares (plus this repo's extras).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum AlgorithmKind {
     /// `h(r) mod n` (paper §1 baseline).

@@ -25,7 +25,6 @@ use crate::runner;
 
 /// Parameters of the per-machine error chain.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorrelatedErrorModel {
     /// Probability a *healthy* machine errors in a given month.
     pub monthly_error_rate: f64,

@@ -14,12 +14,10 @@
 //!
 //! * [`request`] — the request vocabulary (join / leave / lookup);
 //! * [`generator`] — deterministic workload generators (uniform, Zipf,
-//!   churn schedules) feeding the shared buffer;
-//! * [`buffer`] / [`concurrent`] — the bounded shared request buffer and
-//!   the literal two-thread generator/module architecture;
+//!   churn schedules) feeding the module's buffer;
 //! * [`module`] — the buffered hash table module executing requests;
 //! * [`algorithms`] — a factory over every [`NoisyTable`] in the workspace
-//!   (modular, consistent, rendezvous, HD serial / parallel);
+//!   (modular, consistent, rendezvous, HD serial / parallel, Maglev, jump);
 //! * [`noise`] — noise-injection plans (SEU, MCU bursts, the Ibe et al.
 //!   22 nm mixture);
 //! * [`stats`] — Pearson's χ² goodness-of-fit machinery (Figure 6's
@@ -40,8 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod algorithms;
-pub mod buffer;
-pub mod concurrent;
 pub mod correlated;
 pub mod generator;
 pub mod metrics;
@@ -57,8 +53,6 @@ pub mod trace;
 pub mod zipf;
 
 pub use algorithms::AlgorithmKind;
-pub use buffer::RequestBuffer;
-pub use concurrent::{run_concurrent, ConcurrentRunReport};
 pub use correlated::{CorrelatedErrorModel, CorrelatedErrorProcess, TimelineConfig};
 pub use generator::{Generator, KeyDistribution, Workload};
 pub use metrics::{

@@ -13,7 +13,6 @@ use hdhash_table::NoisyTable;
 
 /// A description of memory errors to inject into a table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NoisePlan {
     /// `count` independent single-bit flips at uniform positions (SEU).
     Seu {

@@ -8,7 +8,6 @@ use hdhash_table::{RequestKey, ServerId};
 
 /// A single message sent from the generator to the hash table module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Request {
     /// A server announces itself to the pool.
     Join(ServerId),

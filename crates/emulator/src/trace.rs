@@ -44,7 +44,6 @@ const HEADER_PREFIX: &str = "# hdhash-trace v1";
 /// # Ok::<(), hdhash_emulator::trace::TraceParseError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trace {
     name: String,
     requests: Vec<Request>,

@@ -1,27 +1,23 @@
-//! # hdhash-hashfn — from-scratch 64-bit hash function substrate
+//! # hdhash-hashfn — the table hash, the seeding generator and the mixers
 //!
-//! Every hashing algorithm reproduced in this workspace (modular hashing,
-//! consistent hashing, rendezvous hashing and hyperdimensional hashing) is
-//! parameterized by a hash function `h(·)` mapping byte strings — request
-//! identifiers, server identifiers, or (server, request) pairs — to 64-bit
-//! words. The paper ("Hyperdimensional Hashing", DAC 2022) simply assumes a
-//! hash function exists; since this repository builds every substrate from
-//! scratch, this crate provides a family of well-known non-cryptographic
-//! hash functions implemented from their published specifications:
+//! Every hashing algorithm reproduced in this workspace (modular,
+//! consistent, rendezvous, Maglev, jump and hyperdimensional hashing)
+//! places servers and requests through a conventional hash `h(·)`; for HD
+//! hashing it is the `h` of `Enc(x) = C[h(x) mod n]` (the paper's Eq. 1).
+//! The paper simply assumes such a function exists; this crate implements
+//! the one every table uses, plus the small integer primitives the rest of
+//! the workspace seeds and scrambles with:
 //!
+//! * [`XxHash64`] — a from-spec implementation of XXH64, the table hash.
+//!   Every table holds one (seed 0; Maglev derives its skip from a second
+//!   one at seed `0x5EED`) and calls [`XxHash64::hash_bytes`] directly.
 //! * [`SplitMix64`] — the tiny state-mixing generator of Steele et al.,
-//!   used throughout the workspace for seeding and integer mixing.
-//! * [`Fnv1a64`] — Fowler–Noll–Vo 1a, the classic byte-stream hash.
-//! * [`XxHash64`] — a from-spec implementation of XXH64.
-//! * [`Murmur3_128`] — MurmurHash3 x64/128 (we expose the low 64 bits).
-//! * [`SipHash13`] / [`SipHash24`] — keyed SipHash with 1-3 and 2-4 rounds.
-//!
-//! All hashers implement the [`Hasher64`] trait; pair hashing (needed by
-//! rendezvous hashing's `h(s, r)`) is provided by [`PairHasher`], and
-//! [`BuildStdHasher`] bridges the family into `std::collections`.
+//!   used throughout the workspace for seeding and random streams.
+//! * [`mix64`] / [`rrmxmx`] — bijective 64-bit finalizers for combining
+//!   and scrambling words that are already hashes or counters.
 //!
 //! ```
-//! use hdhash_hashfn::{Hasher64, XxHash64};
+//! use hdhash_hashfn::XxHash64;
 //!
 //! let h = XxHash64::with_seed(42);
 //! let a = h.hash_bytes(b"server-1");
@@ -32,21 +28,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fnv;
 pub mod mix;
-pub mod murmur3;
-pub mod quality;
-pub mod siphash;
 pub mod splitmix;
-pub mod std_bridge;
-pub mod traits;
 pub mod xxhash;
 
-pub use fnv::Fnv1a64;
 pub use mix::{mix64, moremur, rrmxmx};
-pub use murmur3::Murmur3_128;
-pub use siphash::{SipHash13, SipHash24};
 pub use splitmix::SplitMix64;
-pub use std_bridge::{BuildStdHasher, StdHasher};
-pub use traits::{HashKind, Hasher64, PairHasher};
 pub use xxhash::XxHash64;

@@ -2,9 +2,10 @@
 //!
 //! A finalizer is a bijective scrambling of a 64-bit word with full
 //! avalanche: flipping any input bit flips each output bit with probability
-//! ≈ 1/2. Consistent hashing uses a mixer to derive virtual-node positions,
-//! rendezvous hashing uses one to combine pre-hashed pairs, and HD hashing
-//! uses one to spread codebook indices.
+//! ≈ 1/2. Rendezvous hashing combines a server's pre-hash with a request's
+//! hash through [`mix64`], the consistent-hashing treap derives node
+//! priorities from [`mix64`] and [`rrmxmx`], and the hierarchical HD table
+//! assigns servers to groups with [`mix64`].
 
 /// The default 64-bit mixer: `moremur` (Pelle Evensen's strengthened
 /// MurmurHash3 finalizer).

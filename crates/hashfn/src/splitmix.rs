@@ -7,8 +7,6 @@
 //! integer-mixing primitive: every deterministic random stream in the
 //! repository bottoms out here.
 
-use crate::traits::{HashKind, Hasher64};
-
 /// The golden-gamma increment, `floor(2^64 / phi)`, made odd.
 pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -30,13 +28,8 @@ pub const fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A splittable pseudo-random stream with SplitMix64 state transitions.
-///
-/// The struct doubles as a [`Hasher64`] (hashing bytes by absorbing them
-/// into the state) so that the emulator can select it as the `h(·)` of an
-/// algorithm, and as an iterator-style generator through [`next_u64`].
-///
-/// [`next_u64`]: SplitMix64::next_u64
+/// A splittable pseudo-random stream with SplitMix64 state transitions,
+/// drawn from through [`next_u64`](SplitMix64::next_u64).
 ///
 /// # Examples
 ///
@@ -117,34 +110,6 @@ impl Default for SplitMix64 {
     }
 }
 
-impl Hasher64 for SplitMix64 {
-    fn hash_bytes(&self, bytes: &[u8]) -> u64 {
-        // Absorb 8-byte lanes through the SplitMix finalizer, then close
-        // with the length so that prefixes do not collide.
-        let mut acc = splitmix64(self.state ^ GOLDEN_GAMMA);
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let lane = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            acc = splitmix64(acc ^ lane);
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut lane = [0u8; 8];
-            lane[..rest.len()].copy_from_slice(rest);
-            acc = splitmix64(acc ^ u64::from_le_bytes(lane));
-        }
-        splitmix64(acc ^ (bytes.len() as u64))
-    }
-
-    fn reseed(&self, seed: u64) -> Box<dyn Hasher64> {
-        Box::new(Self::new(self.state ^ splitmix64(seed)))
-    }
-
-    fn kind(&self) -> HashKind {
-        HashKind::SplitMix64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,13 +173,6 @@ mod tests {
         let mut a = parent.split();
         let mut b = parent.split();
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn hash_bytes_prefix_free() {
-        let h = SplitMix64::new(0);
-        assert_ne!(h.hash_bytes(b""), h.hash_bytes(b"\0"));
-        assert_ne!(h.hash_bytes(b"\0\0\0\0\0\0\0\0"), h.hash_bytes(b"\0" as &[u8]));
     }
 
     #[test]

@@ -2,10 +2,8 @@
 //!
 //! XXH64 (Yann Collet) processes the input in 32-byte stripes through four
 //! accumulator lanes, merges them, absorbs the tail, and applies an
-//! avalanche finalizer. It is the workspace's default `h(·)`: fast,
+//! avalanche finalizer. It is the workspace's table hash `h(·)`: fast,
 //! well-distributed and seedable.
-
-use crate::traits::{HashKind, Hasher64};
 
 const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
 const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -18,7 +16,7 @@ const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
 /// # Examples
 ///
 /// ```
-/// use hdhash_hashfn::{Hasher64, XxHash64};
+/// use hdhash_hashfn::XxHash64;
 ///
 /// // Official test vector: XXH64("", seed=0) = 0xEF46DB3751D8E999.
 /// assert_eq!(XxHash64::new().hash_bytes(b""), 0xEF46_DB37_51D8_E999);
@@ -39,6 +37,13 @@ impl XxHash64 {
     #[must_use]
     pub const fn with_seed(seed: u64) -> Self {
         Self { seed }
+    }
+
+    /// Hashes a byte string to a 64-bit word under this hasher's seed.
+    #[inline]
+    #[must_use]
+    pub fn hash_bytes(&self, bytes: &[u8]) -> u64 {
+        Self::hash_with_seed(self.seed, bytes)
     }
 
     #[inline]
@@ -129,20 +134,6 @@ fn read_u64(bytes: &[u8]) -> u64 {
 #[inline]
 fn read_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(bytes.try_into().expect("4-byte slice"))
-}
-
-impl Hasher64 for XxHash64 {
-    fn hash_bytes(&self, bytes: &[u8]) -> u64 {
-        Self::hash_with_seed(self.seed, bytes)
-    }
-
-    fn reseed(&self, seed: u64) -> Box<dyn Hasher64> {
-        Box::new(Self::with_seed(seed))
-    }
-
-    fn kind(&self) -> HashKind {
-        HashKind::XxHash64
-    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,6 @@ pub use random::RandomBasis;
 /// How the sparse transformation-hypervectors of Algorithm 1 sample their
 /// flipped bit positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Default)]
 pub enum FlipStrategy {
     /// Literal Algorithm 1: every transformation-hypervector flips

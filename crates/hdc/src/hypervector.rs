@@ -44,7 +44,6 @@ impl std::error::Error for DimensionMismatchError {}
 /// assert!((4_700..5_300).contains(&dist));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Hypervector {
     dimension: usize,
     words: Vec<u64>,

@@ -19,8 +19,6 @@
 //! * [`basis`] — the three basis-hypervector families of the paper's
 //!   Section 4: random, level and **circular** hypervectors (Algorithm 1,
 //!   including the odd-cardinality footnote);
-//! * [`encoding`] — compound encoders built from the basis families:
-//!   sequences, n-grams and key–value records;
 //! * [`accumulator`] — incremental integer-counter bundling ("binarized
 //!   bundling", Schmuck et al. \[18\]) for online prototypes;
 //! * [`classifier`] — the centroid HDC classifier (VoiceHD-style), used
@@ -61,7 +59,6 @@ pub mod accumulator;
 pub mod basis;
 pub mod batch;
 pub mod classifier;
-pub mod encoding;
 pub mod hypervector;
 pub mod maintenance;
 pub mod memory;

@@ -30,7 +30,6 @@ use crate::similarity::SimilarityMetric;
 
 /// How nearest-neighbour queries scan the memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SearchStrategy {
     /// Single-threaded scan.
     #[default]

@@ -14,7 +14,6 @@ use crate::hypervector::Hypervector;
 /// rank identically; both are offered because the paper names both and the
 /// ablation benches compare their cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SimilarityMetric {
     /// Inverse Hamming similarity `1 − ham/d` in `[0, 1]`.
     #[default]

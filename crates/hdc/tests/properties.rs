@@ -1,5 +1,6 @@
 //! Property-based tests for the HDC substrate invariants.
 
+use hdhash_hdc::accumulator::BundleAccumulator;
 use hdhash_hdc::basis::{CircularBasis, FlipStrategy, LevelBasis, RandomBasis};
 use hdhash_hdc::ops::{bind, bundle, permute, transformation};
 use hdhash_hdc::similarity::{cosine, hamming, inverse_hamming};
@@ -170,5 +171,59 @@ proptest! {
                 prop_assert!(cosine(&basis[i], &basis[j]).abs() < 0.1);
             }
         }
+    }
+}
+
+fn random_set(count: usize, d: usize, seed: u64) -> Vec<Hypervector> {
+    let mut rng = Rng::new(seed);
+    (0..count).map(|_| Hypervector::random(d, &mut rng)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The accumulator is a commutative group action: any interleaving of
+    /// adds/subtracts with a net-zero churn returns to baseline.
+    #[test]
+    fn accumulator_group_property(seed in any::<u64>(), churn in 1usize..6) {
+        let base = random_set(3, 1024, seed);
+        let extra = random_set(churn, 1024, seed ^ 7);
+        let mut acc = BundleAccumulator::new(1024);
+        for hv in &base {
+            acc.add(hv).expect("dims");
+        }
+        let baseline = acc.clone();
+        // Interleave: add all extras, then retract them in reverse.
+        for hv in &extra {
+            acc.add(hv).expect("dims");
+        }
+        for hv in extra.iter().rev() {
+            acc.subtract(hv).expect("dims");
+        }
+        prop_assert_eq!(acc, baseline);
+    }
+
+    /// Accumulator thresholding agrees with one-shot majority for any odd
+    /// member count.
+    #[test]
+    fn accumulator_majority_agreement(seed in any::<u64>(), k in 0usize..4) {
+        let inputs = random_set(2 * k + 1, 2048, seed);
+        let mut acc = BundleAccumulator::new(2048);
+        for hv in &inputs {
+            acc.add(hv).expect("dims");
+        }
+        let refs: Vec<&Hypervector> = inputs.iter().collect();
+        let mut rng = Rng::new(seed);
+        let majority = hdhash_hdc::ops::bundle(&refs, &mut rng).expect("dims");
+        prop_assert_eq!(acc.to_hypervector(), majority);
+    }
+
+    /// Byte round-trip across arbitrary dimensions.
+    #[test]
+    fn hypervector_bytes_roundtrip(seed in any::<u64>(), d in 1usize..600) {
+        let mut rng = Rng::new(seed);
+        let hv = Hypervector::random(d, &mut rng);
+        let back = Hypervector::from_bytes(d, &hv.to_bytes()).expect("roundtrip");
+        prop_assert_eq!(back, hv);
     }
 }

@@ -1,6 +1,6 @@
 //! The Maglev lookup table.
 
-use hdhash_hashfn::{Hasher64, SplitMix64, XxHash64};
+use hdhash_hashfn::{SplitMix64, XxHash64};
 use hdhash_table::{DynamicHashTable, NoisyTable, RequestKey, ServerId, TableError};
 
 use crate::prime::next_prime;
@@ -43,7 +43,10 @@ const EMPTY: u64 = u64::MAX;
 /// # Ok::<(), hdhash_table::TableError>(())
 /// ```
 pub struct MaglevTable {
-    hasher: Box<dyn Hasher64>,
+    /// `h₁`: hashes requests to slots and backends to their offsets.
+    hasher: XxHash64,
+    /// `h₂`: hashes backends to their skips.
+    skip_hasher: XxHash64,
     table_size: usize,
     members: Vec<ServerId>,
     /// The lookup table (`EMPTY` when no servers have joined); this is the
@@ -55,7 +58,7 @@ impl MaglevTable {
     /// Default table size: the Maglev paper's measurement configuration.
     pub const DEFAULT_TABLE_SIZE: usize = 65_537;
 
-    /// Creates a table with the default size and hash function (XXH64).
+    /// Creates a table with the default size.
     #[must_use]
     pub fn new() -> Self {
         Self::with_table_size(Self::DEFAULT_TABLE_SIZE)
@@ -72,7 +75,8 @@ impl MaglevTable {
         assert!(requested >= 2, "Maglev needs at least two slots");
         let table_size = next_prime(requested as u64) as usize;
         Self {
-            hasher: Box::new(XxHash64::with_seed(0)),
+            hasher: XxHash64::with_seed(0),
+            skip_hasher: XxHash64::with_seed(0x5EED),
             table_size,
             members: Vec::new(),
             lookup: Vec::new(),
@@ -110,7 +114,7 @@ impl MaglevTable {
             .iter()
             .map(|s| {
                 let h1 = self.hasher.hash_bytes(&s.to_bytes());
-                let h2 = self.hasher.reseed(0x5EED).hash_bytes(&s.to_bytes());
+                let h2 = self.skip_hasher.hash_bytes(&s.to_bytes());
                 ((h1 % m as u64) as usize, (h2 % (m as u64 - 1) + 1) as usize)
             })
             .collect();

@@ -15,9 +15,11 @@
 //!   quantiles come from the bucket counts, so there is no lock and no
 //!   sample-buffer clone anywhere near a hot path.
 //! * **Tracing** — [`Tracer`] samples request-path [`TraceEvent`]s into a
-//!   bounded lock-free ring. Overflow is explicit (an `events_dropped`
-//!   counter), never blocking. Drained events export as JSON Lines or as
-//!   Chrome trace-event JSON for flamegraph viewing.
+//!   bounded ring (an `ArrayQueue`, which the offline `crossbeam` shim
+//!   guards with a mutex). Overflow is explicit (an `events_dropped`
+//!   counter); a full ring drops the event instead of waiting. Drained
+//!   events export as JSON Lines or as Chrome trace-event JSON for
+//!   flamegraph viewing.
 //! * **Exporters** — [`TelemetrySnapshot`] renders to Prometheus text
 //!   exposition ([`TelemetrySnapshot::to_prometheus`]) and JSON
 //!   ([`TelemetrySnapshot::to_json`]). The [`promparse`] and [`jsonlite`]

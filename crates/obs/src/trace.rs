@@ -1,10 +1,13 @@
-//! Request-path tracing: a bounded lock-free ring of structured span
-//! events, sampled at a configurable rate.
+//! Request-path tracing: a bounded ring of structured span events, sampled
+//! at a configurable rate. The ring is a `crossbeam::queue::ArrayQueue`;
+//! the offline `crossbeam` shim implements it as a mutex-guarded
+//! `VecDeque`, so each push and each pop takes one short lock.
 //!
-//! The ring never blocks a hot path: when it is full, new events are
-//! counted in `events_dropped` and discarded whole — an event is either
-//! entirely present or entirely absent, never torn. Drained events export
-//! as JSON Lines ([`jsonl`]) or Chrome trace-event JSON ([`chrome_trace`]).
+//! The ring never waits for room on a hot path: when it is full, new
+//! events are counted in `events_dropped` and discarded whole — an event
+//! is either entirely present or entirely absent, never torn. Drained
+//! events export as JSON Lines ([`jsonl`]) or Chrome trace-event JSON
+//! ([`chrome_trace`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -163,7 +166,7 @@ pub struct TracerStats {
     pub requests_seen: u64,
 }
 
-/// A sampling trace collector over a bounded lock-free ring.
+/// A sampling trace collector over a bounded ring.
 ///
 /// ```
 /// use hdhash_obs::{SpanKind, TraceConfig, Tracer};

@@ -1,6 +1,6 @@
 //! The classic highest-random-weight table.
 
-use hdhash_hashfn::{mix64, Hasher64, SplitMix64, XxHash64};
+use hdhash_hashfn::{mix64, SplitMix64, XxHash64};
 use hdhash_table::{DynamicHashTable, NoisyTable, RequestKey, ServerId, TableError};
 
 /// Rendezvous (HRW) hashing: `argmax_s h(s, r)`.
@@ -32,22 +32,17 @@ use hdhash_table::{DynamicHashTable, NoisyTable, RequestKey, ServerId, TableErro
 /// # Ok::<(), hdhash_table::TableError>(())
 /// ```
 pub struct RendezvousTable {
-    hasher: Box<dyn Hasher64>,
+    hasher: XxHash64,
     /// `(server, stored pre-hash)` — the pre-hash is the noise surface.
     entries: Vec<(ServerId, u64)>,
 }
 
 impl RendezvousTable {
-    /// Creates an empty table with the default hash function (XXH64).
+    /// Creates an empty table whose servers and requests are hashed with
+    /// XXH64.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_hasher(Box::new(XxHash64::with_seed(0)))
-    }
-
-    /// Creates an empty table with an explicit hash function.
-    #[must_use]
-    pub fn with_hasher(hasher: Box<dyn Hasher64>) -> Self {
-        Self { hasher, entries: Vec::new() }
+        Self { hasher: XxHash64::with_seed(0), entries: Vec::new() }
     }
 
     fn prehash(&self, server: ServerId) -> u64 {

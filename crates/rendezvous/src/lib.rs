@@ -9,9 +9,8 @@
 //!
 //! This crate provides:
 //!
-//! * [`RendezvousTable`] — the classic HRW table;
-//! * [`WeightedRendezvousTable`] — the logarithmic-method weighted variant
-//!   for heterogeneous server capacities;
+//! * [`RendezvousTable`] — the classic HRW table, hashing with XXH64 and
+//!   combining each (server, request) pair through [`hdhash_hashfn::mix64`];
 //! * a [`NoisyTable`](hdhash_table::NoisyTable) implementation whose
 //!   vulnerable state surface is the *stored per-server pre-hash words*:
 //!   corrupting one changes all of that server's weights, so it loses its
@@ -23,7 +22,5 @@
 #![warn(missing_docs)]
 
 pub mod hrw;
-pub mod weighted;
 
 pub use hrw::RendezvousTable;
-pub use weighted::WeightedRendezvousTable;

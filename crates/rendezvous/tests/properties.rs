@@ -1,6 +1,6 @@
 //! Property-based tests for rendezvous hashing.
 
-use hdhash_rendezvous::{RendezvousTable, WeightedRendezvousTable};
+use hdhash_rendezvous::RendezvousTable;
 use hdhash_table::{DynamicHashTable, NoisyTable, RequestKey, ServerId};
 use proptest::prelude::*;
 
@@ -82,26 +82,5 @@ proptest! {
         let after: Vec<ServerId> =
             keys.iter().map(|&k| table.lookup(k).expect("non-empty")).collect();
         prop_assert_eq!(before, after);
-    }
-
-    /// Weighted rendezvous with equal weights ranks identically to the
-    /// share each server would get — each server wins something for
-    /// modest pools, and every lookup is a member.
-    #[test]
-    fn weighted_lookup_total(
-        ids in proptest::collection::hash_set(0u64..1000, 1..12),
-        weights_seed in any::<u64>(),
-    ) {
-        let mut table = WeightedRendezvousTable::new();
-        let mut rng = hdhash_hashfn::SplitMix64::new(weights_seed);
-        let ids: Vec<u64> = ids.into_iter().collect();
-        for &id in &ids {
-            let weight = 0.5 + rng.next_f64() * 4.0;
-            table.join(ServerId::new(id), weight).expect("distinct");
-        }
-        for k in 0..64u64 {
-            let owner = table.lookup(RequestKey::new(k)).expect("non-empty");
-            prop_assert!(ids.contains(&owner.get()));
-        }
     }
 }

@@ -12,7 +12,7 @@
 //! [`JumpTable`] adapter keeps only the bucket→server array (its noise
 //! surface), isolating exactly how much *state* costs under faults.
 
-use hdhash_hashfn::{Hasher64, SplitMix64, XxHash64};
+use hdhash_hashfn::{SplitMix64, XxHash64};
 use hdhash_table::{DynamicHashTable, NoisyTable, RequestKey, ServerId, TableError};
 
 /// The stateless jump consistent hash function: maps `key` to a bucket in
@@ -72,7 +72,7 @@ pub fn jump_hash(key: u64, buckets: u32) -> u32 {
 /// # Ok::<(), hdhash_table::TableError>(())
 /// ```
 pub struct JumpTable {
-    hasher: Box<dyn Hasher64>,
+    hasher: XxHash64,
     /// Bucket → server array, in join order; the noise surface.
     buckets: Vec<u64>,
     /// Clean shadow of the bucket array, used to restore after noise
@@ -81,10 +81,10 @@ pub struct JumpTable {
 }
 
 impl JumpTable {
-    /// Creates an empty table with the default hash function (XXH64).
+    /// Creates an empty table whose keys are hashed with XXH64.
     #[must_use]
     pub fn new() -> Self {
-        Self { hasher: Box::new(XxHash64::with_seed(0)), buckets: Vec::new(), clean: Vec::new() }
+        Self { hasher: XxHash64::with_seed(0), buckets: Vec::new(), clean: Vec::new() }
     }
 }
 

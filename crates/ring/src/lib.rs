@@ -8,11 +8,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`ConsistentTable`] — the classic sorted-ring implementation with
-//!   `O(log n)` binary-search lookups and optional virtual nodes;
-//! * [`BoundedLoadTable`] — the "consistent hashing with bounded loads"
-//!   refinement (Mirrokni et al., SODA 2018), used by the uniformity
-//!   ablations;
+//! * [`ConsistentTable`] — the classic ring with `O(log n)` successor
+//!   lookups and optional virtual nodes;
+//! * [`JumpTable`] — jump consistent hashing (Lamping & Veach, 2014) over
+//!   a stored bucket → server array;
 //! * [`Treap`] — the from-scratch `O(log n)` search tree
 //!   the ring is stored in;
 //! * a [`NoisyTable`](hdhash_table::NoisyTable) implementation whose
@@ -24,12 +23,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bounded;
 pub mod jump;
 pub mod ring;
 pub mod treap;
 
-pub use bounded::BoundedLoadTable;
 pub use jump::JumpTable;
 pub use ring::ConsistentTable;
 pub use treap::Treap;

@@ -1,6 +1,6 @@
 //! The consistent hashing table over a treap-backed ring.
 
-use hdhash_hashfn::{Hasher64, SplitMix64, XxHash64};
+use hdhash_hashfn::{SplitMix64, XxHash64};
 use hdhash_table::{DynamicHashTable, NoisyTable, RequestKey, ServerId, TableError};
 
 use crate::treap::Treap;
@@ -18,7 +18,7 @@ use crate::treap::Treap;
 /// With `vnodes > 1`, each server owns several ring positions (derived by
 /// re-hashing `(server, replica)`), which tightens the load distribution
 /// at the cost of a larger ring. The paper's setup corresponds to one node
-/// per server (the default); the `ablation_vnodes` bench explores the
+/// per server (the default); study 3 of the `ablation` bin explores the
 /// trade-off.
 ///
 /// ## Noise model
@@ -46,7 +46,7 @@ use crate::treap::Treap;
 /// # Ok::<(), hdhash_table::TableError>(())
 /// ```
 pub struct ConsistentTable {
-    hasher: Box<dyn Hasher64>,
+    hasher: XxHash64,
     vnodes: usize,
     /// Clean membership in join order.
     members: Vec<ServerId>,
@@ -56,17 +56,11 @@ pub struct ConsistentTable {
 }
 
 impl ConsistentTable {
-    /// Creates an empty ring with the default hash function (XXH64) and a
-    /// single node per server, matching the paper's setup.
+    /// Creates an empty ring hashed with XXH64 and a single node per
+    /// server, matching the paper's setup.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_hasher(Box::new(XxHash64::with_seed(0)))
-    }
-
-    /// Creates an empty ring with an explicit hash function.
-    #[must_use]
-    pub fn with_hasher(hasher: Box<dyn Hasher64>) -> Self {
-        Self { hasher, vnodes: 1, members: Vec::new(), ring: Treap::new() }
+        Self { hasher: XxHash64::with_seed(0), vnodes: 1, members: Vec::new(), ring: Treap::new() }
     }
 
     /// Creates an empty ring with `vnodes` virtual nodes per server.
@@ -89,12 +83,12 @@ impl ConsistentTable {
     }
 
     /// The ring position of a request's hash.
-    pub(crate) fn request_point(&self, request: RequestKey) -> u64 {
+    fn request_point(&self, request: RequestKey) -> u64 {
         self.hasher.hash_bytes(&request.to_bytes())
     }
 
     /// The ring positions of a server's virtual nodes.
-    pub(crate) fn server_points(&self, server: ServerId) -> Vec<u64> {
+    fn server_points(&self, server: ServerId) -> Vec<u64> {
         (0..self.vnodes)
             .map(|replica| {
                 let mut buf = [0u8; 16];

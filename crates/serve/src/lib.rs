@@ -121,7 +121,7 @@ pub use chaos::{ChaosEndpoint, ChaosNetwork, ChaosStats, FaultPlan, LinkFaults};
 pub use config::ServeConfig;
 pub use engine::ServeEngine;
 pub use gossip::{GossipConfig, GossipMessage, GossipMetrics, GossipNode, PeerHealth};
-pub use load::{drive, drive_trace, LoadReport};
+pub use load::{drive, LoadReport};
 pub use metrics::{EngineMetrics, ShardMetricsSnapshot};
 pub use replication::{MemberRecord, MembershipLog, ReplicatedEngine};
 pub use request::{ServeResponse, Ticket};

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use hdhash_emulator::replay::{ReplayCounters, ReplayReport};
-use hdhash_emulator::{metrics::ThroughputSample, LatencyProfile, Request, Trace};
+use hdhash_emulator::{metrics::ThroughputSample, LatencyProfile, Request};
 
 use crate::engine::ServeEngine;
 use crate::request::Ticket;
@@ -167,14 +167,6 @@ pub fn drive(engine: &ServeEngine, requests: &[Request], window: usize) -> LoadR
     report.elapsed = started.elapsed();
     report.latency = LatencyProfile::from_durations(latencies);
     report
-}
-
-/// Replays a recorded [`Trace`] against a live engine — the serve side of
-/// the emulator ↔ serve seam. Identical to [`drive`] over the trace's
-/// request stream.
-#[must_use]
-pub fn drive_trace(engine: &ServeEngine, trace: &Trace, window: usize) -> LoadReport {
-    drive(engine, trace.requests(), window)
 }
 
 #[cfg(test)]

@@ -240,7 +240,7 @@ impl Scenario {
 
     /// Records the scenario's full request stream as an
     /// [`hdhash_emulator::Trace`] — replayable through the emulator module
-    /// *and* the serve driver (`load::drive_trace`), which is the seam the
+    /// *and* the serve driver ([`crate::drive`]), which is the seam the
     /// cross-world regression test exercises.
     #[must_use]
     pub fn trace(&self, seed: u64) -> Trace {

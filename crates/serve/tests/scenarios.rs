@@ -6,7 +6,7 @@
 
 use hdhash_emulator::{AlgorithmKind, HashTableModule, Trace};
 use hdhash_serve::scenario::{self, catalog, PhaseMetrics, Scenario, ScenarioConfig};
-use hdhash_serve::{drive_trace, ServeConfig, ServeEngine};
+use hdhash_serve::{drive, ServeConfig, ServeEngine};
 
 /// Seed used by the deterministic catalog tests (any value works; fixing
 /// one keeps CI logs comparable across runs).
@@ -178,11 +178,11 @@ fn recorded_trace_replays_identically_through_the_serve_driver() {
     };
     let original = {
         let engine = ServeEngine::new(engine_config).expect("engine");
-        drive_trace(&engine, &trace, 64).replay_report()
+        drive(&engine, trace.requests(), 64).replay_report()
     };
     let reparsed = {
         let engine = ServeEngine::new(engine_config).expect("engine");
-        drive_trace(&engine, &parsed, 64).replay_report()
+        drive(&engine, parsed.requests(), 64).replay_report()
     };
     assert_eq!(
         original.counters, reparsed.counters,
@@ -212,7 +212,7 @@ fn trace_counters_agree_across_emulator_and_serve_worlds() {
         ..ServeConfig::default()
     })
     .expect("engine");
-    let served = drive_trace(&engine, &trace, 64).replay_report();
+    let served = drive(&engine, trace.requests(), 64).replay_report();
 
     assert_eq!(
         emulated.counters, served.counters,

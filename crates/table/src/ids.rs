@@ -16,7 +16,6 @@
 /// assert_eq!(s.to_string(), "s3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ServerId(u64);
 
 impl ServerId {
@@ -63,7 +62,6 @@ impl core::fmt::Display for ServerId {
 /// assert_eq!(r.to_string(), "r42");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RequestKey(u64);
 
 impl RequestKey {

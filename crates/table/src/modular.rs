@@ -9,7 +9,7 @@
 //! experiments) and to serve as the simplest [`DynamicHashTable`] for
 //! emulator plumbing tests.
 
-use hdhash_hashfn::{Hasher64, XxHash64};
+use hdhash_hashfn::XxHash64;
 
 use crate::error::TableError;
 use crate::ids::{RequestKey, ServerId};
@@ -34,7 +34,7 @@ use crate::traits::{DynamicHashTable, NoisyTable};
 /// # Ok::<(), hdhash_table::TableError>(())
 /// ```
 pub struct ModularTable {
-    hasher: Box<dyn Hasher64>,
+    hasher: XxHash64,
     /// Clean membership list, in join order.
     servers: Vec<ServerId>,
     /// The stored slot array lookups actually read; noise corrupts this.
@@ -42,16 +42,10 @@ pub struct ModularTable {
 }
 
 impl ModularTable {
-    /// Creates an empty table with the default hash function (XXH64).
+    /// Creates an empty table whose requests are hashed with XXH64.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_hasher(Box::new(XxHash64::with_seed(0)))
-    }
-
-    /// Creates an empty table with an explicit hash function.
-    #[must_use]
-    pub fn with_hasher(hasher: Box<dyn Hasher64>) -> Self {
-        Self { hasher, servers: Vec::new(), slots: Vec::new() }
+        Self { hasher: XxHash64::with_seed(0), servers: Vec::new(), slots: Vec::new() }
     }
 
     /// Re-derives the whole slot array from the clean membership list —
@@ -74,10 +68,7 @@ impl Default for ModularTable {
 
 impl core::fmt::Debug for ModularTable {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("ModularTable")
-            .field("servers", &self.servers.len())
-            .field("hash", &self.hasher.kind())
-            .finish()
+        f.debug_struct("ModularTable").field("servers", &self.servers.len()).finish()
     }
 }
 

@@ -12,8 +12,8 @@
 //!
 //! ## Crates
 //!
-//! * [`hashfn`] — 64-bit hash function substrate (SplitMix64, FNV-1a,
-//!   XXH64, Murmur3, SipHash), all from their published specifications;
+//! * [`hashfn`] — the table hash (XXH64), the SplitMix64 generator and
+//!   64-bit mixers, all from their published specifications;
 //! * [`hdc`] — the hyperdimensional computing substrate: bit-packed
 //!   hypervectors, bind/bundle/permute, similarity metrics, random /
 //!   level / **circular** basis-hypervectors (the paper's Algorithm 1),
@@ -23,11 +23,10 @@
 //!   CPU has it, portable scalar everywhere else);
 //! * [`table`] — the `DynamicHashTable` contract, strongly typed ids,
 //!   the modular-hashing baseline and remap metrics;
-//! * [`ring`] — consistent hashing over a from-scratch treap (plus
-//!   bounded-load and virtual-node variants and jump consistent hash);
+//! * [`ring`] — consistent hashing over a from-scratch treap (with
+//!   optional virtual nodes) and jump consistent hash;
 //! * [`maglev`] — Maglev lookup-table hashing (the paper's reference \[3\]);
-//! * [`rendezvous`] — rendezvous / highest-random-weight hashing (plus a
-//!   weighted variant);
+//! * [`rendezvous`] — rendezvous / highest-random-weight hashing;
 //! * [`core`] — **HD hashing**, the paper's contribution: circular
 //!   hypervector codebook, `Enc(x) = C[h(x) mod n]`, similarity arg-max
 //!   with a provable robustness quantum, hierarchical and weighted
